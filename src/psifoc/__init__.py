@@ -15,20 +15,43 @@ from .matrices import (EigenMode, EvalMode, ScalarMatrix, ScalarMode,
                        count_subspaces, export_matrix, fermat_matrix,
                        pascal_matrix, resolve_mode,
                        verify_fermat_factorization)
-from .psi import (CommPoly2, MultiplicativityCheck, PsiFamily,
-                  check_psi_multiplicativity, classical, custom, fibonacci,
-                  gauss, gauss_binomial, psi_binomial, psi_factorial,
-                  psi_falling, psi_int, psi_plus_power, psi_weight)
+from .psi import (PsiFamily, classical, custom, fibonacci, gauss,
+                  gauss_binomial, psi_binomial, psi_factorial, psi_falling,
+                  psi_int, psi_weight)
 from .qhat import (DiagOperator, binomial_eigenvalue, dilation_operator,
                    eval_on_monomial, geometric_sum, op_binomial,
                    op_factorial, op_integer, qhat_mutator, qhat_operator)
-from .qplane import (OpRealization, QPlanePoly, Report,
-                     explore_observation1_general, qp_mul, qp_power,
+from .qplane import (MultiplicativityCheck, OpRealization, QPlanePoly,
+                     Report, check_psi_multiplicativity,
+                     explore_observation1_general, psi_plus_power,
                      realization, realization_check, verify_cauchy_operator,
-                     verify_cauchy_scalar, verify_gauss_binomial_theorem)
+                     verify_cauchy_scalar, verify_fermat_operator,
+                     verify_gauss_binomial_theorem)
 from .scalars import (Q, RatFunc, Scalar, eval_ratfunc, normalize,
                       parse_rational, render)
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    "DeformationMismatch", "DegreeOutOfRange", "DimensionMismatch",
+    "DivisionByZero", "InadmissibleFamily", "InvalidFamilyFile",
+    "MixedFieldTags", "NegativeIndex", "NonInvertibleDenominator",
+    "ParseError", "PoleAtPoint", "PsifocError", "SizeTooLarge",
+    "UnsupportedField",
+    "EigenMode", "EvalMode", "ScalarMatrix", "ScalarMode",
+    "count_subspaces", "export_matrix", "fermat_matrix", "pascal_matrix",
+    "resolve_mode", "verify_fermat_factorization",
+    "PsiFamily", "classical", "custom", "fibonacci", "gauss",
+    "gauss_binomial", "psi_binomial", "psi_factorial", "psi_falling",
+    "psi_int", "psi_weight",
+    "DiagOperator", "binomial_eigenvalue", "dilation_operator",
+    "eval_on_monomial", "geometric_sum", "op_binomial", "op_factorial",
+    "op_integer", "qhat_mutator", "qhat_operator",
+    "MultiplicativityCheck", "OpRealization", "QPlanePoly", "Report",
+    "check_psi_multiplicativity", "explore_observation1_general",
+    "psi_plus_power", "realization", "realization_check",
+    "verify_cauchy_operator", "verify_cauchy_scalar",
+    "verify_fermat_operator", "verify_gauss_binomial_theorem",
+    "Q", "RatFunc", "Scalar", "eval_ratfunc", "normalize",
+    "parse_rational", "render",
+]

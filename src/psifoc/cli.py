@@ -134,38 +134,13 @@ class Command:
         argv = [self.verb]
         if self.subverb is not None:
             argv.append(self.subverb)
-        if self.family is not None:
-            argv += ["--family", self.family.text]
-        if self.verb == "binom":
-            argv += [str(self.n), str(self.k)]
-        elif self.verb == "fact":
-            argv += [str(self.n)]
-        elif self.verb == "falling":
-            argv += [str(self.xval), str(self.k)]
-        elif self.verb == "expand":
-            argv += ["--power", str(self.power)]
-        elif self.verb == "verify":
-            if self.subverb == "cauchy":
-                argv += ["--r", str(self.r), "--s", str(self.s),
-                         "--j", str(self.j)]
-            elif self.subverb == "fermat":
-                argv += ["--size", str(self.size)]
-            else:
-                argv += ["--n", str(self.n)]
-            if self.subverb in ("cauchy", "fermat") and self.maxdeg is not None:
-                argv += ["--maxdeg", str(self.maxdeg)]
-        elif self.verb == "matrix":
-            argv += ["--size", str(self.size)]
-            if self.x0 is not None:
-                argv += ["--x", scalars.render(self.x0)]
-            if self.eigen is not None:
-                argv += ["--eigen", str(self.eigen)]
-            argv += ["--format", str(self.fmt)]
-            if self.out is not None:
-                argv += ["--out", self.out]
-        elif self.verb == "oracle":
-            argv += ["--q", str(self.qfield), "--n", str(self.n),
-                     "--k", str(self.k)]
+        rule = _GRAMMAR[(self.verb, self.subverb)]
+        for flag, (kind, dest, _required) in rule["flags"].items():
+            value = getattr(self, dest)
+            if value is not None:
+                argv += [flag, _render_value(kind, value)]
+        argv += [_render_value(kind, getattr(self, dest))
+                 for kind, dest, _label in rule["positionals"]]
         if self.pretty:
             argv.append("--pretty")
         return argv
@@ -262,6 +237,15 @@ def _parse_value(kind: str, token: str, position: int, label: str):
                              ("csv", "json"))
         return token
     return token  # path
+
+
+def _render_value(kind: str, value) -> str:
+    """Inverse of :func:`_parse_value` on parsed values."""
+    if kind == "family":
+        return value.text
+    if kind == "rational":
+        return scalars.render(value)
+    return str(value)
 
 
 def parse_command(argv: list[str]) -> Command:
@@ -375,28 +359,15 @@ def _run_matrix(cmd: Command) -> tuple[int, str]:
 
 def _run_verify(cmd: Command) -> tuple[int, str]:
     fam = cmd.family.to_family()
-    if cmd.subverb == "cauchy":
-        maxdeg = cmd.maxdeg if cmd.maxdeg is not None else _default_trunc()
-        report = qplane.verify_cauchy_operator(fam, cmd.r, cmd.s, cmd.j,
-                                               maxdeg)
-    elif cmd.subverb == "fermat":
-        maxdeg = cmd.maxdeg if cmd.maxdeg is not None else _default_trunc()
-        report = qplane.Report({"check": "fermat-factorization",
-                                "family": fam.label, "size": cmd.size,
-                                "maxdeg": maxdeg})
-        verdicts: dict = {}
-        for m in range(maxdeg + 1):
-            t = matrices.resolve_mode(EigenMode(fam, m))
-            key = t
-            if key not in verdicts:
-                verdicts[key] = matrices.fermat_factorization_mismatches(
-                    cmd.size, ScalarMode(t))
-            for (i, j, lhs, rhs) in verdicts[key]:
-                report.mismatches.append({
-                    "degree": m, "entry": [i, j],
-                    "lhs": scalars.render(lhs), "rhs": scalars.render(rhs)})
-    else:
+    if cmd.subverb == "obs1":
         report = qplane.explore_observation1_general(fam, cmd.n)
+    else:
+        maxdeg = cmd.maxdeg if cmd.maxdeg is not None else _default_trunc()
+        if cmd.subverb == "cauchy":
+            report = qplane.verify_cauchy_operator(fam, cmd.r, cmd.s, cmd.j,
+                                                   maxdeg)
+        else:
+            report = qplane.verify_fermat_operator(fam, cmd.size, maxdeg)
     if report.passed:
         return 0, "PASS"
     return 1, report.to_json(cmd.pretty)
@@ -416,7 +387,7 @@ def run_command(cmd: Command) -> tuple[int, str]:
             return 0, scalars.render(psi.psi_falling(fam, cmd.xval, cmd.k))
         if cmd.verb == "expand":
             fam = cmd.family.to_family()
-            terms = psi.psi_plus_power(fam, cmd.power).to_json_terms()
+            terms = qplane.psi_plus_power(fam, cmd.power).to_json_terms()
             return 0, json.dumps(terms, indent=2 if cmd.pretty else None)
         if cmd.verb == "verify":
             return _run_verify(cmd)
@@ -428,6 +399,9 @@ def run_command(cmd: Command) -> tuple[int, str]:
         raise PsifocError(f"unhandled verb {cmd.verb!r}")
     except (PsifocError, ValueError, OSError) as exc:
         return 2, f"error: {exc}"
+    except Exception as exc:
+        # exit 1 is reserved for mismatches; any other failure is an error
+        return 2, f"error: {type(exc).__name__}: {exc}"
 
 
 def main(argv: list[str] | None = None) -> int:

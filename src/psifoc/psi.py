@@ -6,20 +6,20 @@ families: classical (n_psi = n), the Gauss q-analog
 (n_psi = 1 + q + ... + q^(n-1), either symbolic in q or evaluated at a
 rational point), Fibonacci (n_psi = F_n), and finite user tables.
 
-On top of the integers the module builds factorials, falling factorials,
-binomial coefficients, two-variable convolution expansions in ordinary
-commuting variables, and the check that exposes when those expansions
-fail to multiply like true binomials.  It also houses the independent
-Gaussian-binomial routine used as an oracle by the operator and matrix
-modules: a Pascal-style recurrence that never divides, so it is total in
-the deformation parameter.
+On top of the integers the module builds factorials, falling factorials
+and binomial coefficients.  It also houses the independent
+Gaussian-binomial routine used as an oracle by the operator, matrix and
+quantum-plane modules: a Pascal-style recurrence that never divides, so it
+is total in the deformation parameter.  The two-variable convolution
+expansions built from the family binomials live in :mod:`psifoc.qplane`,
+as quantum-plane polynomials at t = 1.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable
 
 from . import scalars
 from .errors import InadmissibleFamily, NegativeIndex
@@ -184,7 +184,7 @@ def gauss_binomial(n: int, k: int, t: Scalar) -> Scalar:
     return _gauss_row(n, t)[k]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def _gauss_row(n: int, t: Scalar) -> tuple[Scalar, ...]:
     one = scalars.one_like(t)
     if n == 0:
@@ -197,99 +197,3 @@ def _gauss_row(n: int, t: Scalar) -> tuple[Scalar, ...]:
         row.append(prev[k - 1] + t_pow * prev[k])
     row.append(one)
     return tuple(row)
-
-
-class CommPoly2:
-    """Polynomial in two ordinary commuting variables x, y.
-
-    Coefficients are scalars of one field tag; zero coefficients are never
-    stored.  Supports just what the convolution check needs: product,
-    equality, and term access.
-    """
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: Mapping[tuple[int, int], Scalar]):
-        pruned = {}
-        for key, value in coeffs.items():
-            value = scalars.normalize(value)
-            if value != 0:
-                pruned[key] = value
-        self.coeffs = pruned
-
-    def coefficient(self, xdeg: int, ydeg: int) -> Scalar:
-        return self.coeffs.get((xdeg, ydeg), 0)
-
-    def terms(self) -> Iterator[tuple[int, int, Scalar]]:
-        """Terms in lexicographic (xdeg, ydeg) order."""
-        for (k, l) in sorted(self.coeffs):
-            yield k, l, self.coeffs[(k, l)]
-
-    def __mul__(self, other: "CommPoly2") -> "CommPoly2":
-        if not isinstance(other, CommPoly2):
-            return NotImplemented
-        acc: dict[tuple[int, int], Scalar] = {}
-        for (k1, l1), c1 in self.coeffs.items():
-            for (k2, l2), c2 in other.coeffs.items():
-                key = (k1 + k2, l1 + l2)
-                acc[key] = acc.get(key, 0) + c1 * c2
-        return CommPoly2(acc)
-
-    def __eq__(self, other):
-        if not isinstance(other, CommPoly2):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def to_json_terms(self) -> list[dict]:
-        """Serializable form: list of {xdeg, ydeg, coeff} in lex order."""
-        return [{"xdeg": k, "ydeg": l, "coeff": scalars.render(c)}
-                for k, l, c in self.terms()]
-
-    def __repr__(self):
-        body = " + ".join(
-            f"({scalars.render(c)})*x^{k}*y^{l}" for k, l, c in self.terms())
-        return body or "0"
-
-
-def psi_plus_power(fam: PsiFamily, n: int) -> CommPoly2:
-    """The n-th convolution power: sum over k of the family binomial
-    (n, k) times x^k y^(n-k), in commuting variables."""
-    if n < 0:
-        raise ValueError("psi_plus_power requires n >= 0")
-    return CommPoly2({(k, n - k): psi_binomial(fam, n, k)
-                      for k in range(n + 1)})
-
-
-@dataclass(frozen=True)
-class MultiplicativityCheck:
-    """Outcome of comparing a product of convolution powers with the
-    convolution power of the summed exponent."""
-
-    family: str
-    r: int
-    s: int
-    equal: bool
-    #: (xdeg, ydeg, product coefficient, direct coefficient) at the
-    #: lexicographically first differing monomial, or None when equal.
-    first_difference: tuple[int, int, Scalar, Scalar] | None
-
-
-def check_psi_multiplicativity(fam: PsiFamily, r: int, s: int) -> MultiplicativityCheck:
-    """Multiply the r-th and s-th convolution powers as ordinary
-    polynomials and compare with the (r+s)-th power.
-
-    For the classical family the two agree (the binomial theorem); for
-    genuinely deformed families such as Fibonacci they differ, which is
-    why the quantum-plane machinery exists at all.
-    """
-    if r < 0 or s < 0:
-        raise ValueError("exponents must be nonnegative")
-    product = psi_plus_power(fam, r) * psi_plus_power(fam, s)
-    direct = psi_plus_power(fam, r + s)
-    for key in sorted(set(product.coeffs) | set(direct.coeffs)):
-        lhs = product.coefficient(*key)
-        rhs = direct.coefficient(*key)
-        if lhs != rhs:
-            return MultiplicativityCheck(fam.label, r, s, False,
-                                         (key[0], key[1], lhs, rhs))
-    return MultiplicativityCheck(fam.label, r, s, True, None)

@@ -5,7 +5,9 @@ by lambda_m = ((m+1)_psi - 1) / m_psi.  Every operator built from it here
 (operator integers, factorials, binomial symbols) is again diagonal on
 monomials, so operators are stored as eigenvalue tables and all algebra is
 pointwise.  That makes operator identities exhaustively checkable: an
-identity of diagonal operators holds iff it holds at every eigenvalue.
+identity of diagonal operators holds iff it holds at every eigenvalue, and
+:func:`per_eigenvalue` evaluates such a check once per distinct eigenvalue
+and spreads the result back over the degrees.
 
 The degree-0 eigenvalue of the defining formula is 0/0; by convention it
 is set to the degree-1 eigenvalue, which keeps the Gauss family exactly
@@ -19,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 import json
+from typing import Any, Callable
 
 from . import scalars
 from .errors import (DegreeOutOfRange, DimensionMismatch,
@@ -113,7 +116,7 @@ def dilation_operator(q0: Scalar, n_trunc: int) -> DiagOperator:
     return DiagOperator(tuple(scalars.powi(q0, m) for m in range(n_trunc + 1)))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def geometric_sum(lam: Scalar, n: int) -> Scalar:
     """Sum of lam^j for j < n, evaluated term by term.
 
@@ -132,7 +135,7 @@ def geometric_sum(lam: Scalar, n: int) -> Scalar:
     return scalars.normalize(acc)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def _geometric_factorial(lam: Scalar, n: int) -> Scalar:
     acc = scalars.one_like(lam)
     for j in range(1, n + 1):
@@ -140,7 +143,7 @@ def _geometric_factorial(lam: Scalar, n: int) -> Scalar:
     return scalars.normalize(acc)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def _binomial_eigenvalue(n: int, k: int, lam: Scalar) -> Scalar | None:
     denominator = _geometric_factorial(lam, k) * _geometric_factorial(lam, n - k)
     if denominator == 0:
@@ -163,6 +166,26 @@ def binomial_eigenvalue(n: int, k: int, lam: Scalar) -> Scalar:
             f"binomial symbol ({n} {k}) has vanishing denominator at "
             f"eigenvalue {scalars.render(lam)}")
     return value
+
+
+def per_eigenvalue(op: DiagOperator, fn: Callable[[Scalar], Any]) -> list:
+    """Evaluate fn once per distinct eigenvalue of op and return its values
+    degree by degree.
+
+    A NonInvertibleDenominator raised by fn is raised again with
+    ``degree`` set to the first degree carrying the offending eigenvalue.
+    """
+    seen: dict = {}
+    values = []
+    for m, lam in enumerate(op.eigenvalues):
+        if lam not in seen:
+            try:
+                seen[lam] = fn(lam)
+            except NonInvertibleDenominator as exc:
+                raise NonInvertibleDenominator(f"{exc} (degree {m})",
+                                               degree=m) from None
+        values.append(seen[lam])
+    return values
 
 
 def op_integer(n: int, op: DiagOperator) -> DiagOperator:
@@ -191,17 +214,8 @@ def op_binomial(n: int, k: int, op: DiagOperator) -> DiagOperator:
     """
     if n < 0:
         raise ValueError("op_binomial requires n >= 0")
-    if k < 0 or k > n:
-        return zero_like(op)
-    values = []
-    for m, lam in enumerate(op.eigenvalues):
-        value = _binomial_eigenvalue(n, k, lam)
-        if value is None:
-            raise NonInvertibleDenominator(
-                f"binomial symbol ({n} {k}) has vanishing denominator at "
-                f"degree {m} (eigenvalue {scalars.render(lam)})", degree=m)
-        values.append(value)
-    return DiagOperator(tuple(values))
+    return DiagOperator(tuple(
+        per_eigenvalue(op, lambda lam: binomial_eigenvalue(n, k, lam))))
 
 
 def eval_on_monomial(op: DiagOperator, m: int) -> Scalar:

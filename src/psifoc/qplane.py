@@ -3,18 +3,27 @@
 The quantum plane is the algebra generated by x and y with the rewriting
 rule y x = t * x y for a deformation scalar t.  Polynomials are stored in
 normal form (all x powers left of all y powers), so multiplication is a
-bilinear rewrite: y^l x^k becomes t^(k*l) x^k y^l.
+bilinear rewrite: y^l x^k becomes t^(k*l) x^k y^l.  At t = 1 the variables
+commute, which is where the family convolution expansions live: the n-th
+convolution power sums the family binomials (n, k) times x^k y^(n-k), and
+the multiplicativity check exposes when those powers fail to multiply
+like true binomials.
 
 Verifiers in this module reduce operator claims to exhaustively checkable
 scalar claims through diagonal functional calculus: a diagonal-operator
-identity holds iff it holds at every eigenvalue.  Each verifier pairs the
-code path under test with an independent oracle:
+identity holds iff it holds at every eigenvalue, so the operator verifiers
+evaluate each claim once per distinct mutator eigenvalue
+(:func:`psifoc.qhat.per_eigenvalue`) and report mismatches per degree.
+Each verifier pairs the code path under test with an independent oracle:
 
 * the deformed binomial theorem: quantum-plane powers of x + y against
   the recurrence-computed Gaussian binomials;
 * the twisted Cauchy convolution, both for a scalar parameter and for a
   family's mutator operator (the operator route goes through factorial
   quotients, the scalar route through the recurrence);
+* the twisted convolution factorization of the Fermat matrix at every
+  mutator eigenvalue of a family (factorial-quotient entries against the
+  recurrence);
 * the multiplication-operator realization of the defining relation;
 * the ordered expansion of (A + B)^n for a general weight family, which
   reports coefficient mismatches rather than asserting them away, since
@@ -29,10 +38,11 @@ from typing import Mapping
 
 from . import qhat, scalars
 from .errors import DeformationMismatch
-from .matrices import ScalarMatrix
-from .psi import PsiFamily, family_one, gauss_binomial
-from .qhat import (DiagOperator, eval_on_monomial, op_binomial,
-                   qhat_operator)
+from .matrices import (ScalarMatrix, ScalarMode,
+                       fermat_factorization_mismatches)
+from .psi import PsiFamily, family_one, gauss_binomial, psi_binomial
+from .qhat import (DiagOperator, binomial_eigenvalue, eval_on_monomial,
+                   op_binomial, qhat_operator)
 from .scalars import Q, Scalar
 
 
@@ -125,20 +135,59 @@ class QPlanePoly:
             return NotImplemented
         return self.t == other.t and self.coeffs == other.coeffs
 
+    def to_json_terms(self) -> list[dict]:
+        """Serializable form: list of {xdeg, ydeg, coeff} in lex order."""
+        return [{"xdeg": k, "ydeg": l, "coeff": scalars.render(c)}
+                for k, l, c in self.terms()]
+
     def __repr__(self):
         body = " + ".join(f"({scalars.render(c)})*x^{k}*y^{l}"
                           for k, l, c in self.terms())
         return body or "0"
 
 
-def qp_mul(a: QPlanePoly, b: QPlanePoly) -> QPlanePoly:
-    """Product in the quantum plane; requires equal deformations."""
-    return a * b
+def psi_plus_power(fam: PsiFamily, n: int) -> QPlanePoly:
+    """The n-th convolution power: sum over k of the family binomial
+    (n, k) times x^k y^(n-k), in commuting variables (t = 1)."""
+    if n < 0:
+        raise ValueError("psi_plus_power requires n >= 0")
+    return QPlanePoly(1, {(k, n - k): psi_binomial(fam, n, k)
+                          for k in range(n + 1)})
 
 
-def qp_power(base: QPlanePoly, n: int) -> QPlanePoly:
-    """Repeated quantum-plane product; the empty power is one."""
-    return base ** n
+@dataclass(frozen=True)
+class MultiplicativityCheck:
+    """Outcome of comparing a product of convolution powers with the
+    convolution power of the summed exponent."""
+
+    family: str
+    r: int
+    s: int
+    equal: bool
+    #: (xdeg, ydeg, product coefficient, direct coefficient) at the
+    #: lexicographically first differing monomial, or None when equal.
+    first_difference: tuple[int, int, Scalar, Scalar] | None
+
+
+def check_psi_multiplicativity(fam: PsiFamily, r: int, s: int) -> MultiplicativityCheck:
+    """Multiply the r-th and s-th convolution powers as ordinary
+    polynomials and compare with the (r+s)-th power.
+
+    For the classical family the two agree (the binomial theorem); for
+    genuinely deformed families such as Fibonacci they differ, which is
+    why the quantum-plane machinery exists at all.
+    """
+    if r < 0 or s < 0:
+        raise ValueError("exponents must be nonnegative")
+    product = psi_plus_power(fam, r) * psi_plus_power(fam, s)
+    direct = psi_plus_power(fam, r + s)
+    for key in sorted(set(product.coeffs) | set(direct.coeffs)):
+        lhs = product.coefficient(*key)
+        rhs = direct.coefficient(*key)
+        if lhs != rhs:
+            return MultiplicativityCheck(fam.label, r, s, False,
+                                         (key[0], key[1], lhs, rhs))
+    return MultiplicativityCheck(fam.label, r, s, True, None)
 
 
 @dataclass
@@ -212,30 +261,54 @@ def verify_cauchy_operator(fam: PsiFamily, r: int, s: int, j: int,
                            maxdeg: int) -> Report:
     """Twisted convolution identity for a family's mutator operator.
 
-    Both sides are assembled as diagonal operators (powers of the mutator
-    and operator binomial symbols) and compared eigenvalue by eigenvalue
-    for every monomial degree up to maxdeg.  Degenerate eigenvalues
-    propagate NonInvertibleDenominator with the offending degree.
+    Both sides are diagonal operators (powers of the mutator and operator
+    binomial symbols), so the identity is checked as a scalar identity
+    once per distinct mutator eigenvalue, both sides built from factorial
+    quotients, and reported for every monomial degree up to maxdeg.
+    Degenerate eigenvalues propagate NonInvertibleDenominator with the
+    offending degree.
     """
     if r < 0 or s < 0:
         raise ValueError("r and s must be nonnegative")
-    mutator = qhat_operator(fam, maxdeg)
-    lhs = qhat.zero_like(mutator)
-    for k in _cauchy_k_range(r, s, j):
-        term = (mutator ** ((r - k) * (j - k))
-                * op_binomial(r, k, mutator)
-                * op_binomial(s, j - k, mutator))
-        lhs = lhs + term
-    rhs = op_binomial(r + s, j, mutator)
+
+    def sides(lam: Scalar) -> tuple[Scalar, Scalar]:
+        lhs = scalars.zero_like(lam)
+        for k in _cauchy_k_range(r, s, j):
+            lhs = lhs + (scalars.powi(lam, (r - k) * (j - k))
+                         * binomial_eigenvalue(r, k, lam)
+                         * binomial_eigenvalue(s, j - k, lam))
+        return scalars.normalize(lhs), binomial_eigenvalue(r + s, j, lam)
+
     report = Report({"check": "cauchy-operator", "family": fam.label,
                      "r": r, "s": s, "j": j, "maxdeg": maxdeg})
-    for m in range(maxdeg + 1):
-        left = eval_on_monomial(lhs, m)
-        right = eval_on_monomial(rhs, m)
+    pairs = qhat.per_eigenvalue(qhat_operator(fam, maxdeg), sides)
+    for m, (left, right) in enumerate(pairs):
         if left != right:
             report.mismatches.append({
                 "degree": m, "lhs": scalars.render(left),
                 "rhs": scalars.render(right)})
+    return report
+
+
+def verify_fermat_operator(fam: PsiFamily, size: int, maxdeg: int) -> Report:
+    """Fermat factorization at the mutator eigenvalue of every monomial
+    degree up to maxdeg, run once per distinct eigenvalue.
+
+    Mismatching entries are reported per degree, in degree order; a
+    negative maxdeg leaves no degree to check.
+    """
+    report = Report({"check": "fermat-factorization", "family": fam.label,
+                     "size": size, "maxdeg": maxdeg})
+    if maxdeg < 0:
+        return report
+    per_degree = qhat.per_eigenvalue(
+        qhat_operator(fam, maxdeg),
+        lambda t: fermat_factorization_mismatches(size, ScalarMode(t)))
+    for m, bad in enumerate(per_degree):
+        for (i, j, lhs, rhs) in bad:
+            report.mismatches.append({
+                "degree": m, "entry": [i, j],
+                "lhs": scalars.render(lhs), "rhs": scalars.render(rhs)})
     return report
 
 

@@ -13,12 +13,12 @@ from psifoc import psi
 from psifoc.cli import parse_command, run_command
 from psifoc.matrices import (EigenMode, ScalarMode, count_subspaces,
                              verify_fermat_factorization)
-from psifoc.psi import (check_psi_multiplicativity, classical, fibonacci,
-                        gauss, psi_binomial, psi_plus_power)
+from psifoc.psi import classical, fibonacci, gauss, psi_binomial
 from psifoc.qhat import eval_on_monomial, qhat_operator
-from psifoc.qplane import (QPlanePoly, explore_observation1_general,
-                           qp_power, realization_check,
-                           verify_cauchy_operator, verify_cauchy_scalar,
+from psifoc.qplane import (QPlanePoly, check_psi_multiplicativity,
+                           explore_observation1_general, psi_plus_power,
+                           realization_check, verify_cauchy_operator,
+                           verify_cauchy_scalar,
                            verify_gauss_binomial_theorem)
 from psifoc.scalars import Q, eval_ratfunc
 
@@ -32,7 +32,7 @@ def test_criterion_1_binomial_theorem_on_quantum_plane():
     report = verify_gauss_binomial_theorem(12)
     assert report.passed, report.mismatches
     # double-check one power directly against the independent routine
-    power = qp_power(QPlanePoly.x_plus_y(Q), 9)
+    power = QPlanePoly.x_plus_y(Q) ** 9
     for k in range(10):
         assert power.coefficient(k, 9 - k) == psi.gauss_binomial(9, k, Q)
     elapsed = time.monotonic() - start

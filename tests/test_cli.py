@@ -273,3 +273,13 @@ def test_parser_totality_near_grammar(argv):
         parse_command(argv)
     except ParseError:
         pass
+
+
+@pytest.mark.parametrize("verb", ["binom", "falling"])
+def test_unexpected_exception_exits_two(verb, capsys):
+    # the index does not fit a machine-size tuple repeat: OverflowError
+    assert main([verb, "--family", "gauss", "99999999999999999999", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: OverflowError: ")
+    assert captured.err.count("\n") == 1

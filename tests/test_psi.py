@@ -7,9 +7,9 @@ from hypothesis import given, settings, strategies as st
 
 from psifoc import psi
 from psifoc.errors import InadmissibleFamily, NegativeIndex
-from psifoc.psi import (check_psi_multiplicativity, classical, custom,
-                        fibonacci, gauss, gauss_binomial, psi_binomial,
-                        psi_factorial, psi_falling, psi_int, psi_plus_power)
+from psifoc.psi import (classical, custom, fibonacci, gauss, gauss_binomial,
+                        psi_binomial, psi_factorial, psi_falling, psi_int)
+from psifoc.qplane import check_psi_multiplicativity, psi_plus_power
 from psifoc.scalars import Q, RatFunc, eval_ratfunc
 
 

@@ -4,13 +4,14 @@ from fractions import Fraction
 
 import pytest
 
-from psifoc import qhat
+from psifoc import psi, qhat
 from psifoc.errors import (DegreeOutOfRange, DimensionMismatch,
                            NonInvertibleDenominator)
 from psifoc.matrices import ScalarMatrix
 from psifoc.psi import classical, custom, fibonacci, gauss, gauss_binomial
-from psifoc.qhat import (DiagOperator, dilation_operator, eval_on_monomial,
-                         op_binomial, op_factorial, op_integer, qhat_mutator,
+from psifoc.qhat import (DiagOperator, binomial_eigenvalue, dilation_operator,
+                         eval_on_monomial, op_binomial, op_factorial,
+                         op_integer, per_eigenvalue, qhat_mutator,
                          qhat_operator)
 from psifoc.scalars import Q, RatFunc
 
@@ -153,3 +154,32 @@ def test_qhat_mutator_dimension_check():
     a = ScalarMatrix([[1, 2], [3, 4]])
     with pytest.raises(DimensionMismatch):
         qhat_mutator(a, a, DiagOperator((1, 1, 1)))
+
+
+def test_per_eigenvalue_once_per_distinct_eigenvalue():
+    calls = []
+
+    def fn(lam):
+        calls.append(lam)
+        return lam * 10
+
+    assert per_eigenvalue(DiagOperator((2, 3, 2)), fn) == [20, 30, 20]
+    assert calls == [2, 3]
+
+
+def _clear_scalar_caches():
+    for cached in (psi._gauss_row, qhat.geometric_sum,
+                   qhat._geometric_factorial, qhat._binomial_eigenvalue):
+        cached.cache_clear()
+
+
+@pytest.mark.parametrize("routine", [psi.gauss_binomial, binomial_eigenvalue])
+def test_caches_keep_field_tags_apart(routine):
+    # RatFunc.constant(2) == 2 and both hash alike; a cache keyed by value
+    # alone hands the int call the rational function cached first
+    for first, second in ((RatFunc.constant(2), 2), (2, RatFunc.constant(2))):
+        _clear_scalar_caches()
+        values = {type(t): routine(4, 2, t) for t in (first, second)}
+        assert values[int] == 35 and type(values[int]) is int
+        assert values[RatFunc] == RatFunc.constant(35)
+        assert type(values[RatFunc]) is RatFunc

@@ -5,12 +5,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from psifoc import psi, qhat
-from psifoc.errors import DeformationMismatch
+from psifoc import psi, qhat, qplane
+from psifoc.errors import DeformationMismatch, NonInvertibleDenominator
 from psifoc.psi import classical, fibonacci, gauss, gauss_binomial
-from psifoc.qplane import (QPlanePoly, explore_observation1_general, qp_mul,
-                           qp_power, realization, realization_check,
+from psifoc.qplane import (QPlanePoly, explore_observation1_general,
+                           realization, realization_check,
                            verify_cauchy_operator, verify_cauchy_scalar,
+                           verify_fermat_operator,
                            verify_gauss_binomial_theorem)
 from psifoc.scalars import Q, RatFunc
 
@@ -41,14 +42,14 @@ def test_square_of_x_plus_y():
 
 def test_power_zero_and_cube():
     assert QPlanePoly.x_plus_y(Q) ** 0 == QPlanePoly.one(Q)
-    cube = qp_power(QPlanePoly.x_plus_y(Q), 3)
+    cube = QPlanePoly.x_plus_y(Q) ** 3
     assert cube.coefficient(1, 2) == RatFunc([1, 1, 1])
     assert cube.coefficient(1, 2) == gauss_binomial(3, 1, Q)
 
 
 def test_deformation_mismatch():
     with pytest.raises(DeformationMismatch):
-        qp_mul(QPlanePoly.x(Q), QPlanePoly.y(1))
+        QPlanePoly.x(Q) * QPlanePoly.y(1)
     with pytest.raises(DeformationMismatch):
         QPlanePoly.x(Fraction(2)) + QPlanePoly.y(Fraction(3))
 
@@ -62,7 +63,7 @@ def test_binomial_theorem_report():
 
 
 def test_binomial_theorem_specializes_at_one():
-    row = qp_power(QPlanePoly.x_plus_y(1), 4)
+    row = QPlanePoly.x_plus_y(1) ** 4
     assert [row.coefficient(k, 4 - k) for k in range(5)] == [1, 4, 6, 4, 1]
 
 
@@ -120,7 +121,6 @@ def test_cauchy_operator_gauss_symbolic():
 
 
 def test_cauchy_operator_propagates_degenerate_eigenvalue():
-    from psifoc.errors import NonInvertibleDenominator
     fam = psi.custom([1, 2, -1, 1])  # eigenvalue -1 at degree 2
     with pytest.raises(NonInvertibleDenominator) as err:
         verify_cauchy_operator(fam, 3, 2, 2, 2)
@@ -195,6 +195,40 @@ def test_distributivity(a, b, c):
 @given(st.integers(min_value=0, max_value=8))
 @settings(max_examples=20, deadline=None)
 def test_power_coefficients_are_gauss_binomials(n):
-    power = qp_power(QPlanePoly.x_plus_y(Q), n)
+    power = QPlanePoly.x_plus_y(Q) ** n
     for k in range(n + 1):
         assert power.coefficient(k, n - k) == gauss_binomial(n, k, Q)
+
+
+def test_fermat_operator_rows_per_degree(monkeypatch):
+    # Fibonacci mutator eigenvalues at degrees 0..3 are 0, 0, 1, 1
+    def fake(size, mode):
+        return [(0, 1, Fraction(1, 2), 3)] if mode.t == 1 else []
+
+    monkeypatch.setattr(qplane, "fermat_factorization_mismatches", fake)
+    report = verify_fermat_operator(fibonacci(), 2, 3)
+    assert report.params == {"check": "fermat-factorization", "family": "fib",
+                             "size": 2, "maxdeg": 3}
+    assert report.mismatches == [
+        {"degree": m, "entry": [0, 1], "lhs": "1/2", "rhs": "3"}
+        for m in (2, 3)]
+
+
+def test_fermat_operator_propagates_degenerate_eigenvalue():
+    fam = psi.custom([1, 2, -1, 1])  # eigenvalue -1 at degree 2
+    with pytest.raises(NonInvertibleDenominator) as err:
+        verify_fermat_operator(fam, 3, 3)
+    assert err.value.degree == 2
+
+
+def test_fermat_operator_factorizes_once_per_eigenvalue(monkeypatch):
+    calls = []
+    real = qplane.fermat_factorization_mismatches
+
+    def counted(size, mode):
+        calls.append(mode.t)
+        return real(size, mode)
+
+    monkeypatch.setattr(qplane, "fermat_factorization_mismatches", counted)
+    assert verify_fermat_operator(classical(), 4, 32).passed
+    assert calls == [1]
