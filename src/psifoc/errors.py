@@ -16,7 +16,7 @@ class DivisionByZero(PsifocError, ZeroDivisionError):
 
 
 class MixedFieldTags(PsifocError):
-    """Strict field operation applied to operands of different field tags."""
+    """A custom family table mixes rationals with rational functions."""
 
 
 class PoleAtPoint(PsifocError):

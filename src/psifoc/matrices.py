@@ -151,6 +151,9 @@ class ScalarMode:
     """Evaluate binomial entries at a fixed deformation parameter."""
     t: Scalar
 
+    def __post_init__(self):
+        scalars.check(self.t)
+
 
 @dataclass(frozen=True)
 class EigenMode:
@@ -177,6 +180,7 @@ def resolve_mode(mode: EvalMode) -> Scalar:
 def pascal_matrix(x0: Scalar, size: int, mode: EvalMode) -> ScalarMatrix:
     """Lower-triangular deformed Pascal matrix: entry (i, j) is
     x0^(i-j) times the binomial (i, j) at the mode's parameter."""
+    scalars.check(x0)
     if size < 1:
         raise ValueError("size must be at least 1")
     t = resolve_mode(mode)
@@ -188,7 +192,7 @@ def pascal_matrix(x0: Scalar, size: int, mode: EvalMode) -> ScalarMatrix:
                 row.append(0)
             else:
                 row.append(scalars.normalize(
-                    scalars.powi(x0, i - j) * gauss_binomial(i, j, t)))
+                    x0 ** (i - j) * gauss_binomial(i, j, t)))
         out.append(tuple(row))
     return ScalarMatrix(out)
 
@@ -220,7 +224,7 @@ def fermat_factorization_mismatches(size: int, mode: EvalMode) -> list[tuple]:
         for j in range(size):
             acc = scalars.zero_like(t)
             for k in range(min(i, j) + 1):
-                acc = acc + (scalars.powi(t, (i - k) * (j - k))
+                acc = acc + (t ** ((i - k) * (j - k))
                              * gauss_binomial(i, k, t)
                              * gauss_binomial(j, k, t))
             acc = scalars.normalize(acc)

@@ -17,12 +17,13 @@ as quantum-plane polynomials at t = 1.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
 
 from . import scalars
-from .errors import InadmissibleFamily, NegativeIndex
+from .errors import InadmissibleFamily, MixedFieldTags, NegativeIndex
 from .scalars import Rational, RatFunc, Scalar
 
 
@@ -34,11 +35,30 @@ class PsiFamily:
     For ``gauss``, ``q0`` is the evaluation point (None means symbolic).
     For ``custom``, ``table`` lists n_psi for n = 1..len(table); index 0 of
     the family is always 0.
+
+    The family's field tag is fixed here: a non-rational ``q0`` is refused
+    with TypeError, and a table mixing rationals with rational functions
+    with MixedFieldTags.
     """
 
     kind: str
     q0: Rational | None = None
     table: tuple[Scalar, ...] | None = None
+
+    def __post_init__(self):
+        if self.q0 is not None:
+            scalars.check(self.q0)
+            if isinstance(self.q0, RatFunc):
+                raise TypeError(f"gauss point must be rational, not "
+                                f"{self.q0!r}")
+            object.__setattr__(self, "q0", scalars.normalize(self.q0))
+        if self.table is not None:
+            table = tuple(scalars.normalize(scalars.check(v))
+                          for v in self.table)
+            if len({isinstance(v, RatFunc) for v in table}) > 1:
+                raise MixedFieldTags("custom table mixes rationals with "
+                                     "rational functions")
+            object.__setattr__(self, "table", table)
 
     @property
     def label(self) -> str:
@@ -54,6 +74,9 @@ class PsiFamily:
 
     @property
     def symbolic(self) -> bool:
+        """Whether the family's integers are rational functions of q."""
+        if self.kind == "custom":
+            return bool(self.table) and isinstance(self.table[0], RatFunc)
         return self.kind == "gauss" and self.q0 is None
 
 
@@ -62,8 +85,6 @@ def classical() -> PsiFamily:
 
 
 def gauss(q0: Rational | None = None) -> PsiFamily:
-    if q0 is not None:
-        q0 = scalars.normalize(q0)
     return PsiFamily("gauss", q0=q0)
 
 
@@ -72,7 +93,7 @@ def fibonacci() -> PsiFamily:
 
 
 def custom(values: Iterable[Scalar]) -> PsiFamily:
-    return PsiFamily("custom", table=tuple(scalars.normalize(v) for v in values))
+    return PsiFamily("custom", table=tuple(values))
 
 
 def family_zero(fam: PsiFamily) -> Scalar:
@@ -96,27 +117,27 @@ def psi_int(fam: PsiFamily, n: int) -> Scalar:
     """The family integer n_psi; zero exactly at n = 0."""
     if n < 0:
         raise NegativeIndex(f"family index {n} is negative")
+    if n == 0:
+        return family_zero(fam)
     if fam.kind == "classical":
         return n
     if fam.kind == "fibonacci":
         return _fib(n)
     if fam.kind == "gauss":
         if fam.q0 is None:
-            return RatFunc._raw((1,) * n, (1,)) if n else RatFunc.zero()
+            return RatFunc._raw((1,) * n, (1,))
         acc: Scalar = 0
         power: Scalar = 1
         for _ in range(n):
             acc += power
             power *= fam.q0
-        if acc == 0 and n >= 1:
+        if acc == 0:
             raise InadmissibleFamily(
                 f"gauss family at q0 = {scalars.render(fam.q0)} has "
                 f"{n}_psi = 0")
         return scalars.normalize(acc)
     if fam.kind == "custom":
         table = fam.table or ()
-        if n == 0:
-            return 0
         if n > len(table):
             raise InadmissibleFamily(
                 f"custom table of length {len(table)} has no entry for "
@@ -134,8 +155,8 @@ def psi_factorial(fam: PsiFamily, n: int) -> Scalar:
         raise NegativeIndex(f"factorial of negative index {n}")
     acc = family_one(fam)
     for j in range(1, n + 1):
-        acc = scalars.mul(acc, psi_int(fam, j))
-    return acc
+        acc = acc * psi_int(fam, j)
+    return scalars.normalize(acc)
 
 
 def psi_falling(fam: PsiFamily, x: int, k: int) -> Scalar:
@@ -149,8 +170,8 @@ def psi_falling(fam: PsiFamily, x: int, k: int) -> Scalar:
             raise NegativeIndex(
                 f"falling factorial from x = {x} of length {k} reaches "
                 f"index {idx}")
-        acc = scalars.mul(acc, psi_int(fam, idx))
-    return acc
+        acc = acc * psi_int(fam, idx)
+    return scalars.normalize(acc)
 
 
 def psi_binomial(fam: PsiFamily, n: int, k: int) -> Scalar:
@@ -177,22 +198,34 @@ def gauss_binomial(n: int, k: int, t: Scalar) -> Scalar:
     C(n, k) = C(n-1, k-1) + t^k C(n-1, k), which never divides; any t is
     admissible, including roots of unity where quotient formulas break.
     """
+    scalars.check(t)
     if n < 0:
         raise ValueError("gauss_binomial requires n >= 0")
     if k < 0 or k > n:
         return scalars.zero_like(t)
-    return _gauss_row(n, t)[k]
+    rows = _gauss_rows(t)
+    if len(rows) <= n:
+        with _GROW_ROWS:
+            while len(rows) <= n:
+                rows.append(_next_row(rows[-1], t))
+    return rows[n][k]
+
+
+# rows only grow, one at a time, so a row read outside the lock is final
+_GROW_ROWS = threading.Lock()
 
 
 @lru_cache(maxsize=None, typed=True)
-def _gauss_row(n: int, t: Scalar) -> tuple[Scalar, ...]:
-    one = scalars.one_like(t)
-    if n == 0:
-        return (one,)
-    prev = _gauss_row(n - 1, t)
+def _gauss_rows(t: Scalar) -> list[tuple[Scalar, ...]]:
+    """The rows of the recurrence at t computed so far, from row 0 up."""
+    return [(scalars.one_like(t),)]
+
+
+def _next_row(prev: tuple[Scalar, ...], t: Scalar) -> tuple[Scalar, ...]:
+    one = prev[0]
     row = [one]
     t_pow = one
-    for k in range(1, n):
+    for k in range(1, len(prev)):
         t_pow = t_pow * t
         row.append(prev[k - 1] + t_pow * prev[k])
     row.append(one)

@@ -26,7 +26,7 @@ from typing import Any, Callable
 from . import scalars
 from .errors import (DegreeOutOfRange, DimensionMismatch,
                      NonInvertibleDenominator)
-from .psi import PsiFamily, psi_int
+from .psi import PsiFamily, family_one, psi_int
 from .scalars import Scalar
 
 
@@ -69,7 +69,9 @@ class DiagOperator:
     def __pow__(self, n: int) -> "DiagOperator":
         if not isinstance(n, int):
             return NotImplemented
-        return DiagOperator(tuple(scalars.powi(v, n)
+        if n < 0:
+            raise ValueError("operator powers take nonnegative exponents")
+        return DiagOperator(tuple(scalars.normalize(v ** n)
                                   for v in self.eigenvalues))
 
     def to_json(self, pretty: bool = False) -> str:
@@ -96,24 +98,22 @@ def qhat_operator(fam: PsiFamily, n_trunc: int) -> DiagOperator:
     """Mutator operator of a family, truncated at the given degree."""
     if n_trunc < 0:
         raise ValueError("truncation degree must be nonnegative")
-    one = scalars.one_like(psi_int(fam, 1))
-    values = []
-    for m in range(1, n_trunc + 1):
-        values.append(scalars.div(scalars.sub(psi_int(fam, m + 1), one),
-                                  psi_int(fam, m)))
-    if not values:
-        values.append(scalars.div(scalars.sub(psi_int(fam, 2), one),
-                                  psi_int(fam, 1)))
-        return DiagOperator((values[0],))
-    # degree 0 would be 0/0; reuse the degree-1 eigenvalue
-    return DiagOperator((values[0],) + tuple(values))
+    one = family_one(fam)
+    ints = [psi_int(fam, m) for m in range(1, max(n_trunc, 1) + 2)]
+    values = [scalars.div(after - one, before)
+              for before, after in zip(ints, ints[1:])]
+    # degree 0 would be 0/0; reuse the degree-1 eigenvalue, which is
+    # computed even at truncation 0
+    return DiagOperator(tuple(values[:1] + values)[:n_trunc + 1])
 
 
 def dilation_operator(q0: Scalar, n_trunc: int) -> DiagOperator:
     """Scaling substitution x -> q0*x on monomials: x^m gets q0^m."""
+    scalars.check(q0)
     if n_trunc < 0:
         raise ValueError("truncation degree must be nonnegative")
-    return DiagOperator(tuple(scalars.powi(q0, m) for m in range(n_trunc + 1)))
+    return DiagOperator(tuple(scalars.normalize(q0 ** m)
+                              for m in range(n_trunc + 1)))
 
 
 @lru_cache(maxsize=None, typed=True)
@@ -124,6 +124,7 @@ def geometric_sum(lam: Scalar, n: int) -> Scalar:
     occurs for every degree of the classical family; the explicit sum is
     total.
     """
+    scalars.check(lam)
     if n < 0:
         raise ValueError("geometric_sum requires n >= 0")
     acc = scalars.zero_like(lam)
@@ -148,8 +149,7 @@ def _binomial_eigenvalue(n: int, k: int, lam: Scalar) -> Scalar | None:
     denominator = _geometric_factorial(lam, k) * _geometric_factorial(lam, n - k)
     if denominator == 0:
         return None
-    return scalars.div(_geometric_factorial(lam, n),
-                       scalars.normalize(denominator))
+    return scalars.div(_geometric_factorial(lam, n), denominator)
 
 
 def binomial_eigenvalue(n: int, k: int, lam: Scalar) -> Scalar:
@@ -158,6 +158,7 @@ def binomial_eigenvalue(n: int, k: int, lam: Scalar) -> Scalar:
     binomial at t = lam; where a factorial in the denominator vanishes
     (lam a root of unity pattern) it raises, by design; the recurrence
     form in :func:`psifoc.psi.gauss_binomial` is the total companion."""
+    scalars.check(lam)
     if k < 0 or k > n:
         return scalars.zero_like(lam)
     value = _binomial_eigenvalue(n, k, lam)

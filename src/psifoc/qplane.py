@@ -114,7 +114,7 @@ class QPlanePoly:
         for (k1, l1), c1 in self.coeffs.items():
             for (k2, l2), c2 in other.coeffs.items():
                 # commute y^l1 past x^k2: one factor of t per swap
-                twist = scalars.powi(self.t, l1 * k2)
+                twist = self.t ** (l1 * k2)
                 key = (k1 + k2, l1 + l2)
                 acc[key] = acc.get(key, 0) + c1 * c2 * twist
         return QPlanePoly(self.t, acc)
@@ -247,11 +247,12 @@ def _cauchy_k_range(r: int, s: int, j: int) -> range:
 def verify_cauchy_scalar(r: int, s: int, j: int, t: Scalar) -> bool:
     """Twisted convolution identity at a scalar parameter: the sum over k
     of t^((r-k)(j-k)) (r, k) (s, j-k) equals (r+s, j), exactly."""
+    scalars.check(t)
     if r < 0 or s < 0:
         raise ValueError("r and s must be nonnegative")
     total = scalars.zero_like(t)
     for k in _cauchy_k_range(r, s, j):
-        total = total + (scalars.powi(t, (r - k) * (j - k))
+        total = total + (t ** ((r - k) * (j - k))
                          * gauss_binomial(r, k, t)
                          * gauss_binomial(s, j - k, t))
     return scalars.normalize(total) == gauss_binomial(r + s, j, t)
@@ -274,7 +275,7 @@ def verify_cauchy_operator(fam: PsiFamily, r: int, s: int, j: int,
     def sides(lam: Scalar) -> tuple[Scalar, Scalar]:
         lhs = scalars.zero_like(lam)
         for k in _cauchy_k_range(r, s, j):
-            lhs = lhs + (scalars.powi(lam, (r - k) * (j - k))
+            lhs = lhs + (lam ** ((r - k) * (j - k))
                          * binomial_eigenvalue(r, k, lam)
                          * binomial_eigenvalue(s, j - k, lam))
         return scalars.normalize(lhs), binomial_eigenvalue(r + s, j, lam)
@@ -295,12 +296,10 @@ def verify_fermat_operator(fam: PsiFamily, size: int, maxdeg: int) -> Report:
     degree up to maxdeg, run once per distinct eigenvalue.
 
     Mismatching entries are reported per degree, in degree order; a
-    negative maxdeg leaves no degree to check.
+    negative maxdeg is refused with ValueError.
     """
     report = Report({"check": "fermat-factorization", "family": fam.label,
                      "size": size, "maxdeg": maxdeg})
-    if maxdeg < 0:
-        return report
     per_degree = qhat.per_eigenvalue(
         qhat_operator(fam, maxdeg),
         lambda t: fermat_factorization_mismatches(size, ScalarMode(t)))
@@ -366,6 +365,7 @@ def realization(q0: Scalar, n: int) -> OpRealization:
 def realization_check(q0: Scalar, n: int) -> bool:
     """Whether B A - q0 A B vanishes on all basis monomials of total
     degree below n, for the dilation realization at parameter q0."""
+    scalars.check(q0)
     if n < 2:
         raise ValueError("need n >= 2 to see a commutation")
     real = realization(q0, n)

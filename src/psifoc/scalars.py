@@ -10,12 +10,15 @@ A scalar carries one of two field tags:
   zero stored as 0/1.  Equality of canonical forms is equality of values,
   so identity verification reduces to syntactic comparison.
 
-All arithmetic is exact; nothing in this module rounds.  The strict
-module-level operations (:func:`add`, :func:`sub`, :func:`mul`,
-:func:`div`, :func:`neg`, :func:`powi`) refuse to mix the two tags and
-raise :class:`~psifoc.errors.MixedFieldTags`.  The operator overloads on
-:class:`RatFunc` are more permissive: ``int`` and ``Fraction`` operands are
-embedded as constant functions, which keeps internal formulas readable.
+All arithmetic is exact; nothing in this module rounds.  One rule governs
+the tags: a scalar is checked once, where a caller hands it to the
+library (:func:`check`, which refuses anything but ``int``, ``Fraction``
+and :class:`RatFunc`, floats included), and a weight family fixes its tag
+when it is built.  Below those entry points the code uses the plain
+operators ``+ - * **``; the :class:`RatFunc` overloads embed ``int`` and
+``Fraction`` operands as constant functions.  The one operation that needs
+more than an operator is the exact quotient :func:`div`, which never
+yields a float.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Union
 
-from .errors import DivisionByZero, MixedFieldTags, PoleAtPoint
+from .errors import DivisionByZero, PoleAtPoint
 
 Rational = Union[int, Fraction]
 
@@ -323,30 +326,14 @@ Scalar = Union[int, Fraction, RatFunc]
 
 
 # ---------------------------------------------------------------------------
-# Tag discipline and the strict field operations.
+# The entry check and the exact quotient.
 # ---------------------------------------------------------------------------
 
-def is_rational(s: Scalar) -> bool:
-    return isinstance(s, (int, Fraction))
-
-
-def is_ratfunc(s: Scalar) -> bool:
-    return isinstance(s, RatFunc)
-
-
-def same_tag(a: Scalar, b: Scalar) -> bool:
-    return is_ratfunc(a) == is_ratfunc(b)
-
-
-def _check_tags(a: Scalar, b: Scalar) -> None:
-    for s in (a, b):
-        if not isinstance(s, (int, Fraction, RatFunc)):
-            raise TypeError(f"not a scalar: {s!r}")
-    if not same_tag(a, b):
-        raise MixedFieldTags(
-            f"cannot combine rational {a!r} with rational function {b!r}"
-            if is_rational(a) else
-            f"cannot combine rational function {a!r} with rational {b!r}")
+def check(s: Scalar) -> Scalar:
+    """Return s if it is a scalar; raise TypeError naming it otherwise."""
+    if isinstance(s, bool) or not isinstance(s, (int, Fraction, RatFunc)):
+        raise TypeError(f"not a scalar: {s!r}")
+    return s
 
 
 def normalize(s: Scalar) -> Scalar:
@@ -356,49 +343,22 @@ def normalize(s: Scalar) -> Scalar:
     return s
 
 
-def add(a: Scalar, b: Scalar) -> Scalar:
-    _check_tags(a, b)
-    return normalize(a + b)
-
-
-def sub(a: Scalar, b: Scalar) -> Scalar:
-    _check_tags(a, b)
-    return normalize(a - b)
-
-
-def mul(a: Scalar, b: Scalar) -> Scalar:
-    _check_tags(a, b)
-    return normalize(a * b)
-
-
 def div(a: Scalar, b: Scalar) -> Scalar:
-    _check_tags(a, b)
-    if is_ratfunc(b):
+    """Exact quotient: rationals divide to a normalized rational, never a
+    float; a zero divisor raises DivisionByZero."""
+    if isinstance(a, RatFunc) or isinstance(b, RatFunc):
         return a / b
     if b == 0:
         raise DivisionByZero(f"division of {render(a)} by zero")
-    return normalize(Fraction(a) / Fraction(b))
-
-
-def neg(a: Scalar) -> Scalar:
-    return normalize(-a)
-
-
-def powi(a: Scalar, n: int) -> Scalar:
-    """Power by a nonnegative integer exponent; the empty power is one."""
-    if not isinstance(n, int) or isinstance(n, bool):
-        raise TypeError("exponent must be an int")
-    if n < 0:
-        raise ValueError("exponent must be nonnegative")
-    return normalize(a ** n)
+    return normalize(Fraction(a) / b)
 
 
 def zero_like(s: Scalar) -> Scalar:
-    return RatFunc.zero() if is_ratfunc(s) else 0
+    return RatFunc.zero() if isinstance(s, RatFunc) else 0
 
 
 def one_like(s: Scalar) -> Scalar:
-    return RatFunc.one() if is_ratfunc(s) else 1
+    return RatFunc.one() if isinstance(s, RatFunc) else 1
 
 
 def eval_ratfunc(f: RatFunc, q0: Rational) -> Rational:

@@ -105,6 +105,15 @@ def test_run_verify_fermat():
     assert (code, text) == (0, "PASS")
 
 
+def test_verify_fermat_negative_maxdeg_exits_two(capsys):
+    argv = ["verify", "fermat", "--family", "classical", "--size", "3",
+            "--maxdeg", "-1"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: truncation degree must be nonnegative\n"
+
+
 def test_run_oracle():
     code, text = run_command(parse_command(
         ["oracle", "subspaces", "--q", "2", "--n", "4", "--k", "2"]))

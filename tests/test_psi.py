@@ -1,14 +1,18 @@
 """Weight families, generalized binomials, and the convolution check."""
 
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from psifoc import psi
-from psifoc.errors import InadmissibleFamily, NegativeIndex
+from psifoc.errors import InadmissibleFamily, MixedFieldTags, NegativeIndex
 from psifoc.psi import (classical, custom, fibonacci, gauss, gauss_binomial,
-                        psi_binomial, psi_factorial, psi_falling, psi_int)
+                        psi_binomial, psi_factorial, psi_falling, psi_int,
+                        psi_weight)
 from psifoc.qplane import check_psi_multiplicativity, psi_plus_power
 from psifoc.scalars import Q, RatFunc, eval_ratfunc
 
@@ -181,3 +185,65 @@ def test_classical_multiplicativity_property(r, s):
 @settings(max_examples=100, deadline=None)
 def test_fibonomial_symmetry_property(n, k):
     assert psi_binomial(fibonacci(), n, k) == psi_binomial(fibonacci(), n, n - k)
+
+
+def test_ratfunc_custom_table_keeps_its_tag():
+    # the first three Gauss integers as a table: same values, same tag
+    fam = custom([RatFunc([1]), RatFunc([1, 1]), RatFunc([1, 1, 1])])
+    for n in range(4):
+        assert psi_factorial(fam, n) == psi_factorial(gauss(), n)
+        assert type(psi_factorial(fam, n)) is RatFunc
+        assert psi_weight(fam, n) == psi_weight(gauss(), n)
+        assert type(psi_weight(fam, n)) is RatFunc
+        for k in range(-1, n + 2):
+            value = psi_binomial(fam, n, k)
+            assert value == psi_binomial(gauss(), n, k)
+            assert type(value) is RatFunc
+    assert psi_weight(fam, 2) == RatFunc([1], [1, 1])
+
+
+def test_family_tag_fixed_when_built():
+    with pytest.raises(MixedFieldTags):
+        custom([1, Q])
+    with pytest.raises(TypeError, match="q"):
+        gauss(Q)
+    assert gauss(Fraction(4, 2)).q0 == 2 and type(gauss(Fraction(4, 2)).q0) is int
+
+
+def test_gauss_row_deeper_than_recursion_limit():
+    psi._gauss_rows.cache_clear()
+    try:
+        assert gauss_binomial(600, 1, 1) == 600
+    finally:
+        psi._gauss_rows.cache_clear()
+
+
+def _gauss_binomial_by_product(n, k, t):
+    value = Fraction(1)
+    for i in range(k):
+        value *= Fraction(1 - t ** (n - i), 1 - t ** (i + 1))
+    return value
+
+
+def test_gauss_rows_grow_safely_across_threads():
+    # a row appended twice would shift every later row by one
+    psi._gauss_rows.cache_clear()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        start = threading.Barrier(8)
+
+        def grow(n):
+            start.wait(timeout=30)
+            return gauss_binomial(n, n // 2, 3)
+
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            futures = {n: pool.submit(grow, n) for n in range(80, 88)}
+            values = {n: f.result(timeout=60) for n, f in futures.items()}
+        rows = psi._gauss_rows(3)
+    finally:
+        sys.setswitchinterval(interval)
+        psi._gauss_rows.cache_clear()
+    assert [len(row) for row in rows] == list(range(1, len(rows) + 1))
+    for n, value in values.items():
+        assert value == _gauss_binomial_by_product(n, n // 2, 3)

@@ -3,6 +3,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from psifoc import psi, qhat
 from psifoc.errors import (DegreeOutOfRange, DimensionMismatch,
@@ -10,9 +11,9 @@ from psifoc.errors import (DegreeOutOfRange, DimensionMismatch,
 from psifoc.matrices import ScalarMatrix
 from psifoc.psi import classical, custom, fibonacci, gauss, gauss_binomial
 from psifoc.qhat import (DiagOperator, binomial_eigenvalue, dilation_operator,
-                         eval_on_monomial, op_binomial, op_factorial,
-                         op_integer, per_eigenvalue, qhat_mutator,
-                         qhat_operator)
+                         eval_on_monomial, geometric_sum, op_binomial,
+                         op_factorial, op_integer, per_eigenvalue,
+                         qhat_mutator, qhat_operator)
 from psifoc.scalars import Q, RatFunc
 
 
@@ -168,7 +169,7 @@ def test_per_eigenvalue_once_per_distinct_eigenvalue():
 
 
 def _clear_scalar_caches():
-    for cached in (psi._gauss_row, qhat.geometric_sum,
+    for cached in (psi._gauss_rows, qhat.geometric_sum,
                    qhat._geometric_factorial, qhat._binomial_eigenvalue):
         cached.cache_clear()
 
@@ -183,3 +184,41 @@ def test_caches_keep_field_tags_apart(routine):
         assert values[int] == 35 and type(values[int]) is int
         assert values[RatFunc] == RatFunc.constant(35)
         assert type(values[RatFunc]) is RatFunc
+
+
+# 2, Fraction(2) and RatFunc.constant(2) compare and hash alike, so a
+# cache keyed by value alone would hand one tag's result to another
+_PARAMS = (2, Fraction(2), Fraction(1, 2), RatFunc.constant(2), Q)
+_CALLS = st.tuples(st.sampled_from(("gauss_binomial", "binomial_eigenvalue",
+                                    "geometric_sum", "op_factorial")),
+                   st.integers(0, 5), st.integers(0, 5),
+                   st.sampled_from(range(len(_PARAMS))))
+
+
+def _call(name, n, k, p):
+    t = _PARAMS[p]
+    if name == "gauss_binomial":
+        return (psi.gauss_binomial(n, k, t),)
+    if name == "binomial_eigenvalue":
+        return (binomial_eigenvalue(n, k, t),)
+    if name == "geometric_sum":
+        return (geometric_sum(t, n),)
+    return op_factorial(n, DiagOperator((t, t))).eigenvalues
+
+
+def _tagged(values):
+    return [(type(v), v) for v in values]
+
+
+@given(st.data())
+@settings(max_examples=25, deadline=None)
+def test_results_do_not_depend_on_call_order(data):
+    calls = data.draw(st.lists(_CALLS, min_size=1, max_size=8))
+    order = data.draw(st.permutations(range(len(calls))))
+    _clear_scalar_caches()
+    expected = {}
+    for i in sorted(range(len(calls)), key=lambda i: calls[i]):
+        expected[i] = _tagged(_call(*calls[i]))
+    _clear_scalar_caches()
+    for i in order:
+        assert _tagged(_call(*calls[i])) == expected[i], calls[i]

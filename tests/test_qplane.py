@@ -214,6 +214,11 @@ def test_fermat_operator_rows_per_degree(monkeypatch):
         for m in (2, 3)]
 
 
+def test_fermat_operator_refuses_negative_maxdeg():
+    with pytest.raises(ValueError, match="nonnegative"):
+        verify_fermat_operator(classical(), 3, -1)
+
+
 def test_fermat_operator_propagates_degenerate_eigenvalue():
     fam = psi.custom([1, 2, -1, 1])  # eigenvalue -1 at degree 2
     with pytest.raises(NonInvertibleDenominator) as err:

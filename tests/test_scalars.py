@@ -7,11 +7,16 @@ from hypothesis import given, settings, strategies as st
 
 from psifoc import scalars
 from psifoc.errors import DivisionByZero, MixedFieldTags, PoleAtPoint
+from psifoc.matrices import ScalarMode, pascal_matrix
+from psifoc.psi import custom, gauss, gauss_binomial
+from psifoc.qhat import (DiagOperator, binomial_eigenvalue,
+                         dilation_operator, geometric_sum)
+from psifoc.qplane import realization_check, verify_cauchy_scalar
 from psifoc.scalars import Q, RatFunc, eval_ratfunc, render
 
 
 def test_rational_add():
-    assert scalars.add(Fraction(1, 2), Fraction(1, 3)) == Fraction(5, 6)
+    assert Fraction(1, 2) + Fraction(1, 3) == Fraction(5, 6)
 
 
 def test_ratfunc_cancellation():
@@ -22,14 +27,15 @@ def test_ratfunc_cancellation():
 
 
 def test_empty_power_is_one():
-    assert scalars.powi(RatFunc([1, 1]), 0) == RatFunc.one()
-    assert scalars.powi(Fraction(7, 3), 0) == 1
-    assert scalars.powi(0, 0) == 1
+    assert RatFunc([1, 1]) ** 0 == RatFunc.one()
+    assert (DiagOperator((Fraction(7, 3), 0)) ** 0).eigenvalues == (1, 1)
 
 
 def test_negative_power_rejected():
     with pytest.raises(ValueError):
-        scalars.powi(Q, -1)
+        Q ** -1
+    with pytest.raises(ValueError):
+        DiagOperator((2, 3)) ** -1
 
 
 def test_eval_gauss_binomial_42_at_2():
@@ -60,17 +66,44 @@ def test_division_by_zero():
 
 def test_mixed_tags_rejected():
     with pytest.raises(MixedFieldTags):
-        scalars.add(Fraction(1, 2), Q)
+        custom([Fraction(1, 2), Q])
     with pytest.raises(MixedFieldTags):
-        scalars.mul(Q, 3)
+        custom([Q, 3])
     with pytest.raises(MixedFieldTags):
-        scalars.div(2, RatFunc([1, 1]))
+        custom([2, RatFunc([1, 1])])
+
+
+# every place a caller hands the library a scalar
+_ENTRIES = {
+    "gauss": lambda x: gauss(x),
+    "custom": lambda x: custom([1, x]),
+    "ScalarMode": lambda x: ScalarMode(x),
+    "gauss_binomial": lambda x: gauss_binomial(4, 2, x),
+    "verify_cauchy_scalar": lambda x: verify_cauchy_scalar(2, 2, 2, x),
+    "geometric_sum": lambda x: geometric_sum(x, 3),
+    "binomial_eigenvalue": lambda x: binomial_eigenvalue(4, 2, x),
+    "dilation_operator": lambda x: dilation_operator(x, 3),
+    "realization_check": lambda x: realization_check(x, 3),
+    "pascal_matrix x0": lambda x: pascal_matrix(x, 3, ScalarMode(2)),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_ENTRIES))
+def test_float_refused_where_it_enters(entry):
+    with pytest.raises(TypeError, match=r"not a scalar: 1\.5$"):
+        _ENTRIES[entry](1.5)
+
+
+def test_div_is_exact():
+    assert scalars.div(1, 2) == Fraction(1, 2)
+    assert type(scalars.div(Fraction(3, 2), Fraction(1, 2))) is int
+    assert scalars.div(2, RatFunc([1, 1])) == RatFunc([2], [1, 1])
 
 
 def test_strict_ops_same_tag():
-    assert scalars.mul(RatFunc([1, 1]), RatFunc([1, -1])) == RatFunc([1, 0, -1])
-    assert scalars.sub(5, 2) == 3
-    assert scalars.neg(Q) == RatFunc([0, -1])
+    assert RatFunc([1, 1]) * RatFunc([1, -1]) == RatFunc([1, 0, -1])
+    assert 5 - 2 == 3
+    assert -Q == RatFunc([0, -1])
 
 
 def test_render_forms():
