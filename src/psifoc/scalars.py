@@ -8,7 +8,9 @@ A scalar carries one of two field tags:
 * rational function, represented by :class:`RatFunc` values kept in
   canonical form: numerator and denominator coprime, denominator monic,
   zero stored as 0/1.  Equality of canonical forms is equality of values,
-  so identity verification reduces to syntactic comparison.
+  so identity verification reduces to syntactic comparison.  The form is
+  reached over Z: content/primitive split, exact division first, else a
+  primitive PRS gcd; only the final monic scaling may make Fractions.
 
 All arithmetic is exact; nothing in this module rounds.  One rule governs
 the tags: a scalar is checked once, where a caller hands it to the
@@ -24,6 +26,7 @@ yields a float.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Union
 
 from .errors import DivisionByZero, PoleAtPoint
@@ -34,7 +37,9 @@ Rational = Union[int, Fraction]
 # Dense polynomial helpers.  A polynomial is a tuple of coefficients in
 # ascending degree with no trailing zeros; the zero polynomial is ().
 # Coefficients are int or Fraction; integral Fractions are normalized to
-# int so that the common all-integer case runs on native integers.
+# int so that the common all-integer case runs on native integers.  The
+# canonical form is fraction-free: _primitive, then _pexquo, else _prs_gcd
+# (Collins 1967; Brown 1971), and monic scaling last.
 # ---------------------------------------------------------------------------
 
 _PZERO: tuple = ()
@@ -48,7 +53,7 @@ def _norm_coeff(c):
 
 
 def _trim(coeffs) -> tuple:
-    out = [_norm_coeff(c) for c in coeffs]
+    out = [c if type(c) is int else _norm_coeff(c) for c in coeffs]
     while out and not out[-1]:
         out.pop()
     return tuple(out)
@@ -95,41 +100,71 @@ def _ppow(a: tuple, n: int) -> tuple:
     return result
 
 
-def _pdivmod(a: tuple, b: tuple) -> tuple[tuple, tuple]:
-    """Exact polynomial long division; coefficients may become Fractions."""
-    if not b:
-        raise DivisionByZero("polynomial division by zero")
-    if len(a) < len(b):
-        return _PZERO, a
-    quot = [0] * (len(a) - len(b) + 1)
+def _primitive(a: tuple) -> tuple[int, int, tuple]:
+    """Split a nonzero polynomial as n/d times a primitive integer
+    polynomial (coprime coefficients; the sign is left where it is)."""
+    d = lcm(*(c.denominator for c in a))
+    if d != 1:
+        a = tuple(c.numerator * (d // c.denominator) for c in a)
+    n = gcd(*a)
+    if n != 1:
+        a = tuple(c // n for c in a)
+    return n, d, a
+
+
+def _pexquo(a: tuple, b: tuple):
+    """Quotient of integer polynomials if b divides a over Z, else None.
+
+    For primitive a and b this decides divisibility over Q as well: by
+    Gauss's lemma a rational quotient would have integer coefficients."""
+    nb = len(b)
+    if len(a) < nb:
+        return None
     rem = list(a)
-    inv = Fraction(1) / Fraction(b[-1])
-    for shift in range(len(a) - len(b), -1, -1):
-        lead = rem[shift + len(b) - 1]
+    lead_b = b[-1]
+    quot = [0] * (len(a) - nb + 1)
+    for shift in range(len(a) - nb, -1, -1):
+        lead = rem[shift + nb - 1]
         if lead:
-            f = lead * inv
+            f, r = divmod(lead, lead_b)
+            if r:
+                return None
             quot[shift] = f
-            for i, cb in enumerate(b):
-                rem[shift + i] -= f * cb
-            rem[shift + len(b) - 1] = 0
-    return _trim(quot), _trim(rem[:len(b) - 1])
+            for i in range(nb - 1):
+                rem[shift + i] -= f * b[i]
+    if any(rem[:nb - 1]):
+        return None
+    return tuple(quot)
 
 
-def _pmonic(a: tuple) -> tuple:
-    if not a:
-        return _PZERO
-    lead = a[-1]
-    if lead == 1:
-        return a
-    inv = Fraction(1) / Fraction(lead)
-    return _trim(c * inv for c in a)
+def _prs_gcd(a: tuple, b: tuple) -> tuple:
+    """Primitive gcd of two primitive integer polynomials, by the
+    primitive remainder sequence: each pseudo-remainder lead(b)^k * a
+    mod b is computed over Z and replaced by its primitive part."""
+    if len(a) < len(b):
+        a, b = b, a
+    while len(b) > 1:
+        rem, lead_b, nb = list(a), b[-1], len(b)
+        for top in range(len(a) - 1, nb - 2, -1):
+            lead = rem[top]
+            if lead:
+                for i in range(top):
+                    rem[i] *= lead_b
+                for i in range(nb - 1):
+                    rem[top - nb + 1 + i] -= lead * b[i]
+        rem = _trim(rem[:nb - 1])
+        if not rem:
+            return b
+        a, b = b, _primitive(rem)[2]
+    return _PONE
 
 
-def _pgcd(a: tuple, b: tuple) -> tuple:
-    a, b = _trim(a), _trim(b)
-    while b:
-        a, b = b, _pdivmod(a, b)[1]
-    return _pmonic(a)
+def _pscale(a: tuple, c: Fraction) -> tuple:
+    """The integer polynomial a times the rational c."""
+    p, r = c.numerator, c.denominator
+    if r == 1:
+        return a if p == 1 else tuple(p * x for x in a)
+    return _trim(Fraction(p * x, r) for x in a)
 
 
 def _peval(a: tuple, x: Rational):
@@ -307,15 +342,18 @@ def _canonical_fraction(num: tuple, den: tuple) -> RatFunc:
     if not num:
         return RatFunc._raw(_PZERO, _PONE)
     if den != _PONE:
-        g = _pgcd(num, den)
-        if g != _PONE:
-            num = _pdivmod(num, g)[0]
-            den = _pdivmod(den, g)[0]
+        num_n, num_d, num = _primitive(num)
+        den_n, den_d, den = _primitive(den)
+        quot = _pexquo(num, den)
+        if quot is not None:
+            num, den = quot, _PONE
+        else:
+            g = _prs_gcd(num, den)
+            if g != _PONE:
+                num, den = _pexquo(num, g), _pexquo(den, g)
         lead = den[-1]
-        if lead != 1:
-            inv = Fraction(1) / Fraction(lead)
-            num = _trim(c * inv for c in num)
-            den = _trim(c * inv for c in den)
+        num = _pscale(num, Fraction(num_n * den_d, num_d * den_n * lead))
+        den = _pscale(den, Fraction(1, lead))
     return RatFunc._raw(num, den)
 
 

@@ -1,5 +1,6 @@
 """Exact field arithmetic: canonical forms, evaluation, tag discipline."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from psifoc import scalars
 from psifoc.errors import DivisionByZero, MixedFieldTags, PoleAtPoint
 from psifoc.matrices import ScalarMode, pascal_matrix
-from psifoc.psi import custom, gauss, gauss_binomial
+from psifoc.psi import custom, gauss, gauss_binomial, psi_binomial
 from psifoc.qhat import (DiagOperator, binomial_eigenvalue,
                          dilation_operator, geometric_sum)
 from psifoc.qplane import realization_check, verify_cauchy_scalar
@@ -133,9 +134,21 @@ def test_monic_denominator():
     assert f * RatFunc([2, 4]) == RatFunc.one()
 
 
-_coeffs = st.integers(min_value=-4, max_value=4)
+# small integers, Fractions and a few 10^12-sized integers, so that content
+# extraction and the gcd path of the canonical form both run
+_coeffs = st.one_of(
+    st.integers(min_value=-4, max_value=4),
+    st.builds(Fraction, st.integers(min_value=-9, max_value=9),
+              st.integers(min_value=1, max_value=6)),
+    st.sampled_from([10**12, -10**12 + 7, 999_999_999_989]))
+_nonzero_coeffs = _coeffs.filter(bool)
 _polys = st.lists(_coeffs, min_size=0, max_size=5)
+# may end in zeros, which the constructor trims
 _nonzero_polys = _polys.filter(lambda c: any(c))
+# degree 1 or 2, leading coefficient any nonzero draw: possibly non-monic,
+# negative or a Fraction
+_factors = st.tuples(st.lists(_coeffs, min_size=1, max_size=2),
+                     _nonzero_coeffs).map(lambda t: t[0] + [t[1]])
 
 
 def _ratfuncs():
@@ -177,3 +190,95 @@ def test_multiplicative_inverse(a):
     if a == RatFunc.zero():
         return
     assert a * (RatFunc.one() / a) == RatFunc.one()
+
+
+def _times(a, g):
+    return (RatFunc(a) * RatFunc(g)).num
+
+
+@given(_polys, _nonzero_polys, _factors)
+@settings(max_examples=60, deadline=None)
+def test_common_factor_cancels(a, b, g):
+    f, h = RatFunc(_times(a, g), _times(b, g)), RatFunc(a, b)
+    assert (f.num, f.den) == (h.num, h.den)
+
+
+@given(st.integers(min_value=0, max_value=12), st.data())
+@settings(max_examples=20, deadline=None)
+def test_symbolic_binomial_is_polynomial(n, data):
+    # q-factorial quotients divide exactly over Z
+    k = data.draw(st.integers(min_value=0, max_value=n))
+    f = psi_binomial(gauss(), n, k)
+    assert f.den == (1,)
+    assert f == gauss_binomial(n, k, Q)
+
+
+@given(_polys, _nonzero_coeffs)
+@settings(max_examples=40, deadline=None)
+def test_constant_denominator(a, c):
+    f = RatFunc(a, [c])
+    assert f.den == (1,)
+    assert f == RatFunc([Fraction(x) / c for x in a])
+
+
+@given(_polys, _nonzero_polys)
+@settings(max_examples=40, deadline=None)
+def test_negative_leading_denominator(a, b):
+    if [x for x in b if x][-1] > 0:
+        b = [-x for x in b]
+    f = RatFunc(a, b)
+    assert f.den[-1] == 1
+    assert f == RatFunc([-x for x in a], [-x for x in b])
+
+
+def _sympy_canonical(sympy, num, den):
+    """Canonical (num, den) from sympy.cancel, denominator made monic."""
+    q = sympy.Symbol("q")
+
+    def expr(coeffs):
+        return sum(sympy.Rational(c.numerator, c.denominator) * q**i
+                   for i, c in enumerate(coeffs))
+
+    def fraction(c):
+        return Fraction(int(c.p), int(c.q))
+
+    top, bottom = sympy.fraction(sympy.cancel(expr(num) / expr(den)))
+    top, bottom = sympy.Poly(top, q), sympy.Poly(bottom, q)
+    lead = fraction(bottom.LC())
+
+    def coeffs(p):
+        out = [scalars.normalize(fraction(c) / lead)
+               for c in reversed(p.all_coeffs())]
+        while out and not out[-1]:
+            out.pop()
+        return tuple(out)
+
+    return coeffs(top), coeffs(bottom)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_canonical_form_matches_sympy_cancel(seed):
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(seed)
+
+    def coeff():
+        kind = rng.random()
+        if kind < 0.5:
+            return rng.randint(-5, 5)
+        if kind < 0.85:
+            return Fraction(rng.randint(-9, 9), rng.randint(1, 12))
+        return rng.randint(-10**12, 10**12)
+
+    def poly(lo, hi):
+        while True:
+            p = [coeff() for _ in range(rng.randint(lo, hi))]
+            if not p or p[-1]:
+                return p
+
+    for _ in range(40):
+        num, den = poly(0, 4), poly(1, 4)
+        if rng.random() < 0.6:
+            g = poly(2, 3)
+            num, den = _times(num, g), _times(den, g)
+        f = RatFunc(num, den)
+        assert (f.num, f.den) == _sympy_canonical(sympy, num, den)
