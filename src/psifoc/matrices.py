@@ -22,7 +22,7 @@ from typing import Iterable, Sequence, Union
 
 from . import qhat, scalars
 from .errors import DimensionMismatch, SizeTooLarge, UnsupportedField
-from .psi import PsiFamily, gauss_binomial
+from .psi import PsiFamily, gauss_binomial, twisted_sum
 from .scalars import Scalar
 
 
@@ -36,7 +36,7 @@ class ScalarMatrix:
     __slots__ = ("rows", "cols", "data")
 
     def __init__(self, data: Iterable[Iterable[Scalar]]):
-        grid = tuple(tuple(row) for row in data)
+        grid = tuple(tuple(scalars.check(v) for v in row) for row in data)
         if not grid or not grid[0]:
             raise ValueError("matrix needs at least one row and column")
         width = len(grid[0])
@@ -47,8 +47,11 @@ class ScalarMatrix:
         self.data = grid
 
     @classmethod
-    def zeros(cls, rows: int, cols: int, zero: Scalar = 0) -> "ScalarMatrix":
-        return cls(((zero,) * cols,) * rows)
+    def _raw(cls, grid: tuple[tuple[Scalar, ...], ...]) -> "ScalarMatrix":
+        """A matrix of entries already checked, as the methods below make."""
+        obj = object.__new__(cls)
+        obj.rows, obj.cols, obj.data = len(grid), len(grid[0]), grid
+        return obj
 
     @classmethod
     def identity(cls, n: int, one: Scalar = 1, zero: Scalar = 0) -> "ScalarMatrix":
@@ -78,14 +81,14 @@ class ScalarMatrix:
                             acc = acc + a * b
                 row.append(scalars.normalize(acc))
             out.append(tuple(row))
-        return ScalarMatrix(out)
+        return ScalarMatrix._raw(tuple(out))
 
     def _zip(self, other: "ScalarMatrix", op) -> "ScalarMatrix":
         if self.rows != other.rows or self.cols != other.cols:
             raise DimensionMismatch(
                 f"shape {self.rows}x{self.cols} vs "
                 f"{other.rows}x{other.cols}")
-        return ScalarMatrix(tuple(
+        return ScalarMatrix._raw(tuple(
             tuple(scalars.normalize(op(a, b)) for a, b in zip(ra, rb))
             for ra, rb in zip(self.data, other.data)))
 
@@ -100,7 +103,8 @@ class ScalarMatrix:
         return self._zip(other, lambda a, b: a - b)
 
     def scale(self, factor: Scalar) -> "ScalarMatrix":
-        return ScalarMatrix(tuple(
+        scalars.check(factor)
+        return ScalarMatrix._raw(tuple(
             tuple(scalars.normalize(factor * v) for v in row)
             for row in self.data))
 
@@ -110,9 +114,9 @@ class ScalarMatrix:
         if len(factors) != self.rows:
             raise DimensionMismatch(
                 f"{len(factors)} row factors for {self.rows} rows")
-        return ScalarMatrix(tuple(
+        return ScalarMatrix._raw(tuple(
             tuple(scalars.normalize(f * v) for v in row)
-            for f, row in zip(factors, self.data)))
+            for f, row in zip(map(scalars.check, factors), self.data)))
 
     def apply(self, vector: Sequence[Scalar]) -> tuple[Scalar, ...]:
         if len(vector) != self.cols:
@@ -128,7 +132,7 @@ class ScalarMatrix:
         return tuple(out)
 
     def transpose(self) -> "ScalarMatrix":
-        return ScalarMatrix(tuple(zip(*self.data)))
+        return ScalarMatrix._raw(tuple(zip(*self.data)))
 
     def is_zero(self) -> bool:
         return not any(any(row) for row in self.data)
@@ -222,12 +226,7 @@ def fermat_factorization_mismatches(size: int, mode: EvalMode) -> list[tuple]:
     bad = []
     for i in range(size):
         for j in range(size):
-            acc = scalars.zero_like(t)
-            for k in range(min(i, j) + 1):
-                acc = acc + (t ** ((i - k) * (j - k))
-                             * gauss_binomial(i, k, t)
-                             * gauss_binomial(j, k, t))
-            acc = scalars.normalize(acc)
+            acc = twisted_sum(i, j, j, t, gauss_binomial)
             if acc != fermat.entry(i, j):
                 bad.append((i, j, fermat.entry(i, j), acc))
     return bad

@@ -7,20 +7,24 @@ families: classical (n_psi = n), the Gauss q-analog
 rational point), Fibonacci (n_psi = F_n), and finite user tables.
 
 On top of the integers the module builds factorials, falling factorials
-and binomial coefficients.  It also houses the independent
-Gaussian-binomial routine used as an oracle by the operator, matrix and
-quantum-plane modules: a Pascal-style recurrence that never divides, so it
-is total in the deformation parameter.  The two-variable convolution
-expansions built from the family binomials live in :mod:`psifoc.qplane`,
-as quantum-plane polynomials at t = 1.
+and binomial coefficients.  It also houses the Gauss integers [n]_t at any
+parameter t, their factorials, the twisted convolution sum, and the
+independent Gaussian-binomial routine used as an oracle by the operator,
+matrix and quantum-plane modules: a Pascal-style recurrence that never
+divides, so it is total in t.  Each of these sequences, and the Fibonacci
+numbers, is kept in one table per parameter, grown bottom-up under one
+lock, so values do not depend on call order or thread interleaving.  The
+two-variable convolution expansions built from the family binomials live
+in :mod:`psifoc.qplane`, as quantum-plane polynomials at t = 1.
 """
 
 from __future__ import annotations
 
+import sys
 import threading
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable
+from typing import Callable, Iterable
 
 from . import scalars
 from .errors import InadmissibleFamily, MixedFieldTags, NegativeIndex
@@ -104,15 +108,6 @@ def family_one(fam: PsiFamily) -> Scalar:
     return RatFunc.one() if fam.symbolic else 1
 
 
-_FIB = [0, 1]
-
-
-def _fib(n: int) -> int:
-    while len(_FIB) <= n:
-        _FIB.append(_FIB[-1] + _FIB[-2])
-    return _FIB[n]
-
-
 def psi_int(fam: PsiFamily, n: int) -> Scalar:
     """The family integer n_psi; zero exactly at n = 0."""
     if n < 0:
@@ -122,20 +117,17 @@ def psi_int(fam: PsiFamily, n: int) -> Scalar:
     if fam.kind == "classical":
         return n
     if fam.kind == "fibonacci":
-        return _fib(n)
+        return _entry(_fib_step, None, n)
     if fam.kind == "gauss":
         if fam.q0 is None:
+            # closed form: a table of these would hold O(n^2) coefficients
             return RatFunc._raw((1,) * n, (1,))
-        acc: Scalar = 0
-        power: Scalar = 1
-        for _ in range(n):
-            acc += power
-            power *= fam.q0
-        if acc == 0:
+        value = geometric_sum(fam.q0, n)
+        if value == 0:
             raise InadmissibleFamily(
                 f"gauss family at q0 = {scalars.render(fam.q0)} has "
                 f"{n}_psi = 0")
-        return scalars.normalize(acc)
+        return value
     if fam.kind == "custom":
         table = fam.table or ()
         if n > len(table):
@@ -203,30 +195,86 @@ def gauss_binomial(n: int, k: int, t: Scalar) -> Scalar:
         raise ValueError("gauss_binomial requires n >= 0")
     if k < 0 or k > n:
         return scalars.zero_like(t)
-    rows = _gauss_rows(t)
-    if len(rows) <= n:
-        with _GROW_ROWS:
-            while len(rows) <= n:
-                rows.append(_next_row(rows[-1], t))
-    return rows[n][k]
+    return _entry(_row_step, t, n)[k]
 
 
-# rows only grow, one at a time, so a row read outside the lock is final
-_GROW_ROWS = threading.Lock()
+def geometric_sum(t: Scalar, n: int) -> Scalar:
+    """The Gauss integer [n]_t: the sum of t^j for j < n.
+
+    The closed form (1 - t^n)/(1 - t) is singular at t = 1, which occurs
+    for every degree of the classical family; the sum is total.
+    """
+    scalars.check(t)
+    if n < 0:
+        raise ValueError("geometric_sum requires n >= 0")
+    return _entry(_sum_step, t, n)
+
+
+def _geometric_factorial(t: Scalar, n: int) -> Scalar:
+    """[1]_t [2]_t ... [n]_t for a checked t and n >= 0; empty is one."""
+    return _entry(_factorial_step, t, n)
+
+
+def twisted_sum(r: int, s: int, j: int, t: Scalar,
+                binomial: Callable[[int, int, Scalar], Scalar]) -> Scalar:
+    """The sum over k of t^((r-k)(j-k)) (r, k) (s, j-k), each binomial
+    (n, k) taken from binomial(n, k, t).  The twisted Cauchy identity says
+    it is (r+s, j); at (i, j, j) it factors the Fermat entry (i+j, j),
+    since (j, j-k) = (j, k)."""
+    total = scalars.zero_like(t)
+    # outside max(0, j-s) <= k <= min(r, j) a binomial factor vanishes
+    for k in range(max(0, j - s), min(r, j) + 1):
+        total = total + (t ** ((r - k) * (j - k))
+                         * binomial(r, k, t) * binomial(s, j - k, t))
+    return scalars.normalize(total)
+
+
+# One table per sequence and parameter: step(seq, t) returns entry len(seq)
+# from the entries before it.  Entries only grow, one at a time, under the
+# lock, so an entry read outside it is final.  The lock is reentrant because
+# the factorial step reads the sums table.
+_GROW = threading.RLock()
 
 
 @lru_cache(maxsize=None, typed=True)
-def _gauss_rows(t: Scalar) -> list[tuple[Scalar, ...]]:
-    """The rows of the recurrence at t computed so far, from row 0 up."""
-    return [(scalars.one_like(t),)]
+def _table(step: Callable, t: Scalar | None) -> list:
+    """The entries of step's sequence at t computed so far, from 0 up."""
+    return []
 
 
-def _next_row(prev: tuple[Scalar, ...], t: Scalar) -> tuple[Scalar, ...]:
+def _entry(step: Callable, t: Scalar | None, n: int):
+    if n > sys.maxsize:
+        raise OverflowError(f"index {n} exceeds sys.maxsize, no list fits")
+    seq = _table(step, t)
+    if len(seq) <= n:
+        with _GROW:
+            while len(seq) <= n:
+                seq.append(step(seq, t))
+    return seq[n]
+
+
+def _fib_step(seq: list, _t: None) -> int:
+    return len(seq) if len(seq) < 2 else seq[-1] + seq[-2]
+
+
+def _sum_step(seq: list, t: Scalar) -> Scalar:
+    # [n]_t = 1 + t [n-1]_t
+    return scalars.normalize(1 + t * seq[-1]) if seq else scalars.zero_like(t)
+
+
+def _factorial_step(seq: list, t: Scalar) -> Scalar:
+    return (scalars.normalize(seq[-1] * _entry(_sum_step, t, len(seq)))
+            if seq else scalars.one_like(t))
+
+
+def _row_step(seq: list, t: Scalar) -> tuple[Scalar, ...]:
+    if not seq:
+        return (scalars.one_like(t),)
+    prev = seq[-1]
     one = prev[0]
     row = [one]
     t_pow = one
     for k in range(1, len(prev)):
         t_pow = t_pow * t
         row.append(prev[k - 1] + t_pow * prev[k])
-    row.append(one)
-    return tuple(row)
+    return (*row, one)

@@ -9,6 +9,10 @@ identity of diagonal operators holds iff it holds at every eigenvalue, and
 :func:`per_eigenvalue` evaluates such a check once per distinct eigenvalue
 and spreads the result back over the degrees.
 
+Operator integers and factorials read [n]_lambda and its factorial from
+the per-parameter tables of :mod:`psifoc.psi`; binomial symbols are their
+quotients, cached per (n, k, lambda).
+
 The degree-0 eigenvalue of the defining formula is 0/0; by convention it
 is set to the degree-1 eigenvalue, which keeps the Gauss family exactly
 constant.  The dilation operator (x^m goes to q0^m x^m) is provided under
@@ -26,7 +30,8 @@ from typing import Any, Callable
 from . import scalars
 from .errors import (DegreeOutOfRange, DimensionMismatch,
                      NonInvertibleDenominator)
-from .psi import PsiFamily, family_one, psi_int
+from .psi import (PsiFamily, _geometric_factorial, family_one,
+                  geometric_sum, psi_int)
 from .scalars import Scalar
 
 
@@ -39,6 +44,10 @@ class DiagOperator:
     """
 
     eigenvalues: tuple[Scalar, ...]
+
+    def __post_init__(self):
+        for value in self.eigenvalues:
+            scalars.check(value)
 
     @property
     def n_trunc(self) -> int:
@@ -117,38 +126,13 @@ def dilation_operator(q0: Scalar, n_trunc: int) -> DiagOperator:
 
 
 @lru_cache(maxsize=None, typed=True)
-def geometric_sum(lam: Scalar, n: int) -> Scalar:
-    """Sum of lam^j for j < n, evaluated term by term.
-
-    The closed form (1 - lam^n)/(1 - lam) is singular at lam = 1, which
-    occurs for every degree of the classical family; the explicit sum is
-    total.
-    """
-    scalars.check(lam)
-    if n < 0:
-        raise ValueError("geometric_sum requires n >= 0")
-    acc = scalars.zero_like(lam)
-    power = scalars.one_like(lam)
-    for j in range(n):
-        if j:
-            power = power * lam
-        acc = acc + power
-    return scalars.normalize(acc)
-
-
-@lru_cache(maxsize=None, typed=True)
-def _geometric_factorial(lam: Scalar, n: int) -> Scalar:
-    acc = scalars.one_like(lam)
-    for j in range(1, n + 1):
-        acc = acc * geometric_sum(lam, j)
-    return scalars.normalize(acc)
-
-
-@lru_cache(maxsize=None, typed=True)
-def _binomial_eigenvalue(n: int, k: int, lam: Scalar) -> Scalar | None:
-    denominator = _geometric_factorial(lam, k) * _geometric_factorial(lam, n - k)
+def _binomial_eigenvalue(n: int, k: int, lam: Scalar) -> Scalar:
+    denominator = (_geometric_factorial(lam, k)
+                   * _geometric_factorial(lam, n - k))
     if denominator == 0:
-        return None
+        raise NonInvertibleDenominator(
+            f"binomial symbol ({n} {k}) has vanishing denominator at "
+            f"eigenvalue {scalars.render(lam)}")
     return scalars.div(_geometric_factorial(lam, n), denominator)
 
 
@@ -161,12 +145,7 @@ def binomial_eigenvalue(n: int, k: int, lam: Scalar) -> Scalar:
     scalars.check(lam)
     if k < 0 or k > n:
         return scalars.zero_like(lam)
-    value = _binomial_eigenvalue(n, k, lam)
-    if value is None:
-        raise NonInvertibleDenominator(
-            f"binomial symbol ({n} {k}) has vanishing denominator at "
-            f"eigenvalue {scalars.render(lam)}")
-    return value
+    return _binomial_eigenvalue(n, k, lam)
 
 
 def per_eigenvalue(op: DiagOperator, fn: Callable[[Scalar], Any]) -> list:

@@ -40,7 +40,8 @@ from . import qhat, scalars
 from .errors import DeformationMismatch
 from .matrices import (ScalarMatrix, ScalarMode,
                        fermat_factorization_mismatches)
-from .psi import PsiFamily, family_one, gauss_binomial, psi_binomial
+from .psi import (PsiFamily, family_one, gauss_binomial, psi_binomial,
+                  twisted_sum)
 from .qhat import (DiagOperator, binomial_eigenvalue, eval_on_monomial,
                    op_binomial, qhat_operator)
 from .scalars import Q, Scalar
@@ -57,15 +58,11 @@ class QPlanePoly:
     def __init__(self, t: Scalar, coeffs: Mapping[tuple[int, int], Scalar]):
         pruned = {}
         for key, value in coeffs.items():
-            value = scalars.normalize(value)
+            value = scalars.normalize(scalars.check(value))
             if value != 0:
                 pruned[key] = value
-        self.t = t
+        self.t = scalars.check(t)
         self.coeffs = pruned
-
-    @classmethod
-    def zero(cls, t: Scalar) -> "QPlanePoly":
-        return cls(t, {})
 
     @classmethod
     def one(cls, t: Scalar) -> "QPlanePoly":
@@ -239,23 +236,14 @@ def verify_gauss_binomial_theorem(n_max: int) -> Report:
     return report
 
 
-def _cauchy_k_range(r: int, s: int, j: int) -> range:
-    # outside max(0, j-s) <= k <= min(r, j) a binomial factor vanishes
-    return range(max(0, j - s), min(r, j) + 1)
-
-
 def verify_cauchy_scalar(r: int, s: int, j: int, t: Scalar) -> bool:
     """Twisted convolution identity at a scalar parameter: the sum over k
     of t^((r-k)(j-k)) (r, k) (s, j-k) equals (r+s, j), exactly."""
     scalars.check(t)
     if r < 0 or s < 0:
         raise ValueError("r and s must be nonnegative")
-    total = scalars.zero_like(t)
-    for k in _cauchy_k_range(r, s, j):
-        total = total + (t ** ((r - k) * (j - k))
-                         * gauss_binomial(r, k, t)
-                         * gauss_binomial(s, j - k, t))
-    return scalars.normalize(total) == gauss_binomial(r + s, j, t)
+    return (twisted_sum(r, s, j, t, gauss_binomial)
+            == gauss_binomial(r + s, j, t))
 
 
 def verify_cauchy_operator(fam: PsiFamily, r: int, s: int, j: int,
@@ -273,12 +261,8 @@ def verify_cauchy_operator(fam: PsiFamily, r: int, s: int, j: int,
         raise ValueError("r and s must be nonnegative")
 
     def sides(lam: Scalar) -> tuple[Scalar, Scalar]:
-        lhs = scalars.zero_like(lam)
-        for k in _cauchy_k_range(r, s, j):
-            lhs = lhs + (lam ** ((r - k) * (j - k))
-                         * binomial_eigenvalue(r, k, lam)
-                         * binomial_eigenvalue(s, j - k, lam))
-        return scalars.normalize(lhs), binomial_eigenvalue(r + s, j, lam)
+        return (twisted_sum(r, s, j, lam, binomial_eigenvalue),
+                binomial_eigenvalue(r + s, j, lam))
 
     report = Report({"check": "cauchy-operator", "family": fam.label,
                      "r": r, "s": s, "j": j, "maxdeg": maxdeg})

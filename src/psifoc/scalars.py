@@ -72,10 +72,6 @@ def _pneg(a: tuple) -> tuple:
     return tuple(-c for c in a)
 
 
-def _psub(a: tuple, b: tuple) -> tuple:
-    return _padd(a, _pneg(b))
-
-
 def _pmul(a: tuple, b: tuple) -> tuple:
     if not a or not b:
         return _PZERO
@@ -319,13 +315,6 @@ class RatFunc:
 
     def __bool__(self):
         return bool(self.num)
-
-    def degree_pair(self) -> tuple[int, int]:
-        """Degrees of numerator and denominator (zero polynomial: -1)."""
-        return len(self.num) - 1, len(self.den) - 1
-
-    def is_polynomial(self) -> bool:
-        return self.den == _PONE
 
     def __str__(self):
         if self.den == _PONE:

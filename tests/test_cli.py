@@ -286,9 +286,12 @@ def test_parser_totality_near_grammar(argv):
 
 @pytest.mark.parametrize("verb", ["binom", "falling"])
 def test_unexpected_exception_exits_two(verb, capsys):
-    # the index does not fit a machine-size tuple repeat: OverflowError
-    assert main([verb, "--family", "gauss", "99999999999999999999", "1"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("error: OverflowError: ")
-    assert captured.err.count("\n") == 1
+    # the index fits no machine-size tuple or list: OverflowError, refused
+    # before any table grows
+    for family in ("gauss", "fib", "gauss@2"):
+        argv = [verb, "--family", family, "99999999999999999999", "1"]
+        assert main(argv) == 2, family
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: OverflowError: ")
+        assert captured.err.count("\n") == 1

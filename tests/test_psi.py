@@ -211,39 +211,67 @@ def test_family_tag_fixed_when_built():
 
 
 def test_gauss_row_deeper_than_recursion_limit():
-    psi._gauss_rows.cache_clear()
+    psi._table.cache_clear()
     try:
         assert gauss_binomial(600, 1, 1) == 600
     finally:
-        psi._gauss_rows.cache_clear()
+        psi._table.cache_clear()
 
 
-def _gauss_binomial_by_product(n, k, t):
-    value = Fraction(1)
-    for i in range(k):
-        value *= Fraction(1 - t ** (n - i), 1 - t ** (i + 1))
-    return value
+def _gauss_row_by_product(n, t):
+    row = [Fraction(1)]
+    for k in range(1, n + 1):
+        row.append(row[-1] * Fraction(1 - t ** (n - k + 1), 1 - t ** k))
+    return tuple(row)
 
 
-def test_gauss_rows_grow_safely_across_threads():
-    # a row appended twice would shift every later row by one
-    psi._gauss_rows.cache_clear()
+def _fib_by_doubling(n):
+    # (F(n), F(n+1)) by F(2m) = F(m)(2F(m+1) - F(m)), F(2m+1) = F(m)^2 +
+    # F(m+1)^2, which share no step with the table's recurrence
+    if n == 0:
+        return 0, 1
+    a, b = _fib_by_doubling(n // 2)
+    c, d = a * (2 * b - a), a * a + b * b
+    return (d, c + d) if n % 2 else (c, d)
+
+
+# each table: its step, parameter, first index read, public reader of
+# entry n, and an independent formula for entry n; a cheap step needs many
+# entries for the threads to race
+_TABLES = {
+    "rows": (psi._row_step, 3, 80,
+             lambda n: tuple(gauss_binomial(n, k, 3) for k in range(n + 1)),
+             lambda n: _gauss_row_by_product(n, 3)),
+    "fib": (psi._fib_step, None, 5000, lambda n: psi_int(fibonacci(), n),
+            lambda n: _fib_by_doubling(n)[0]),
+    "sums": (psi._sum_step, 3, 400, lambda n: psi.geometric_sum(3, n),
+             lambda n: (3 ** n - 1) // 2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_TABLES))
+def test_tables_grow_safely_across_threads(name):
+    # an entry grown from a stale predecessor, or appended twice, breaks the
+    # formula from there on
+    step, t, first, read, formula = _TABLES[name]
+    psi._table.cache_clear()
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        start = threading.Barrier(8)
+        start = threading.Barrier(6)
 
         def grow(n):
             start.wait(timeout=30)
-            return gauss_binomial(n, n // 2, 3)
+            return read(n)
 
-        with ThreadPoolExecutor(max_workers=8) as pool:
-            futures = {n: pool.submit(grow, n) for n in range(80, 88)}
+        with ThreadPoolExecutor(max_workers=6) as pool:
+            futures = {n: pool.submit(grow, n)
+                       for n in range(first, first + 6)}
             values = {n: f.result(timeout=60) for n, f in futures.items()}
-        rows = psi._gauss_rows(3)
+        table = list(psi._table(step, t))
     finally:
         sys.setswitchinterval(interval)
-        psi._gauss_rows.cache_clear()
-    assert [len(row) for row in rows] == list(range(1, len(rows) + 1))
+        psi._table.cache_clear()
+    assert table == [formula(n) for n in range(len(table))]
     for n, value in values.items():
-        assert value == _gauss_binomial_by_product(n, n // 2, 3)
+        assert value == formula(n)

@@ -169,8 +169,7 @@ def test_per_eigenvalue_once_per_distinct_eigenvalue():
 
 
 def _clear_scalar_caches():
-    for cached in (psi._gauss_rows, qhat.geometric_sum,
-                   qhat._geometric_factorial, qhat._binomial_eigenvalue):
+    for cached in (psi._table, qhat._binomial_eigenvalue):
         cached.cache_clear()
 
 

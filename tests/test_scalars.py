@@ -8,11 +8,11 @@ from hypothesis import given, settings, strategies as st
 
 from psifoc import scalars
 from psifoc.errors import DivisionByZero, MixedFieldTags, PoleAtPoint
-from psifoc.matrices import ScalarMode, pascal_matrix
+from psifoc.matrices import ScalarMatrix, ScalarMode, pascal_matrix
 from psifoc.psi import custom, gauss, gauss_binomial, psi_binomial
 from psifoc.qhat import (DiagOperator, binomial_eigenvalue,
                          dilation_operator, geometric_sum)
-from psifoc.qplane import realization_check, verify_cauchy_scalar
+from psifoc.qplane import QPlanePoly, realization_check, verify_cauchy_scalar
 from psifoc.scalars import Q, RatFunc, eval_ratfunc, render
 
 
@@ -86,6 +86,12 @@ _ENTRIES = {
     "dilation_operator": lambda x: dilation_operator(x, 3),
     "realization_check": lambda x: realization_check(x, 3),
     "pascal_matrix x0": lambda x: pascal_matrix(x, 3, ScalarMode(2)),
+    "QPlanePoly t": lambda x: QPlanePoly(x, {(1, 0): 1}),
+    "QPlanePoly coefficient": lambda x: QPlanePoly(1, {(1, 0): x}),
+    "DiagOperator": lambda x: DiagOperator((1, x)),
+    "ScalarMatrix": lambda x: ScalarMatrix([[1, x]]),
+    "ScalarMatrix.scale": lambda x: ScalarMatrix([[1]]).scale(x),
+    "ScalarMatrix.scale_rows": lambda x: ScalarMatrix([[1]]).scale_rows([x]),
 }
 
 
