@@ -78,10 +78,14 @@ class FamilySpec:
                 lines = [line.strip() for line in handle]
         except OSError as exc:
             raise InvalidFamilyFile(f"cannot read family file {path}: {exc}")
+        # line n holds n_psi: blank lines may only end the file
+        while lines and not lines[-1]:
+            lines.pop()
         values = []
         for lineno, line in enumerate(lines, start=1):
             if not line:
-                continue
+                raise InvalidFamilyFile(
+                    f"{path}:{lineno}: blank line before the last value")
             try:
                 values.append(Fraction(scalars.parse_rational(line)))
             except ValueError:

@@ -68,19 +68,19 @@ class ScalarMatrix:
             raise DimensionMismatch(
                 f"cannot multiply {self.rows}x{self.cols} by "
                 f"{other.rows}x{other.cols}")
+        # Gustavson's row-by-row product: row i is the sum over k of a_ik
+        # times the nonzero entries of row k of other, k ascending, so each
+        # entry adds its terms in the order of the dense triple loop
+        right = [[(j, b) for j, b in enumerate(row) if b]
+                 for row in other.data]
         out = []
-        for i in range(self.rows):
-            row = []
-            for j in range(other.cols):
-                acc: Scalar = 0
-                for k in range(self.cols):
-                    a = self.data[i][k]
-                    if a:
-                        b = other.data[k][j]
-                        if b:
-                            acc = acc + a * b
-                row.append(scalars.normalize(acc))
-            out.append(tuple(row))
+        for row in self.data:
+            acc: list[Scalar] = [0] * other.cols
+            for a, terms in zip(row, right):
+                if a:
+                    for j, b in terms:
+                        acc[j] = acc[j] + a * b
+            out.append(tuple(map(scalars.normalize, acc)))
         return ScalarMatrix._raw(tuple(out))
 
     def _zip(self, other: "ScalarMatrix", op) -> "ScalarMatrix":

@@ -173,7 +173,19 @@ def psi_binomial(fam: PsiFamily, n: int, k: int) -> Scalar:
         raise ValueError("psi_binomial requires n >= 0")
     if k < 0 or k > n:
         return family_zero(fam)
-    return scalars.div(psi_falling(fam, n, k), psi_factorial(fam, k))
+    if not fam.symbolic:
+        return scalars.div(psi_falling(fam, n, k), psi_factorial(fam, k))
+    # symbolic families divide as they go: after step i the quotient is
+    # the family binomial (n-k+i, i), for gauss a polynomial far smaller
+    # than the falling factorial.  The factors are read first, in
+    # psi_falling's and then psi_factorial's order, so a bad index fails
+    # as it does in the single quotient.
+    tops = [psi_int(fam, n - i) for i in range(k)]
+    bottoms = [psi_int(fam, i) for i in range(1, k + 1)]
+    acc = family_one(fam)
+    for top, bottom in zip(reversed(tops), bottoms):
+        acc = acc * top / bottom
+    return acc
 
 
 def psi_weight(fam: PsiFamily, n: int) -> Scalar:

@@ -17,10 +17,13 @@ the tags: a scalar is checked once, where a caller hands it to the
 library (:func:`check`, which refuses anything but ``int``, ``Fraction``
 and :class:`RatFunc`, floats included), and a weight family fixes its tag
 when it is built.  Below those entry points the code uses the plain
-operators ``+ - * **``; the :class:`RatFunc` overloads embed ``int`` and
-``Fraction`` operands as constant functions.  The one operation that needs
-more than an operator is the exact quotient :func:`div`, which never
-yields a float.
+operators ``+ - * **``.  The :class:`RatFunc` overloads take ``int`` and
+``Fraction`` operands as they are, without building a constant function:
+c num/den and (num + c den)/den keep the monic den, and they stay coprime
+to it because a nonzero c is a unit and gcd(num + c den, den) =
+gcd(num, den) = 1, so both are canonical with no reduction.  The one
+operation that needs more than an operator is the exact quotient
+:func:`div`, which never yields a float.
 """
 
 from __future__ import annotations
@@ -37,13 +40,19 @@ Rational = Union[int, Fraction]
 # Dense polynomial helpers.  A polynomial is a tuple of coefficients in
 # ascending degree with no trailing zeros; the zero polynomial is ().
 # Coefficients are int or Fraction; integral Fractions are normalized to
-# int so that the common all-integer case runs on native integers.  The
-# canonical form is fraction-free: _primitive, then _pexquo, else _prs_gcd
-# (Collins 1967; Brown 1971), and monic scaling last.
+# int so that the common all-integer case runs on native integers.  A
+# product loops over the shorter factor, and a monomial factor c q^d (the
+# recurrence multiplies by t^k) only shifts and scales the other; powers
+# of a monomial are closed-form.  The leading coefficient of a product is
+# the product of two nonzero leading ones, nonzero over the integral
+# domain Q, so an all-int product needs no _trim.  The canonical form is
+# fraction-free: _primitive, then _pexquo, else _prs_gcd (Collins 1967;
+# Brown 1971), and monic scaling last.
 # ---------------------------------------------------------------------------
 
 _PZERO: tuple = ()
 _PONE: tuple = (1,)
+_INT_ONLY = frozenset((int,))
 
 
 def _norm_coeff(c):
@@ -57,6 +66,12 @@ def _trim(coeffs) -> tuple:
     while out and not out[-1]:
         out.pop()
     return tuple(out)
+
+
+def _constant(c: Rational) -> tuple:
+    """The constant polynomial c; () for zero."""
+    c = _norm_coeff(c)
+    return (c,) if c else _PZERO
 
 
 def _padd(a: tuple, b: tuple) -> tuple:
@@ -73,19 +88,38 @@ def _pneg(a: tuple) -> tuple:
 
 
 def _pmul(a: tuple, b: tuple) -> tuple:
-    if not a or not b:
+    if len(a) > len(b):
+        a, b = b, a
+    if not a:
         return _PZERO
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if not ca:
-            continue
-        for j, cb in enumerate(b):
-            if cb:
-                out[i + j] += ca * cb
+    *low, c = a
+    if not any(low):
+        # a is the monomial c q^d: shift b by d and scale it by c
+        if c == 1:
+            return (*low, *b)
+        out = [*low, *(c * x for x in b)]
+    else:
+        out = [0] * (len(a) + len(b) - 1)
+        for i, ca in enumerate(a):
+            if ca:
+                for j, cb in enumerate(b, i):
+                    out[j] += ca * cb
+    # the leading coefficient a[-1] b[-1] is nonzero, so only a Fraction
+    # coefficient, which may be integral, needs the pass through _trim
+    if _INT_ONLY.issuperset(map(type, out)):
+        return tuple(out)
     return _trim(out)
 
 
 def _ppow(a: tuple, n: int) -> tuple:
+    if not n:
+        return _PONE
+    if not a:
+        return _PZERO
+    *low, c = a
+    if not any(low):
+        # (c q^d)^n = c^n q^(dn)
+        return (0,) * (len(low) * n) + (_norm_coeff(c ** n),)
     result = _PONE
     base = a
     while n:
@@ -217,8 +251,7 @@ class RatFunc:
 
     @classmethod
     def constant(cls, c: Rational) -> "RatFunc":
-        c = _norm_coeff(c)
-        return cls._raw(_trim((c,)), _PONE)
+        return cls._raw(_constant(c), _PONE)
 
     @classmethod
     def zero(cls) -> "RatFunc":
@@ -239,39 +272,45 @@ class RatFunc:
         return None
 
     def __add__(self, other):
-        other = self._lift(other)
-        if other is None:
-            return NotImplemented
-        if self.den == _PONE and other.den == _PONE:
-            return RatFunc._raw(_padd(self.num, other.num), _PONE)
-        num = _padd(_pmul(self.num, other.den), _pmul(other.num, self.den))
-        return _canonical_fraction(num, _pmul(self.den, other.den))
+        if isinstance(other, RatFunc):
+            if self.den == _PONE and other.den == _PONE:
+                return RatFunc._raw(_padd(self.num, other.num), _PONE)
+            num = _padd(_pmul(self.num, other.den),
+                        _pmul(other.num, self.den))
+            return _canonical_fraction(num, _pmul(self.den, other.den))
+        if isinstance(other, (int, Fraction)):
+            # num + c den over the same monic den is canonical: it is
+            # coprime to den because num is
+            return RatFunc._raw(
+                _padd(self.num, _pmul(self.den, _constant(other))), self.den)
+        return NotImplemented
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = self._lift(other)
-        if other is None:
+        if not isinstance(other, (RatFunc, int, Fraction)):
             return NotImplemented
-        return self.__add__(other.__neg__())
+        return self.__add__(-other)
 
     def __rsub__(self, other):
-        other = self._lift(other)
-        if other is None:
+        if not isinstance(other, (int, Fraction)):
             return NotImplemented
-        return other.__sub__(self)
+        return -self + other
 
     def __neg__(self):
         return RatFunc._raw(_pneg(self.num), self.den)
 
     def __mul__(self, other):
-        other = self._lift(other)
-        if other is None:
-            return NotImplemented
-        if self.den == _PONE and other.den == _PONE:
-            return RatFunc._raw(_pmul(self.num, other.num), _PONE)
-        return _canonical_fraction(_pmul(self.num, other.num),
-                                   _pmul(self.den, other.den))
+        if isinstance(other, RatFunc):
+            if self.den == _PONE and other.den == _PONE:
+                return RatFunc._raw(_pmul(self.num, other.num), _PONE)
+            return _canonical_fraction(_pmul(self.num, other.num),
+                                       _pmul(self.den, other.den))
+        if isinstance(other, (int, Fraction)):
+            # a nonzero constant is a unit: c num stays coprime to den
+            c = _constant(other)
+            return RatFunc._raw(_pmul(self.num, c), self.den if c else _PONE)
+        return NotImplemented
 
     __rmul__ = __mul__
 
@@ -301,10 +340,11 @@ class RatFunc:
         return RatFunc._raw(_ppow(self.num, n), _ppow(self.den, n))
 
     def __eq__(self, other):
-        other = self._lift(other)
-        if other is None:
-            return NotImplemented
-        return self.num == other.num and self.den == other.den
+        if isinstance(other, RatFunc):
+            return self.num == other.num and self.den == other.den
+        if isinstance(other, (int, Fraction)):
+            return self.den == _PONE and self.num == _constant(other)
+        return NotImplemented
 
     def __hash__(self):
         # constants must hash like the numbers they embed, because they

@@ -177,6 +177,22 @@ def test_custom_family_file(tmp_path):
     assert code == 2
 
 
+def test_custom_family_file_blank_line(tmp_path, capsys):
+    # line n is the n-th family integer, so a blank line inside the table
+    # is refused rather than skipped (skipping made 3_psi = 4 here)
+    table = tmp_path / "family.txt"
+    table.write_text("1\n\n3\n4\n")
+    assert main(["binom", "--family", f"custom:{table}", "3", "1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {table}:2: blank line before the last value\n"
+    # trailing blank lines end the table
+    table.write_text("1\n2\n3\n\n\n")
+    code, text = run_command(parse_command(
+        ["binom", "--family", f"custom:{table}", "3", "1"]))
+    assert (code, text) == (0, "3")
+
+
 def test_env_default_truncation(monkeypatch):
     monkeypatch.setenv("PSIFOC_TRUNC", "2")
     code, _ = run_command(parse_command(

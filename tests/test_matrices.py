@@ -1,11 +1,12 @@
 """Exact matrices, Pascal/Fermat constructions, the factorization check,
 and the subspace-counting oracle."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
-from psifoc import matrices, psi
+from psifoc import matrices, psi, scalars
 from psifoc.errors import (DimensionMismatch, NonInvertibleDenominator,
                            SizeTooLarge, UnsupportedField)
 from psifoc.matrices import (EigenMode, ScalarMatrix, ScalarMode,
@@ -160,3 +161,43 @@ def test_export_json():
 def test_export_unknown_format():
     with pytest.raises(ValueError):
         export_matrix(ScalarMatrix.identity(1), "xml")
+
+
+def _dense_product(a, b):
+    """The dense triple loop: entry (i, j) sums a_ik b_kj over k ascending,
+    skipping zero factors."""
+    out = []
+    for i in range(a.rows):
+        row = []
+        for j in range(b.cols):
+            acc = 0
+            for k in range(a.cols):
+                x, y = a.entry(i, k), b.entry(k, j)
+                if x and y:
+                    acc = acc + x * y
+            row.append(scalars.normalize(acc))
+        out.append(tuple(row))
+    return tuple(out)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_matmul_matches_dense_triple_loop(seed):
+    rng = random.Random(seed)
+    values = (lambda: rng.randint(-9, 9),
+              lambda: Fraction(rng.randint(-9, 9), rng.randint(1, 5)),
+              lambda: RatFunc([rng.randint(-3, 3), rng.randint(-3, 3)],
+                              [1, rng.randint(1, 3)]))
+
+    def sparse(rows, cols, value):
+        return ScalarMatrix([[value() if rng.random() < 0.3 else 0
+                              for _ in range(cols)] for _ in range(rows)])
+
+    for value in values:
+        n, m, p = (rng.randint(1, 6) for _ in range(3))
+        a, b = sparse(n, m, value), sparse(m, p, value)
+        product, dense = (a @ b).data, _dense_product(a, b)
+        assert product == dense
+        assert ([type(v) for row in product for v in row]
+                == [type(v) for row in dense for v in row])
+        with pytest.raises(DimensionMismatch):
+            a @ sparse(m + 1, p, value)

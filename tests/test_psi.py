@@ -97,11 +97,49 @@ def test_gauss_at_minus_one_is_inadmissible():
         psi_int(gauss(-1), 2)
 
 
-def test_two_binomial_routes_agree():
-    # quotient-of-factorials definition vs the recurrence oracle
-    for n in range(13):
-        for k in range(-1, n + 2):
-            assert psi_binomial(gauss(), n, k) == gauss_binomial(n, k, Q)
+def test_two_binomial_routes_agree(monkeypatch):
+    # quotient-of-factorials definition vs the recurrence oracle, compared
+    # on their canonical forms.  The symbolic quotient divides as it goes
+    # but never reads the recurrence rows; the recurrence never divides.
+    rows = {n: [gauss_binomial(n, k, Q) for k in range(-1, n + 2)]
+            for n in range(31)}
+
+    def no_rows(step, t, n):
+        assert step is not psi._row_step, "psi_binomial read the recurrence"
+        return table_entry(step, t, n)
+
+    table_entry = psi._entry
+    monkeypatch.setattr(psi, "_entry", no_rows)
+    for n, row in rows.items():
+        for k, value in enumerate(row, start=-1):
+            quotient = psi_binomial(gauss(), n, k)
+            assert type(quotient) is RatFunc
+            assert (quotient.num, quotient.den) == (value.num, value.den)
+    monkeypatch.undo()
+
+    def no_division(*args):
+        raise AssertionError("gauss_binomial divided")
+
+    psi._table.cache_clear()
+    monkeypatch.setattr(RatFunc, "__truediv__", no_division)
+    monkeypatch.setattr(RatFunc, "__rtruediv__", no_division)
+    assert [gauss_binomial(30, k, Q) for k in range(-1, 32)] == rows[30]
+
+
+@pytest.mark.parametrize("table, n, k, message", [
+    # the falling factors are read before the factorial ones, as in the
+    # single quotient: index 3 fails before the zero 1_psi is reached
+    ((RatFunc([0]), RatFunc([1, 1])), 3, 2,
+     "custom table of length 2 has no entry for n = 3"),
+    ((RatFunc([1]), RatFunc([1, 1])), 4, 2,
+     "custom table of length 2 has no entry for n = 4"),
+    ((RatFunc([1]), RatFunc([0])), 2, 1, "custom table has 2_psi = 0"),
+    ((RatFunc([0]), RatFunc([1, 1])), 2, 1, "custom table has 1_psi = 0"),
+])
+def test_short_ratfunc_table_fails_at_first_bad_index(table, n, k, message):
+    with pytest.raises(InadmissibleFamily) as info:
+        psi_binomial(custom(table), n, k)
+    assert str(info.value) == message
 
 
 def test_gauss_binomial_total_at_roots_of_unity():

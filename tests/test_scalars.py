@@ -288,3 +288,69 @@ def test_canonical_form_matches_sympy_cancel(seed):
             num, den = _times(num, g), _times(den, g)
         f = RatFunc(num, den)
         assert (f.num, f.den) == _sympy_canonical(sympy, num, den)
+
+
+# The polynomial kernels against naive references.  repr compares the
+# coefficient types too, so an integral Fraction left unnormalized fails.
+
+def _naive_mul(a, b):
+    out = [Fraction(0)] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return scalars._trim(out)
+
+
+def _naive_pow(a, n):
+    out = (1,)
+    for _ in range(n):
+        out = _naive_mul(out, a)
+    return out
+
+
+_kernel_polys = st.one_of(
+    _polys.map(scalars._trim),
+    st.tuples(st.integers(min_value=0, max_value=4), _nonzero_coeffs).map(
+        lambda t: (0,) * t[0] + (scalars._norm_coeff(t[1]),)),
+    st.just(()))
+
+
+@given(_kernel_polys, _kernel_polys)
+@settings(max_examples=300, deadline=None)
+def test_pmul_matches_naive_product(a, b):
+    assert repr(scalars._pmul(a, b)) == repr(_naive_mul(a, b))
+    assert repr(scalars._pmul(b, a)) == repr(_naive_mul(a, b))
+
+
+@given(_kernel_polys, st.integers(min_value=0, max_value=5))
+@settings(max_examples=200, deadline=None)
+def test_ppow_matches_naive_power(a, n):
+    assert repr(scalars._ppow(a, n)) == repr(_naive_pow(a, n))
+
+
+_MIXED_CONSTANTS = (0, 1, -1, 7, Fraction(2, 1), Fraction(-3, 5))
+# constants included, so that f == c is sometimes true
+_mixed_ratfuncs = st.one_of(
+    _ratfuncs(), st.sampled_from(_MIXED_CONSTANTS).map(RatFunc.constant))
+
+
+def _form(f):
+    assert type(f) is RatFunc
+    return repr((f.num, f.den))
+
+
+@given(_mixed_ratfuncs, st.sampled_from(_MIXED_CONSTANTS))
+@settings(max_examples=200, deadline=None)
+def test_mixed_operands_match_the_lifted_route(f, c):
+    # an int or Fraction operand gives the canonical form of its constant
+    # function, with no RatFunc built for it
+    lifted = RatFunc.constant(c)
+    assert _form(f + c) == _form(f + lifted)
+    assert _form(c + f) == _form(lifted + f)
+    assert _form(f - c) == _form(f - lifted)
+    assert _form(c - f) == _form(lifted - f)
+    assert _form(f * c) == _form(f * lifted)
+    assert _form(c * f) == _form(lifted * f)
+    assert (f == c) == (c == f) == (f == lifted)
+    if f == c:
+        assert hash(f) == hash(c)
