@@ -21,21 +21,26 @@ Exit codes: 0 on success or a passing verification, 1 when a verification
 reports mismatches (the JSON report goes to standard output), 2 on any
 error.  The environment variable PSIFOC_TRUNC sets the default sweep
 truncation degree (default 32).
+
+Each verb loads only the layers it runs: ``binom``, ``fact`` and
+``falling`` need :mod:`psifoc.psi` and :mod:`psifoc.scalars`, which this
+module imports; ``expand``, ``verify``, ``matrix`` and ``oracle`` import
+:mod:`psifoc.qplane` or :mod:`psifoc.matrices`, and :mod:`json`, when
+they run.  Integer arguments are parsed under the interpreter's limit on
+the digits of an int read from text; an answer may be longer.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
-from . import matrices, psi, qplane, scalars
+from . import psi, scalars
+from ._record import Frozen
 from .errors import InvalidFamilyFile, ParseError, PsifocError
-from .matrices import EigenMode, ScalarMode
-from .scalars import Q, Rational
+from .scalars import Q, Rational, Scalar
 
 USAGE = """\
 usage: psifoc <command> ...
@@ -56,12 +61,14 @@ global flags: --pretty\
 _FAMILY_RE = re.compile(r"^(classical|gauss(@.+)?|fib|custom:.+)$")
 
 
-@dataclass(frozen=True)
-class FamilySpec:
+class FamilySpec(Frozen):
     """Validated textual family name; resolves to a PsiFamily on demand
     (custom tables are read from disk at resolution time)."""
 
-    text: str
+    __slots__ = ("text",)
+
+    def __init__(self, text: str):
+        self._assign(text)
 
     def to_family(self) -> psi.PsiFamily:
         if self.text == "classical":
@@ -110,29 +117,25 @@ def parse_family(text: str, position: int) -> FamilySpec:
     return FamilySpec(text)
 
 
-@dataclass(frozen=True)
-class Command:
+class Command(Frozen):
     """A parsed command; every instance round-trips through
     :meth:`canonical` and :func:`parse_command`."""
 
-    verb: str
-    subverb: str | None = None
-    family: FamilySpec | None = None
-    n: int | None = None
-    k: int | None = None
-    xval: int | None = None
-    r: int | None = None
-    s: int | None = None
-    j: int | None = None
-    size: int | None = None
-    maxdeg: int | None = None
-    power: int | None = None
-    eigen: int | None = None
-    qfield: int | None = None
-    x0: Rational | None = None
-    fmt: str | None = None
-    out: str | None = None
-    pretty: bool = False
+    __slots__ = ("verb", "subverb", "family", "n", "k", "xval", "r", "s",
+                 "j", "size", "maxdeg", "power", "eigen", "qfield", "x0",
+                 "fmt", "out", "pretty")
+
+    def __init__(self, verb: str, subverb: str | None = None,
+                 family: FamilySpec | None = None, n: int | None = None,
+                 k: int | None = None, xval: int | None = None,
+                 r: int | None = None, s: int | None = None,
+                 j: int | None = None, size: int | None = None,
+                 maxdeg: int | None = None, power: int | None = None,
+                 eigen: int | None = None, qfield: int | None = None,
+                 x0: Rational | None = None, fmt: str | None = None,
+                 out: str | None = None, pretty: bool = False):
+        self._assign(verb, subverb, family, n, k, xval, r, s, j, size,
+                     maxdeg, power, eigen, qfield, x0, fmt, out, pretty)
 
     def canonical(self) -> list[str]:
         argv = [self.verb]
@@ -226,7 +229,12 @@ def _parse_value(kind: str, token: str, position: int, label: str):
         if not _INT_RE.match(token):
             raise ParseError(f"bad integer {token!r} for {label}", position,
                              ("<integer>",))
-        return int(token)
+        try:
+            return int(token)
+        except ValueError:  # beyond the interpreter's digit limit
+            raise ParseError(f"integer for {label} has more than "
+                             f"{sys.get_int_max_str_digits()} digits",
+                             position, ("<integer>",))
     if kind == "rational":
         try:
             return scalars.parse_rational(token)
@@ -330,22 +338,24 @@ def _default_trunc() -> int:
     return value
 
 
-def _scalar_mode_for(fam: psi.PsiFamily) -> ScalarMode:
+def _deformation_of(fam: psi.PsiFamily) -> Scalar:
     if fam.kind == "classical":
-        return ScalarMode(1)
+        return 1
     if fam.kind == "gauss":
-        return ScalarMode(Q if fam.q0 is None else fam.q0)
+        return Q if fam.q0 is None else fam.q0
     raise PsifocError(
         f"family {fam.label} has no single deformation parameter; "
         f"pass --eigen M to pick a monomial degree")
 
 
 def _run_matrix(cmd: Command) -> tuple[int, str]:
+    import json
+    from . import matrices
     fam = cmd.family.to_family()
     if cmd.eigen is not None:
-        mode: matrices.EvalMode = EigenMode(fam, cmd.eigen)
+        mode = matrices.EigenMode(fam, cmd.eigen)
     else:
-        mode = _scalar_mode_for(fam)
+        mode = matrices.ScalarMode(_deformation_of(fam))
     if cmd.subverb == "pascal":
         x0 = 1 if cmd.x0 is None else cmd.x0
         matrix = matrices.pascal_matrix(x0, cmd.size, mode)
@@ -362,6 +372,7 @@ def _run_matrix(cmd: Command) -> tuple[int, str]:
 
 
 def _run_verify(cmd: Command) -> tuple[int, str]:
+    from . import qplane
     fam = cmd.family.to_family()
     if cmd.subverb == "obs1":
         report = qplane.explore_observation1_general(fam, cmd.n)
@@ -390,6 +401,8 @@ def run_command(cmd: Command) -> tuple[int, str]:
             fam = cmd.family.to_family()
             return 0, scalars.render(psi.psi_falling(fam, cmd.xval, cmd.k))
         if cmd.verb == "expand":
+            import json
+            from . import qplane
             fam = cmd.family.to_family()
             terms = qplane.psi_plus_power(fam, cmd.power).to_json_terms()
             return 0, json.dumps(terms, indent=2 if cmd.pretty else None)
@@ -398,6 +411,7 @@ def run_command(cmd: Command) -> tuple[int, str]:
         if cmd.verb == "matrix":
             return _run_matrix(cmd)
         if cmd.verb == "oracle":
+            from . import matrices
             count = matrices.count_subspaces(cmd.qfield, cmd.n, cmd.k)
             return 0, str(count)
         raise PsifocError(f"unhandled verb {cmd.verb!r}")
@@ -416,7 +430,18 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         print(USAGE, file=sys.stderr)
         return 2
-    code, text = run_command(cmd)
+    # inputs were parsed under the interpreter's limit on the digits of an
+    # int converted from or to text; an answer may be longer, so the limit
+    # is lifted while the command runs
+    lift = hasattr(sys, "set_int_max_str_digits")
+    if lift:
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+    try:
+        code, text = run_command(cmd)
+    finally:
+        if lift:
+            sys.set_int_max_str_digits(limit)
     if text:
         print(text, file=sys.stderr if code == 2 else sys.stdout)
     return code

@@ -17,10 +17,10 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass
 from typing import Iterable, Sequence, Union
 
 from . import qhat, scalars
+from ._record import Frozen
 from .errors import DimensionMismatch, SizeTooLarge, UnsupportedField
 from .psi import PsiFamily, gauss_binomial, twisted_sum
 from .scalars import Scalar
@@ -150,21 +150,23 @@ class ScalarMatrix:
         return f"ScalarMatrix[{body}]"
 
 
-@dataclass(frozen=True)
-class ScalarMode:
+class ScalarMode(Frozen):
     """Evaluate binomial entries at a fixed deformation parameter."""
-    t: Scalar
 
-    def __post_init__(self):
-        scalars.check(self.t)
+    __slots__ = ("t",)
+
+    def __init__(self, t: Scalar):
+        self._assign(scalars.check(t))
 
 
-@dataclass(frozen=True)
-class EigenMode:
+class EigenMode(Frozen):
     """Evaluate binomial entries at the family mutator eigenvalue of one
     monomial degree."""
-    family: PsiFamily
-    degree: int
+
+    __slots__ = ("family", "degree")
+
+    def __init__(self, family: PsiFamily, degree: int):
+        self._assign(family, degree)
 
 
 EvalMode = Union[ScalarMode, EigenMode]

@@ -22,17 +22,16 @@ from __future__ import annotations
 
 import sys
 import threading
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterable
 
 from . import scalars
+from ._record import Frozen
 from .errors import InadmissibleFamily, MixedFieldTags, NegativeIndex
 from .scalars import Rational, RatFunc, Scalar
 
 
-@dataclass(frozen=True)
-class PsiFamily:
+class PsiFamily(Frozen):
     """Descriptor of an admissible weight family.
 
     ``kind`` is one of ``classical``, ``gauss``, ``fibonacci``, ``custom``.
@@ -45,24 +44,22 @@ class PsiFamily:
     with MixedFieldTags.
     """
 
-    kind: str
-    q0: Rational | None = None
-    table: tuple[Scalar, ...] | None = None
+    __slots__ = ("kind", "q0", "table")
 
-    def __post_init__(self):
-        if self.q0 is not None:
-            scalars.check(self.q0)
-            if isinstance(self.q0, RatFunc):
+    def __init__(self, kind: str, q0: Rational | None = None,
+                 table: tuple[Scalar, ...] | None = None):
+        if q0 is not None:
+            scalars.check(q0)
+            if isinstance(q0, RatFunc):
                 raise TypeError(f"gauss point must be rational, not "
-                                f"{self.q0!r}")
-            object.__setattr__(self, "q0", scalars.normalize(self.q0))
-        if self.table is not None:
-            table = tuple(scalars.normalize(scalars.check(v))
-                          for v in self.table)
+                                f"{q0!r}")
+            q0 = scalars.normalize(q0)
+        if table is not None:
+            table = tuple(scalars.normalize(scalars.check(v)) for v in table)
             if len({isinstance(v, RatFunc) for v in table}) > 1:
                 raise MixedFieldTags("custom table mixes rationals with "
                                      "rational functions")
-            object.__setattr__(self, "table", table)
+        self._assign(kind, q0, table)
 
     @property
     def label(self) -> str:

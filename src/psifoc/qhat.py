@@ -22,12 +22,12 @@ multiplication-operator realization in :mod:`psifoc.qplane` uses.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 import json
 from typing import Any, Callable
 
 from . import scalars
+from ._record import Frozen
 from .errors import (DegreeOutOfRange, DimensionMismatch,
                      NonInvertibleDenominator)
 from .psi import (PsiFamily, _geometric_factorial, family_one,
@@ -35,19 +35,19 @@ from .psi import (PsiFamily, _geometric_factorial, family_one,
 from .scalars import Scalar
 
 
-@dataclass(frozen=True)
-class DiagOperator:
+class DiagOperator(Frozen):
     """Operator sending x^m to eigenvalues[m] * x^m for 0 <= m <= n_trunc.
 
     Sums add eigenvalues pointwise, composition multiplies them pointwise,
     and powers are pointwise powers; all three stay diagonal.
     """
 
-    eigenvalues: tuple[Scalar, ...]
+    __slots__ = ("eigenvalues",)
 
-    def __post_init__(self):
-        for value in self.eigenvalues:
+    def __init__(self, eigenvalues: tuple[Scalar, ...]):
+        for value in eigenvalues:
             scalars.check(value)
+        self._assign(eigenvalues)
 
     @property
     def n_trunc(self) -> int:

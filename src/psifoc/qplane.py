@@ -33,10 +33,10 @@ Each verifier pairs the code path under test with an independent oracle:
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from typing import Mapping
 
 from . import qhat, scalars
+from ._record import Frozen, Record
 from .errors import DeformationMismatch
 from .matrices import (ScalarMatrix, ScalarMode,
                        fermat_factorization_mismatches)
@@ -152,18 +152,20 @@ def psi_plus_power(fam: PsiFamily, n: int) -> QPlanePoly:
                           for k in range(n + 1)})
 
 
-@dataclass(frozen=True)
-class MultiplicativityCheck:
+class MultiplicativityCheck(Frozen):
     """Outcome of comparing a product of convolution powers with the
-    convolution power of the summed exponent."""
+    convolution power of the summed exponent.
 
-    family: str
-    r: int
-    s: int
-    equal: bool
-    #: (xdeg, ydeg, product coefficient, direct coefficient) at the
-    #: lexicographically first differing monomial, or None when equal.
-    first_difference: tuple[int, int, Scalar, Scalar] | None
+    ``first_difference`` is (xdeg, ydeg, product coefficient, direct
+    coefficient) at the lexicographically first differing monomial, or
+    None when equal.
+    """
+
+    __slots__ = ("family", "r", "s", "equal", "first_difference")
+
+    def __init__(self, family: str, r: int, s: int, equal: bool,
+                 first_difference: tuple[int, int, Scalar, Scalar] | None):
+        self._assign(family, r, s, equal, first_difference)
 
 
 def check_psi_multiplicativity(fam: PsiFamily, r: int, s: int) -> MultiplicativityCheck:
@@ -187,12 +189,14 @@ def check_psi_multiplicativity(fam: PsiFamily, r: int, s: int) -> Multiplicativi
     return MultiplicativityCheck(fam.label, r, s, True, None)
 
 
-@dataclass
-class Report:
+class Report(Record):
     """Outcome of a verifier: parameters, verdict, mismatch table."""
 
-    params: dict
-    mismatches: list = field(default_factory=list)
+    __slots__ = ("params", "mismatches")
+
+    def __init__(self, params: dict, mismatches: list | None = None):
+        self.params = params
+        self.mismatches = [] if mismatches is None else mismatches
 
     @property
     def passed(self) -> bool:
@@ -295,8 +299,7 @@ def verify_fermat_operator(fam: PsiFamily, size: int, maxdeg: int) -> Report:
     return report
 
 
-@dataclass(frozen=True)
-class OpRealization:
+class OpRealization(Frozen):
     """Multiplication-by-x and weighted y-shift operators on the basis of
     monomials x^a y^b with a + b <= n, as matrices.
 
@@ -304,10 +307,11 @@ class OpRealization:
     layer; comparisons must restrict to input degrees below n.
     """
 
-    n: int
-    basis: tuple[tuple[int, int], ...]
-    a: ScalarMatrix
-    b: ScalarMatrix
+    __slots__ = ("n", "basis", "a", "b")
+
+    def __init__(self, n: int, basis: tuple[tuple[int, int], ...],
+                 a: ScalarMatrix, b: ScalarMatrix):
+        self._assign(n, basis, a, b)
 
     def index(self, xdeg: int, ydeg: int) -> int:
         return self.basis.index((xdeg, ydeg))

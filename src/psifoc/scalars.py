@@ -56,7 +56,8 @@ _INT_ONLY = frozenset((int,))
 
 
 def _norm_coeff(c):
-    if isinstance(c, Fraction) and c.denominator == 1:
+    # exact type first: isinstance against the Fraction ABC is slow
+    if type(c) is not int and isinstance(c, Fraction) and c.denominator == 1:
         return c.numerator
     return c
 
@@ -398,6 +399,9 @@ Scalar = Union[int, Fraction, RatFunc]
 
 def check(s: Scalar) -> Scalar:
     """Return s if it is a scalar; raise TypeError naming it otherwise."""
+    cls = type(s)
+    if cls is int or cls is RatFunc or cls is Fraction:
+        return s
     if isinstance(s, bool) or not isinstance(s, (int, Fraction, RatFunc)):
         raise TypeError(f"not a scalar: {s!r}")
     return s
@@ -405,6 +409,9 @@ def check(s: Scalar) -> Scalar:
 
 def normalize(s: Scalar) -> Scalar:
     """Canonical representative: integral Fractions become ints."""
+    cls = type(s)
+    if cls is int or cls is RatFunc:
+        return s
     if isinstance(s, Fraction) and s.denominator == 1:
         return s.numerator
     return s

@@ -1,7 +1,9 @@
 """Command grammar, exit-code contract, and parser totality."""
 
 import json
+import math
 import string
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -311,3 +313,37 @@ def test_unexpected_exception_exits_two(verb, capsys):
         assert captured.out == ""
         assert captured.err.startswith("error: OverflowError: ")
         assert captured.err.count("\n") == 1
+
+
+_DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+@pytest.mark.skipif(not _DIGIT_LIMIT, reason="no int digit limit")
+def test_overlong_integer_argument_is_refused(capsys):
+    argv = ["binom", "--family", "fib", "9" * (_DIGIT_LIMIT + 700), "1"]
+    with pytest.raises(ParseError) as err:
+        parse_command(argv)
+    assert err.value.position == 3
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(
+        f"error: integer for N has more than {_DIGIT_LIMIT} digits")
+
+
+@pytest.mark.skipif(not _DIGIT_LIMIT, reason="no int digit limit")
+def test_answer_longer_than_the_digit_limit(run_python, capsys):
+    proc = run_python("-m", "psifoc.cli", "fact", "--family", "classical",
+                      "2000")
+    assert (proc.returncode, proc.stderr) == (0, "")
+    sys.set_int_max_str_digits(0)
+    try:
+        expected = str(math.factorial(2000))
+    finally:
+        sys.set_int_max_str_digits(_DIGIT_LIMIT)
+    assert len(expected) == 5736
+    assert proc.stdout == expected + "\n"
+    # in process, main lifts the limit for the run and restores it
+    assert main(["fact", "--family", "classical", "2000"]) == 0
+    assert capsys.readouterr().out == expected + "\n"
+    assert sys.get_int_max_str_digits() == _DIGIT_LIMIT
