@@ -26,8 +26,9 @@ Each verb loads only the layers it runs: ``binom``, ``fact`` and
 ``falling`` need :mod:`psifoc.psi` and :mod:`psifoc.scalars`, which this
 module imports; ``expand``, ``verify``, ``matrix`` and ``oracle`` import
 :mod:`psifoc.qplane` or :mod:`psifoc.matrices`, and :mod:`json`, when
-they run.  Integer arguments are parsed under the interpreter's limit on
-the digits of an int read from text; an answer may be longer.
+they run.  Every input is parsed under the interpreter's limit on the
+digits of an int read from text, the values of a custom table and
+PSIFOC_TRUNC included; an answer may be longer.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from __future__ import annotations
 import os
 import re
 import sys
+from contextlib import contextmanager
 from fractions import Fraction
 
 from . import psi, scalars
@@ -94,7 +96,8 @@ class FamilySpec(Frozen):
                 raise InvalidFamilyFile(
                     f"{path}:{lineno}: blank line before the last value")
             try:
-                values.append(Fraction(scalars.parse_rational(line)))
+                values.append(
+                    Fraction(_parse_input(scalars.parse_rational, line)))
             except ValueError:
                 raise InvalidFamilyFile(
                     f"{path}:{lineno}: not a rational: {line!r}")
@@ -327,11 +330,46 @@ def parse_command(argv: list[str]) -> Command:
     return Command(verb=verb, subverb=subverb, **values)
 
 
+# main lifts the interpreter's limit on the digits of an int converted from
+# or to text while a command runs, so that long answers print; the limit it
+# saved is kept here for the inputs read in that window
+_saved_digit_limit: int | None = None
+
+
+@contextmanager
+def _digit_limit_lifted():
+    global _saved_digit_limit
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    _saved_digit_limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(_saved_digit_limit)
+        _saved_digit_limit = None
+
+
+def _parse_input(parse, text: str):
+    """parse(text) under the digit limit, also while main has lifted it."""
+    if _saved_digit_limit is None:
+        return parse(text)
+    sys.set_int_max_str_digits(_saved_digit_limit)
+    try:
+        return parse(text)
+    finally:
+        sys.set_int_max_str_digits(0)
+
+
 def _default_trunc() -> int:
     raw = os.environ.get("PSIFOC_TRUNC", "32")
     try:
-        value = int(raw)
+        value = _parse_input(int, raw)
     except ValueError:
+        if _INT_RE.match(raw.strip()):  # beyond the digit limit
+            limit = _saved_digit_limit or sys.get_int_max_str_digits()
+            raise PsifocError(f"PSIFOC_TRUNC has more than {limit} digits")
         raise PsifocError(f"PSIFOC_TRUNC must be an integer, got {raw!r}")
     if value < 0:
         raise PsifocError("PSIFOC_TRUNC must be nonnegative")
@@ -430,18 +468,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         print(USAGE, file=sys.stderr)
         return 2
-    # inputs were parsed under the interpreter's limit on the digits of an
-    # int converted from or to text; an answer may be longer, so the limit
-    # is lifted while the command runs
-    lift = hasattr(sys, "set_int_max_str_digits")
-    if lift:
-        limit = sys.get_int_max_str_digits()
-        sys.set_int_max_str_digits(0)
-    try:
+    with _digit_limit_lifted():
         code, text = run_command(cmd)
-    finally:
-        if lift:
-            sys.set_int_max_str_digits(limit)
     if text:
         print(text, file=sys.stderr if code == 2 else sys.stdout)
     return code

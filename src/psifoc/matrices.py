@@ -30,7 +30,10 @@ class ScalarMatrix:
     """Dense rectangular matrix over exact scalars.
 
     Entries may mix plain integers with the field elements of one tag;
-    equality is entrywise equality of canonical forms.
+    equality is entrywise equality of canonical forms.  Zeros cost no
+    arithmetic: an entry that is zero in both operands of ``+`` or ``-``,
+    or zero in the matrix that :meth:`scale_rows` scales, is int ``0`` in
+    the result, as an entry no product term reaches is in ``@``.
     """
 
     __slots__ = ("rows", "cols", "data")
@@ -89,7 +92,8 @@ class ScalarMatrix:
                 f"shape {self.rows}x{self.cols} vs "
                 f"{other.rows}x{other.cols}")
         return ScalarMatrix._raw(tuple(
-            tuple(scalars.normalize(op(a, b)) for a, b in zip(ra, rb))
+            tuple(scalars.normalize(op(a, b)) if a or b else 0
+                  for a, b in zip(ra, rb))
             for ra, rb in zip(self.data, other.data)))
 
     def __add__(self, other):
@@ -115,7 +119,7 @@ class ScalarMatrix:
             raise DimensionMismatch(
                 f"{len(factors)} row factors for {self.rows} rows")
         return ScalarMatrix._raw(tuple(
-            tuple(scalars.normalize(f * v) for v in row)
+            tuple(scalars.normalize(f * v) if v else 0 for v in row)
             for f, row in zip(map(scalars.check, factors), self.data)))
 
     def apply(self, vector: Sequence[Scalar]) -> tuple[Scalar, ...]:

@@ -29,7 +29,9 @@ operation that needs more than an operator is the exact quotient
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate
 from math import gcd, lcm
+from operator import add, sub
 from typing import Iterable, Union
 
 from .errors import DivisionByZero, PoleAtPoint
@@ -48,6 +50,15 @@ Rational = Union[int, Fraction]
 # domain Q, so an all-int product needs no _trim.  The canonical form is
 # fraction-free: _primitive, then _pexquo, else _prs_gcd (Collins 1967;
 # Brown 1971), and monic scaling last.
+#
+# The Gauss integer [m]_q = 1 + q + ... + q^(m-1), all ones, is the most
+# common operand, and both kernels take it in O(len) by its identities:
+# * product: entry j of [m]_q b is the window sum b[j-m+1] + ... + b[j],
+#   the difference of two prefix sums of b;
+# * quotient: [m]_q (1 - q) = 1 - q^m, so a / [m]_q = a (1 - q) / (1 - q^m),
+#   and dividing d by 1 - q^m from the bottom is quot[j] = d[j] + quot[j-m],
+#   one prefix sum per residue class of j mod m.  The division is exact iff
+#   the top m coefficients of d cancel.
 # ---------------------------------------------------------------------------
 
 _PZERO: tuple = ()
@@ -78,9 +89,11 @@ def _constant(c: Rational) -> tuple:
 def _padd(a: tuple, b: tuple) -> tuple:
     if len(a) < len(b):
         a, b = b, a
-    out = list(a)
-    for i, c in enumerate(b):
-        out[i] += c
+    out = [*map(add, a, b), *a[len(b):]]
+    if _INT_ONLY.issuperset(map(type, out)):
+        while out and not out[-1]:
+            out.pop()
+        return tuple(out)
     return _trim(out)
 
 
@@ -99,6 +112,13 @@ def _pmul(a: tuple, b: tuple) -> tuple:
         if c == 1:
             return (*low, *b)
         out = [*low, *(c * x for x in b)]
+    elif a.count(1) == len(a):
+        # a is [m]_q: a window sum of b, by padded prefix sums
+        m = len(a)
+        sums = [0] * m
+        sums += accumulate(b)
+        sums += [sums[-1]] * (m - 1)
+        out = list(map(sub, sums[m:], sums))
     else:
         out = [0] * (len(a) + len(b) - 1)
         for i, ca in enumerate(a):
@@ -151,6 +171,19 @@ def _pexquo(a: tuple, b: tuple):
     nb = len(b)
     if len(a) < nb:
         return None
+    if b.count(1) == nb:
+        # b is [m]_q: divide d = a (1 - q) by 1 - q^m from the bottom; past
+        # the quotient's length the sums must vanish
+        size = len(a) - nb + 1
+        d = list(map(sub, (*a, 0), (0, *a)))
+        for r in range(nb):
+            d[r::nb] = accumulate(d[r::nb])
+        if any(d[size:]):
+            return None
+        quot = d[:size]
+        if _INT_ONLY.issuperset(map(type, quot)):
+            return tuple(quot)
+        # a Fraction quotient: the loop below decides it over Z
     rem = list(a)
     lead_b = b[-1]
     quot = [0] * (len(a) - nb + 1)

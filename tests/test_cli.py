@@ -347,3 +347,36 @@ def test_answer_longer_than_the_digit_limit(run_python, capsys):
     assert main(["fact", "--family", "classical", "2000"]) == 0
     assert capsys.readouterr().out == expected + "\n"
     assert sys.get_int_max_str_digits() == _DIGIT_LIMIT
+
+
+@pytest.mark.skipif(not _DIGIT_LIMIT, reason="no int digit limit")
+def test_overlong_custom_table_value_is_refused(tmp_path, capsys):
+    # the table is read while main has lifted the limit for the answer
+    table = tmp_path / "table.txt"
+    table.write_text("9" * (_DIGIT_LIMIT + 700) + "\n")
+    assert main(["fact", "--family", f"custom:{table}", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {table}:1: not a rational: ")
+    assert captured.err.count("\n") == 1
+    assert sys.get_int_max_str_digits() == _DIGIT_LIMIT
+
+
+@pytest.mark.skipif(not _DIGIT_LIMIT, reason="no int digit limit")
+def test_overlong_psifoc_trunc_is_refused(monkeypatch):
+    from psifoc import cli
+    monkeypatch.setenv("PSIFOC_TRUNC", "1" + "0" * (_DIGIT_LIMIT + 700))
+    with cli._digit_limit_lifted():
+        assert sys.get_int_max_str_digits() == 0
+        with pytest.raises(cli.PsifocError) as err:
+            cli._default_trunc()
+        assert str(err.value) == (
+            f"PSIFOC_TRUNC has more than {_DIGIT_LIMIT} digits")
+        monkeypatch.setenv("PSIFOC_TRUNC", "1" + "0" * (_DIGIT_LIMIT - 1))
+        assert cli._default_trunc() == 10 ** (_DIGIT_LIMIT - 1)
+        assert sys.get_int_max_str_digits() == 0
+    assert sys.get_int_max_str_digits() == _DIGIT_LIMIT
+    # the same refusal outside main's window
+    monkeypatch.setenv("PSIFOC_TRUNC", "1" + "0" * (_DIGIT_LIMIT + 700))
+    with pytest.raises(cli.PsifocError, match="more than"):
+        cli._default_trunc()

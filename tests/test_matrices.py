@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from psifoc import matrices, psi, scalars
+from psifoc import matrices, psi, qhat, scalars
 from psifoc.errors import (DimensionMismatch, NonInvertibleDenominator,
                            SizeTooLarge, UnsupportedField)
 from psifoc.matrices import (EigenMode, ScalarMatrix, ScalarMode,
@@ -14,6 +14,7 @@ from psifoc.matrices import (EigenMode, ScalarMatrix, ScalarMode,
                              pascal_matrix, resolve_mode,
                              verify_fermat_factorization)
 from psifoc.psi import classical, custom, fibonacci, gauss
+from psifoc.qplane import realization, realization_check
 from psifoc.scalars import Q, RatFunc, eval_ratfunc
 
 
@@ -201,3 +202,83 @@ def test_matmul_matches_dense_triple_loop(seed):
                 == [type(v) for row in dense for v in row])
         with pytest.raises(DimensionMismatch):
             a @ sparse(m + 1, p, value)
+
+
+# Elementwise ops skip zeros (an entry zero on both sides, or a zero entry
+# scaled, is int 0); the dense routes below do the arithmetic on every
+# entry, and the values must agree.
+
+def _sparse_values(rng):
+    """Entry makers: int, Fraction and RatFunc, with zeros of each kind."""
+    return ((lambda: rng.randint(-9, 9), 0),
+            (lambda: Fraction(rng.randint(-9, 9), rng.randint(1, 5)),
+             Fraction(0)),
+            (lambda: RatFunc([rng.randint(-3, 3), rng.randint(-3, 3)],
+                             [1, rng.randint(1, 3)]), RatFunc.zero()))
+
+
+def _sparse(rng, rows, cols, value, zero):
+    return ScalarMatrix([[value() if rng.random() < 0.3
+                          else rng.choice((0, zero))
+                          for _ in range(cols)] for _ in range(rows)])
+
+
+def _dense_zip(a, b, op):
+    return tuple(tuple(scalars.normalize(op(x, y)) for x, y in zip(ra, rb))
+                 for ra, rb in zip(a.data, b.data))
+
+
+def _dense_scale_rows(a, factors):
+    return tuple(tuple(scalars.normalize(f * v) for v in row)
+                 for f, row in zip(factors, a.data))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_elementwise_ops_match_the_dense_route(seed):
+    rng = random.Random(seed)
+    for value, zero in _sparse_values(rng):
+        n, m = rng.randint(1, 6), rng.randint(1, 6)
+        a, b = (_sparse(rng, n, m, value, zero) for _ in range(2))
+        assert (a + b).data == _dense_zip(a, b, lambda x, y: x + y)
+        assert (a - b).data == _dense_zip(a, b, lambda x, y: x - y)
+        assert (a - a).is_zero()
+        factors = [value() for _ in range(n)]
+        assert a.scale_rows(factors).data == _dense_scale_rows(a, factors)
+        for ra, rb, rs in zip(a.data, b.data, (a + b).data):
+            for x, y, total in zip(ra, rb, rs):
+                if not x and not y:
+                    assert type(total) is int
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_qhat_mutator_matches_the_dense_route(seed):
+    rng = random.Random(seed)
+    for value, zero in _sparse_values(rng):
+        n = rng.randint(1, 6)
+        a, b = (_sparse(rng, n, n, value, zero) for _ in range(2))
+        op = qhat.DiagOperator(tuple(value() for _ in range(n)))
+        ba = _dense_product(b, a)
+        dense = tuple(
+            tuple(scalars.normalize(x - op.eigenvalues[i] * y)
+                  for x, y in zip(row, ba[i]))
+            for i, row in enumerate(_dense_product(a, b)))
+        assert qhat.qhat_mutator(a, b, op).data == dense
+
+
+def test_scale_rows_checks_every_factor():
+    with pytest.raises(TypeError):
+        ScalarMatrix([[0]]).scale_rows([1.5])
+    with pytest.raises(TypeError):
+        ScalarMatrix([[1], [0]]).scale_rows([1, 1.5])
+
+
+@pytest.mark.parametrize("q0", [Q, 2])
+@pytest.mark.parametrize("n", range(2, 9))
+def test_realization_check_matches_the_dense_residual(q0, n):
+    # B A - q0 A B by dense products, on inputs of total degree below n
+    real = realization(q0, n)
+    ba, ab = _dense_product(real.b, real.a), _dense_product(real.a, real.b)
+    dense = all(scalars.normalize(ba[row][col] - q0 * ab[row][col]) == 0
+                for col, (xd, yd) in enumerate(real.basis) if xd + yd < n
+                for row in range(len(real.basis)))
+    assert realization_check(q0, n) is dense is True

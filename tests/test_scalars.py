@@ -308,6 +308,30 @@ def _naive_pow(a, n):
     return out
 
 
+def _naive_add(a, b):
+    out = [Fraction(0)] * max(len(a), len(b))
+    for p in (a, b):
+        for i, x in enumerate(p):
+            out[i] += x
+    return scalars._trim(out)
+
+
+def _naive_exquo(a, b):
+    """Long division over Q; a quotient only if it is exact and integral
+    (the zero polynomial, shorter than any divisor, gives None)."""
+    if len(a) < len(b):
+        return None
+    rem = [Fraction(x) for x in a]
+    quot = [Fraction(0)] * (len(a) - len(b) + 1)
+    for shift in reversed(range(len(quot))):
+        quot[shift] = rem[shift + len(b) - 1] / b[-1]
+        for i, y in enumerate(b):
+            rem[shift + i] -= quot[shift] * y
+    if any(rem) or any(c.denominator != 1 for c in quot):
+        return None
+    return tuple(int(c) for c in quot)
+
+
 _kernel_polys = st.one_of(
     _polys.map(scalars._trim),
     st.tuples(st.integers(min_value=0, max_value=4), _nonzero_coeffs).map(
@@ -354,3 +378,64 @@ def test_mixed_operands_match_the_lifted_route(f, c):
     assert (f == c) == (c == f) == (f == lifted)
     if f == c:
         assert hash(f) == hash(c)
+
+
+# The Gauss integer [m]_q, all ones, takes window-sum and prefix-sum paths
+# in _pmul and _pexquo; its co-factors are int (negative too), Fraction,
+# 10^12-sized, monomial or zero.
+_gauss_integers = st.integers(min_value=2, max_value=12).map(
+    lambda m: (1,) * m)
+_int_polys = st.lists(st.integers(min_value=-10**12, max_value=10**12),
+                      max_size=8).map(scalars._trim)
+
+
+@given(_gauss_integers, _kernel_polys)
+@settings(max_examples=300, deadline=None)
+def test_pmul_by_gauss_integer_matches_naive_product(ones, b):
+    assert repr(scalars._pmul(ones, b)) == repr(_naive_mul(ones, b))
+    assert repr(scalars._pmul(b, ones)) == repr(_naive_mul(ones, b))
+
+
+@given(_gauss_integers, st.one_of(_kernel_polys, _int_polys), st.data())
+@settings(max_examples=300, deadline=None)
+def test_pexquo_by_gauss_integer_matches_naive_division(ones, c, data):
+    a = _naive_mul(ones, c)
+    quot = scalars._pexquo(a, ones)
+    assert repr(quot) == repr(_naive_exquo(a, ones))
+    if a and all(type(x) is int for x in c):
+        assert quot == c
+    if not a:
+        return
+    # a multiple with one coefficient changed is no multiple: q^i does
+    # not vanish at the roots of unity where [m]_q does
+    i = data.draw(st.integers(min_value=0, max_value=len(a) - 1))
+    changed = list(a)
+    changed[i] += data.draw(_nonzero_coeffs)
+    changed = scalars._trim(changed)
+    assert scalars._pexquo(changed, ones) is None
+    assert _naive_exquo(changed, ones) is None
+
+
+@given(_int_polys, _int_polys.filter(bool), st.data())
+@settings(max_examples=200, deadline=None)
+def test_pexquo_matches_naive_division(c, b, data):
+    a = _naive_mul(b, c)
+    assert repr(scalars._pexquo(a, b)) == repr(_naive_exquo(a, b))
+    if a:
+        changed = list(a)
+        changed[data.draw(st.integers(0, len(a) - 1))] += data.draw(
+            st.integers(min_value=-3, max_value=3))
+        changed = scalars._trim(changed)
+        assert repr(scalars._pexquo(changed, b)) == repr(
+            _naive_exquo(changed, b))
+
+
+@given(st.one_of(_kernel_polys, _gauss_integers),
+       st.one_of(_kernel_polys, _gauss_integers))
+@settings(max_examples=300, deadline=None)
+def test_padd_matches_naive_sum(a, b):
+    assert repr(scalars._padd(a, b)) == repr(_naive_add(a, b))
+    assert repr(scalars._padd(b, a)) == repr(_naive_add(a, b))
+    # b - a added to a cancels the top of a when b is shorter
+    diff = _naive_add(b, scalars._pneg(a))
+    assert repr(scalars._padd(a, diff)) == repr(_naive_add(a, diff))
