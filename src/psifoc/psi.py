@@ -172,15 +172,28 @@ def psi_binomial(fam: PsiFamily, n: int, k: int) -> Scalar:
         return family_zero(fam)
     if not fam.symbolic:
         return scalars.div(psi_falling(fam, n, k), psi_factorial(fam, k))
-    # symbolic families divide as they go: after step i the quotient is
-    # the family binomial (n-k+i, i), for gauss a polynomial far smaller
-    # than the falling factorial.  The factors are read first, in
+    # symbolic families divide as they go.  The factors are read first, in
     # psi_falling's and then psi_factorial's order, so a bad index fails
-    # as it does in the single quotient.
+    # as it does in the single quotient.  [i]_q never vanishes, so gauss
+    # takes the shorter side of (n, k) = (n, n-k).
+    if fam.kind == "gauss":
+        k = min(k, n - k)
     tops = [psi_int(fam, n - i) for i in range(k)]
     bottoms = [psi_int(fam, i) for i in range(1, k + 1)]
-    acc = family_one(fam)
-    for top, bottom in zip(reversed(tops), bottoms):
+    return interleaved_quotient(reversed(tops), bottoms, family_one(fam))
+
+
+def interleaved_quotient(tops: Iterable[RatFunc], bottoms: Iterable[RatFunc],
+                         one: RatFunc) -> RatFunc:
+    """The product of tops over the product of bottoms, divided as it is
+    multiplied: acc = acc * top / bottom, step by step from one.
+
+    For the binomial (n, k), tops [n-k+1] .. [n] and bottoms [1] .. [k]
+    leave the binomial (n-k+i, i) after step i.  For Gauss integers that
+    is a polynomial, far smaller than the falling factorial, and each step
+    an exact polynomial division."""
+    acc = one
+    for top, bottom in zip(tops, bottoms):
         acc = acc * top / bottom
     return acc
 

@@ -10,8 +10,10 @@ identity of diagonal operators holds iff it holds at every eigenvalue, and
 and spreads the result back over the degrees.
 
 Operator integers and factorials read [n]_lambda and its factorial from
-the per-parameter tables of :mod:`psifoc.psi`; binomial symbols are their
-quotients, cached per (n, k, lambda).
+the per-parameter tables of :mod:`psifoc.psi`.  Binomial symbols are
+cached per (n, k, lambda): at a symbolic eigenvalue the symbol divides as
+it multiplies, through :func:`psifoc.psi.interleaved_quotient`, and at a
+rational one it is one quotient of factorials.
 
 The degree-0 eigenvalue of the defining formula is 0/0; by convention it
 is set to the degree-1 eigenvalue, which keeps the Gauss family exactly
@@ -31,8 +33,8 @@ from ._record import Frozen
 from .errors import (DegreeOutOfRange, DimensionMismatch,
                      NonInvertibleDenominator)
 from .psi import (PsiFamily, _geometric_factorial, family_one,
-                  geometric_sum, psi_int)
-from .scalars import Scalar
+                  geometric_sum, interleaved_quotient, psi_int)
+from .scalars import RatFunc, Scalar
 
 
 class DiagOperator(Frozen):
@@ -127,13 +129,22 @@ def dilation_operator(q0: Scalar, n_trunc: int) -> DiagOperator:
 
 @lru_cache(maxsize=None, typed=True)
 def _binomial_eigenvalue(n: int, k: int, lam: Scalar) -> Scalar:
-    denominator = (_geometric_factorial(lam, k)
-                   * _geometric_factorial(lam, n - k))
-    if denominator == 0:
-        raise NonInvertibleDenominator(
-            f"binomial symbol ({n} {k}) has vanishing denominator at "
-            f"eigenvalue {scalars.render(lam)}")
-    return scalars.div(_geometric_factorial(lam, n), denominator)
+    if isinstance(lam, RatFunc):
+        # [k]! [n-k]! vanishes iff one of [1] .. [max(k, n-k)] does; the
+        # quotient divides as it multiplies, over the shorter side
+        sums = [geometric_sum(lam, i) for i in range(n + 1)]
+        short = min(k, n - k)
+        if all(sums[1:n - short + 1]):
+            return interleaved_quotient(sums[n - short + 1:],
+                                        sums[1:short + 1], RatFunc.one())
+    else:
+        denominator = (_geometric_factorial(lam, k)
+                       * _geometric_factorial(lam, n - k))
+        if denominator != 0:
+            return scalars.div(_geometric_factorial(lam, n), denominator)
+    raise NonInvertibleDenominator(
+        f"binomial symbol ({n} {k}) has vanishing denominator at "
+        f"eigenvalue {scalars.render(lam)}")
 
 
 def binomial_eigenvalue(n: int, k: int, lam: Scalar) -> Scalar:

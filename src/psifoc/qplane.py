@@ -108,12 +108,17 @@ class QPlanePoly:
             return NotImplemented
         self._check_t(other)
         acc: dict[tuple[int, int], Scalar] = {}
+        twists: dict[int, Scalar] = {}
         for (k1, l1), c1 in self.coeffs.items():
             for (k2, l2), c2 in other.coeffs.items():
                 # commute y^l1 past x^k2: one factor of t per swap
-                twist = self.t ** (l1 * k2)
+                swaps = l1 * k2
+                twist = twists.get(swaps)
+                if twist is None:
+                    twist = twists[swaps] = self.t ** swaps
                 key = (k1 + k2, l1 + l2)
-                acc[key] = acc.get(key, 0) + c1 * c2 * twist
+                term = c1 * c2 * twist
+                acc[key] = acc[key] + term if key in acc else term
         return QPlanePoly(self.t, acc)
 
     def __pow__(self, n: int) -> "QPlanePoly":

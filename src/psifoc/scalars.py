@@ -19,9 +19,10 @@ and :class:`RatFunc`, floats included), and a weight family fixes its tag
 when it is built.  Below those entry points the code uses the plain
 operators ``+ - * **``.  The :class:`RatFunc` overloads take ``int`` and
 ``Fraction`` operands as they are, without building a constant function:
-c num/den and (num + c den)/den keep the monic den, and they stay coprime
-to it because a nonzero c is a unit and gcd(num + c den, den) =
-gcd(num, den) = 1, so both are canonical with no reduction.  The one
+c num/den, (num/c)/den and (num + c den)/den keep the monic den, and they
+stay coprime to it because a nonzero c is a unit and gcd(num + c den, den)
+= gcd(num, den) = 1, so all are canonical with no reduction.  A quotient
+of two polynomials tries exact division before any reduction.  The one
 operation that needs more than an operator is the exact quotient
 :func:`div`, which never yields a float.
 """
@@ -164,7 +165,8 @@ def _primitive(a: tuple) -> tuple[int, int, tuple]:
 
 
 def _pexquo(a: tuple, b: tuple):
-    """Quotient of integer polynomials if b divides a over Z, else None.
+    """The quotient a / b if it has integer coefficients, else None; a and
+    b may have Fraction coefficients.
 
     For primitive a and b this decides divisibility over Q as well: by
     Gauss's lemma a rational quotient would have integer coefficients."""
@@ -297,14 +299,6 @@ class RatFunc:
 
     # -- arithmetic ---------------------------------------------------
 
-    @staticmethod
-    def _lift(other):
-        if isinstance(other, RatFunc):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return RatFunc.constant(other)
-        return None
-
     def __add__(self, other):
         if isinstance(other, RatFunc):
             if self.den == _PONE and other.den == _PONE:
@@ -349,19 +343,29 @@ class RatFunc:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = self._lift(other)
-        if other is None:
+        if isinstance(other, (int, Fraction)):
+            if not other:
+                raise DivisionByZero("division by the zero rational function")
+            # num/c over the same monic den is canonical, as c num is
+            inverse = _constant(1 / Fraction(other))
+            return RatFunc._raw(_pmul(self.num, inverse), self.den)
+        if not isinstance(other, RatFunc):
             return NotImplemented
         if not other.num:
             raise DivisionByZero("division by the zero rational function")
+        if self.den == _PONE and other.den == _PONE:
+            # each step of an interleaved quotient is an exact division:
+            # try it before the primitive split of the canonical form
+            quot = _pexquo(self.num, other.num)
+            if quot is not None:
+                return RatFunc._raw(quot, _PONE)
         return _canonical_fraction(_pmul(self.num, other.den),
                                    _pmul(self.den, other.num))
 
     def __rtruediv__(self, other):
-        other = self._lift(other)
-        if other is None:
+        if not isinstance(other, (int, Fraction)):
             return NotImplemented
-        return other.__truediv__(self)
+        return RatFunc.constant(other) / self
 
     def __pow__(self, n):
         if not isinstance(n, int):

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from psifoc import psi, qhat
+from psifoc import psi, qhat, scalars
 from psifoc.errors import (DegreeOutOfRange, DimensionMismatch,
                            NonInvertibleDenominator)
 from psifoc.matrices import ScalarMatrix
@@ -221,3 +221,65 @@ def test_results_do_not_depend_on_call_order(data):
     _clear_scalar_caches()
     for i in order:
         assert _tagged(_call(*calls[i])) == expected[i], calls[i]
+
+
+def test_symbolic_binomial_eigenvalue_matches_the_recurrence(monkeypatch):
+    # the interleaved quotient at lambda = q against the recurrence, which
+    # the quotient must not read
+    rows = {n: [gauss_binomial(n, k, Q) for k in range(-1, n + 2)]
+            for n in range(31)}
+    _clear_scalar_caches()
+
+    def no_rows(step, t, n):
+        assert step is not psi._row_step, "binomial_eigenvalue read the rows"
+        return table_entry(step, t, n)
+
+    table_entry = psi._entry
+    monkeypatch.setattr(psi, "_entry", no_rows)
+    for n, row in rows.items():
+        for k, value in enumerate(row, start=-1):
+            quotient = binomial_eigenvalue(n, k, Q)
+            assert type(quotient) is RatFunc
+            assert (quotient.num, quotient.den) == (value.num, value.den)
+
+
+def _naive_factorial(lam, n):
+    out = RatFunc.one()
+    for i in range(1, n + 1):
+        out = out * sum((lam ** j for j in range(i)), RatFunc.zero())
+    return out
+
+
+def _factorial_quotient(n, k, lam):
+    """The single quotient [n]! / ([k]! [n-k]!) of naive factorials,
+    refused with the operator's text where the denominator vanishes."""
+    denominator = _naive_factorial(lam, k) * _naive_factorial(lam, n - k)
+    if denominator == 0:
+        raise NonInvertibleDenominator(
+            f"binomial symbol ({n} {k}) has vanishing denominator at "
+            f"eigenvalue {scalars.render(lam)}")
+    return scalars.div(_naive_factorial(lam, n), denominator)
+
+
+@pytest.mark.parametrize("lam", [2 * Q, 1 + Q, Q / (1 + Q),
+                                 RatFunc.constant(3), RatFunc.constant(-1)],
+                         ids=repr)
+def test_symbolic_binomial_eigenvalue_matches_the_factorial_quotient(lam):
+    _clear_scalar_caches()
+    top = 9 if lam == -1 else 13
+    refused = set()
+    for n in range(top):
+        for k in range(n + 1):
+            try:
+                expected = repr(_factorial_quotient(n, k, lam))
+            except NonInvertibleDenominator as exc:
+                expected = f"NonInvertibleDenominator: {exc}"
+            try:
+                value = repr(binomial_eigenvalue(n, k, lam))
+            except NonInvertibleDenominator as exc:
+                value = f"NonInvertibleDenominator: {exc}"
+                refused.add((n, k))
+            assert value == expected, (n, k)
+    # at -1, [2]_lambda = 0 refuses every symbol with max(k, n-k) >= 2
+    assert refused == ({(n, k) for n in range(top) for k in range(n + 1)
+                        if max(k, n - k) >= 2} if lam == -1 else set())

@@ -13,7 +13,7 @@ from psifoc.qplane import (QPlanePoly, explore_observation1_general,
                            verify_cauchy_operator, verify_cauchy_scalar,
                            verify_fermat_operator,
                            verify_gauss_binomial_theorem)
-from psifoc.scalars import Q, RatFunc
+from psifoc.scalars import Q, RatFunc, normalize
 
 
 def test_defining_relation():
@@ -237,3 +237,51 @@ def test_fermat_operator_factorizes_once_per_eigenvalue(monkeypatch):
     monkeypatch.setattr(qplane, "fermat_factorization_mismatches", counted)
     assert verify_fermat_operator(classical(), 4, 32).passed
     assert calls == [1]
+
+
+def _naive_product(a, b):
+    """Every term pair with its own t^(l1*k2), each sum started at 0."""
+    acc = {}
+    for (k1, l1), c1 in a.coeffs.items():
+        for (k2, l2), c2 in b.coeffs.items():
+            key = (k1 + k2, l1 + l2)
+            acc[key] = acc.get(key, 0) + c1 * c2 * a.t ** (l1 * k2)
+    return sorted((key, repr(normalize(value)))
+                  for key, value in acc.items() if value != 0)
+
+
+_TWISTS = (3, Fraction(-2, 5), Q)
+
+
+@st.composite
+def _twisted_pairs(draw):
+    # small exponents and coefficients that are powers of t, so that terms
+    # meet on one monomial and often cancel
+    t = draw(st.sampled_from(_TWISTS))
+    coeffs = st.builds(lambda c, e: c * t ** e,
+                       st.sampled_from((1, -1, 2, Fraction(1, 2))),
+                       st.integers(min_value=0, max_value=2))
+    exponents = st.tuples(st.integers(0, 2), st.integers(0, 2))
+    return tuple(QPlanePoly(t, draw(st.dictionaries(exponents, coeffs,
+                                                    max_size=5)))
+                 for _ in range(2))
+
+
+@given(_twisted_pairs())
+@settings(max_examples=200, deadline=None)
+def test_product_matches_the_naive_double_sum(pair):
+    a, b = pair
+    assert sorted((key, repr(value)) for key, value in
+                  (a * b).coeffs.items()) == _naive_product(a, b)
+
+
+@pytest.mark.parametrize("t", _TWISTS, ids=repr)
+def test_product_prunes_cancelled_terms(t):
+    # x (t y) + y (-x) = t xy - t xy: the xy term cancels and is dropped
+    x_plus_y = QPlanePoly.x_plus_y(t)
+    other = QPlanePoly(t, {(0, 1): t, (1, 0): -1})
+    product = x_plus_y * other
+    assert (1, 1) not in product.coeffs
+    assert sorted((key, repr(value)) for key, value in
+                  product.coeffs.items()) == _naive_product(x_plus_y, other)
+    assert product.coefficient(0, 2) == t and product.coefficient(2, 0) == -1

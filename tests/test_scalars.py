@@ -439,3 +439,51 @@ def test_padd_matches_naive_sum(a, b):
     # b - a added to a cancels the top of a when b is shorter
     diff = _naive_add(b, scalars._pneg(a))
     assert repr(scalars._padd(a, diff)) == repr(_naive_add(a, diff))
+
+
+# RatFunc / RatFunc of two polynomials tries _pexquo on the raw operands
+# before the canonical form; both must give the canonical form, and the
+# cross product must hold by the naive product.
+
+def _check_quotient(num, den):
+    f, g = RatFunc(num), RatFunc(den)
+    quotient = f / g
+    assert _form(quotient) == _form(scalars._canonical_fraction(f.num, g.num))
+    assert repr(_naive_mul(quotient.num, g.num)) == repr(
+        _naive_mul(f.num, quotient.den))
+
+
+@given(st.one_of(_kernel_polys, _int_polys, _gauss_integers),
+       st.one_of(_kernel_polys, _int_polys, _gauss_integers).filter(bool),
+       st.data())
+@settings(max_examples=300, deadline=None)
+def test_polynomial_quotient_matches_canonical_form(c, b, data):
+    a = _naive_mul(b, c)
+    _check_quotient(a, b)
+    if a:
+        # a multiple with one coefficient changed is no multiple
+        changed = list(a)
+        changed[data.draw(st.integers(0, len(a) - 1))] += data.draw(
+            _nonzero_coeffs)
+        _check_quotient(scalars._trim(changed), b)
+
+
+_divisors = st.one_of(_nonzero_coeffs, st.integers(-10**12, 10**12).filter(
+    bool))
+
+
+@given(st.one_of(_ratfuncs(), st.builds(RatFunc, _polys, _factors)),
+       _divisors)
+@settings(max_examples=200, deadline=None)
+def test_division_by_a_constant_matches_the_lifted_route(f, c):
+    # num/c over the same monic den, with no RatFunc built for c
+    assert _form(f / c) == _form(f / RatFunc.constant(c))
+    assert _form(f / c) == _form(scalars._canonical_fraction(
+        f.num, _naive_mul(f.den, (c,))))
+
+
+@pytest.mark.parametrize("zero", [0, Fraction(0)])
+def test_division_by_a_zero_constant(zero):
+    with pytest.raises(DivisionByZero,
+                       match="^division by the zero rational function$"):
+        RatFunc([1, 1], [0, 1]) / zero
