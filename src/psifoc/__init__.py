@@ -28,12 +28,12 @@ _EXPORTS = {
         "pascal_matrix", "resolve_mode", "verify_fermat_factorization"),
     "psi": (
         "PsiFamily", "classical", "custom", "fibonacci", "gauss",
-        "gauss_binomial", "psi_binomial", "psi_factorial", "psi_falling",
-        "psi_int", "psi_weight"),
+        "gauss_binomial", "geometric_sum", "psi_binomial", "psi_factorial",
+        "psi_falling", "psi_int", "psi_weight"),
     "qhat": (
         "DiagOperator", "binomial_eigenvalue", "dilation_operator",
-        "eval_on_monomial", "geometric_sum", "op_binomial", "op_factorial",
-        "op_integer", "qhat_mutator", "qhat_operator"),
+        "eval_on_monomial", "op_binomial", "op_factorial", "op_integer",
+        "qhat_mutator", "qhat_operator"),
     "qplane": (
         "MultiplicativityCheck", "OpRealization", "QPlanePoly", "Report",
         "check_psi_multiplicativity", "explore_observation1_general",

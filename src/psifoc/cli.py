@@ -9,7 +9,9 @@ Grammar::
     psifoc verify cauchy --family F --r R --s S --j J [--maxdeg M]
     psifoc verify fermat --family F --size N [--maxdeg M]
     psifoc verify obs1 --family F --n N
-    psifoc matrix {pascal|fermat} --family F --size N [--x X] [--eigen M]
+    psifoc matrix pascal --family F --size N [--x X] [--eigen M]
+                  --format {csv|json} [--out PATH]
+    psifoc matrix fermat --family F --size N [--eigen M]
                   --format {csv|json} [--out PATH]
     psifoc oracle subspaces --q Q --n N --k K
 
@@ -26,9 +28,10 @@ Each verb loads only the layers it runs: ``binom``, ``fact`` and
 ``falling`` need :mod:`psifoc.psi` and :mod:`psifoc.scalars`, which this
 module imports; ``expand``, ``verify``, ``matrix`` and ``oracle`` import
 :mod:`psifoc.qplane` or :mod:`psifoc.matrices`, and :mod:`json`, when
-they run.  Every input is parsed under the interpreter's limit on the
-digits of an int read from text, the values of a custom table and
-PSIFOC_TRUNC included; an answer may be longer.
+they run.  Every input is read before the command runs, under the
+interpreter's limit on the digits of an int read from text: the argv, the
+values of a custom table and PSIFOC_TRUNC.  The command then runs with
+the limit lifted, so an answer may be longer.
 """
 
 from __future__ import annotations
@@ -54,7 +57,8 @@ commands:
   verify cauchy --family F --r R --s S --j J [--maxdeg M]
   verify fermat --family F --size N [--maxdeg M]
   verify obs1 --family F --n N
-  matrix {pascal|fermat} --family F --size N [--x X] [--eigen M] --format {csv|json} [--out PATH]
+  matrix pascal --family F --size N [--x X] [--eigen M] --format {csv|json} [--out PATH]
+  matrix fermat --family F --size N [--eigen M] --format {csv|json} [--out PATH]
   oracle subspaces --q Q --n N --k K
 families: classical | gauss | gauss@<rational> | fib | custom:<path>
 global flags: --pretty\
@@ -96,8 +100,7 @@ class FamilySpec(Frozen):
                 raise InvalidFamilyFile(
                     f"{path}:{lineno}: blank line before the last value")
             try:
-                values.append(
-                    Fraction(_parse_input(scalars.parse_rational, line)))
+                values.append(Fraction(scalars.parse_rational(line)))
             except ValueError:
                 raise InvalidFamilyFile(
                     f"{path}:{lineno}: not a rational: {line!r}")
@@ -208,7 +211,6 @@ _GRAMMAR: dict[tuple[str, str | None], dict] = {
     ("matrix", "fermat"): {
         "flags": {"--family": ("family", "family", True),
                   "--size": ("int", "size", True),
-                  "--x": ("rational", "x0", False),
                   "--eigen": ("int", "eigen", False),
                   "--format": ("format", "fmt", True),
                   "--out": ("path", "out", False)},
@@ -222,9 +224,8 @@ _GRAMMAR: dict[tuple[str, str | None], dict] = {
     },
 }
 
-_SUBVERBS = {"verify": ("cauchy", "fermat", "obs1"),
-             "matrix": ("pascal", "fermat"),
-             "oracle": ("subspaces",)}
+_SUBVERBS = {verb: tuple(sub for v, sub in _GRAMMAR if v == verb)
+             for verb, sub in _GRAMMAR if sub is not None}
 
 
 def _parse_value(kind: str, token: str, position: int, label: str):
@@ -330,46 +331,30 @@ def parse_command(argv: list[str]) -> Command:
     return Command(verb=verb, subverb=subverb, **values)
 
 
-# main lifts the interpreter's limit on the digits of an int converted from
-# or to text while a command runs, so that long answers print; the limit it
-# saved is kept here for the inputs read in that window
-_saved_digit_limit: int | None = None
-
-
 @contextmanager
 def _digit_limit_lifted():
-    global _saved_digit_limit
+    """Lift the interpreter's limit on the digits of an int converted to
+    or from text, so that long answers render; restore it on the way
+    out."""
     if not hasattr(sys, "set_int_max_str_digits"):
         yield
         return
-    _saved_digit_limit = sys.get_int_max_str_digits()
+    saved = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
         yield
     finally:
-        sys.set_int_max_str_digits(_saved_digit_limit)
-        _saved_digit_limit = None
-
-
-def _parse_input(parse, text: str):
-    """parse(text) under the digit limit, also while main has lifted it."""
-    if _saved_digit_limit is None:
-        return parse(text)
-    sys.set_int_max_str_digits(_saved_digit_limit)
-    try:
-        return parse(text)
-    finally:
-        sys.set_int_max_str_digits(0)
+        sys.set_int_max_str_digits(saved)
 
 
 def _default_trunc() -> int:
     raw = os.environ.get("PSIFOC_TRUNC", "32")
     try:
-        value = _parse_input(int, raw)
+        value = int(raw)
     except ValueError:
         if _INT_RE.match(raw.strip()):  # beyond the digit limit
-            limit = _saved_digit_limit or sys.get_int_max_str_digits()
-            raise PsifocError(f"PSIFOC_TRUNC has more than {limit} digits")
+            raise PsifocError(f"PSIFOC_TRUNC has more than "
+                              f"{sys.get_int_max_str_digits()} digits")
         raise PsifocError(f"PSIFOC_TRUNC must be an integer, got {raw!r}")
     if value < 0:
         raise PsifocError("PSIFOC_TRUNC must be nonnegative")
@@ -386,10 +371,9 @@ def _deformation_of(fam: psi.PsiFamily) -> Scalar:
         f"pass --eigen M to pick a monomial degree")
 
 
-def _run_matrix(cmd: Command) -> tuple[int, str]:
+def _run_matrix(cmd: Command, fam: psi.PsiFamily) -> tuple[int, str]:
     import json
     from . import matrices
-    fam = cmd.family.to_family()
     if cmd.eigen is not None:
         mode = matrices.EigenMode(fam, cmd.eigen)
     else:
@@ -409,50 +393,55 @@ def _run_matrix(cmd: Command) -> tuple[int, str]:
     return 0, text.rstrip("\n")
 
 
-def _run_verify(cmd: Command) -> tuple[int, str]:
+def _run_verify(cmd: Command, fam: psi.PsiFamily,
+                maxdeg: int | None) -> tuple[int, str]:
     from . import qplane
-    fam = cmd.family.to_family()
     if cmd.subverb == "obs1":
         report = qplane.explore_observation1_general(fam, cmd.n)
+    elif cmd.subverb == "cauchy":
+        report = qplane.verify_cauchy_operator(fam, cmd.r, cmd.s, cmd.j,
+                                               maxdeg)
     else:
-        maxdeg = cmd.maxdeg if cmd.maxdeg is not None else _default_trunc()
-        if cmd.subverb == "cauchy":
-            report = qplane.verify_cauchy_operator(fam, cmd.r, cmd.s, cmd.j,
-                                                   maxdeg)
-        else:
-            report = qplane.verify_fermat_operator(fam, cmd.size, maxdeg)
+        report = qplane.verify_fermat_operator(fam, cmd.size, maxdeg)
     if report.passed:
         return 0, "PASS"
     return 1, report.to_json(cmd.pretty)
 
 
 def run_command(cmd: Command) -> tuple[int, str]:
-    """Execute a parsed command; returns (exit code, output text)."""
+    """Execute a parsed command; returns (exit code, output text).
+
+    The inputs read here, a custom family table and PSIFOC_TRUNC, are read
+    first, under the interpreter's digit limit; the verb then runs with
+    the limit lifted, so that long answers render.
+    """
     try:
-        if cmd.verb == "binom":
-            fam = cmd.family.to_family()
-            return 0, scalars.render(psi.psi_binomial(fam, cmd.n, cmd.k))
-        if cmd.verb == "fact":
-            fam = cmd.family.to_family()
-            return 0, scalars.render(psi.psi_factorial(fam, cmd.n))
-        if cmd.verb == "falling":
-            fam = cmd.family.to_family()
-            return 0, scalars.render(psi.psi_falling(fam, cmd.xval, cmd.k))
-        if cmd.verb == "expand":
-            import json
-            from . import qplane
-            fam = cmd.family.to_family()
-            terms = qplane.psi_plus_power(fam, cmd.power).to_json_terms()
-            return 0, json.dumps(terms, indent=2 if cmd.pretty else None)
-        if cmd.verb == "verify":
-            return _run_verify(cmd)
-        if cmd.verb == "matrix":
-            return _run_matrix(cmd)
-        if cmd.verb == "oracle":
-            from . import matrices
-            count = matrices.count_subspaces(cmd.qfield, cmd.n, cmd.k)
-            return 0, str(count)
-        raise PsifocError(f"unhandled verb {cmd.verb!r}")
+        fam = None if cmd.family is None else cmd.family.to_family()
+        maxdeg = cmd.maxdeg
+        if maxdeg is None and cmd.verb == "verify" and cmd.subverb != "obs1":
+            maxdeg = _default_trunc()
+        with _digit_limit_lifted():
+            if cmd.verb == "binom":
+                return 0, scalars.render(psi.psi_binomial(fam, cmd.n, cmd.k))
+            if cmd.verb == "fact":
+                return 0, scalars.render(psi.psi_factorial(fam, cmd.n))
+            if cmd.verb == "falling":
+                return 0, scalars.render(
+                    psi.psi_falling(fam, cmd.xval, cmd.k))
+            if cmd.verb == "expand":
+                import json
+                from . import qplane
+                terms = qplane.psi_plus_power(fam, cmd.power).to_json_terms()
+                return 0, json.dumps(terms, indent=2 if cmd.pretty else None)
+            if cmd.verb == "verify":
+                return _run_verify(cmd, fam, maxdeg)
+            if cmd.verb == "matrix":
+                return _run_matrix(cmd, fam)
+            if cmd.verb == "oracle":
+                from . import matrices
+                count = matrices.count_subspaces(cmd.qfield, cmd.n, cmd.k)
+                return 0, str(count)
+            raise PsifocError(f"unhandled verb {cmd.verb!r}")
     except (PsifocError, ValueError, OSError) as exc:
         return 2, f"error: {exc}"
     except Exception as exc:
@@ -468,8 +457,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         print(USAGE, file=sys.stderr)
         return 2
-    with _digit_limit_lifted():
-        code, text = run_command(cmd)
+    code, text = run_command(cmd)
     if text:
         print(text, file=sys.stderr if code == 2 else sys.stdout)
     return code

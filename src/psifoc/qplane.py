@@ -211,6 +211,13 @@ class Report(Record):
     def verdict(self) -> str:
         return "pass" if self.passed else "fail"
 
+    def compare(self, lhs: Scalar, rhs: Scalar, **where) -> None:
+        """Record a mismatch row, the keys of ``where`` first, unless the
+        two sides are equal."""
+        if lhs != rhs:
+            self.mismatches.append({**where, "lhs": scalars.render(lhs),
+                                    "rhs": scalars.render(rhs)})
+
     def to_json(self, pretty: bool = False) -> str:
         payload = {"params": self.params, "verdict": self.verdict,
                    "mismatches": self.mismatches}
@@ -229,18 +236,12 @@ def verify_gauss_binomial_theorem(n_max: int) -> Report:
     for n in range(n_max + 1):
         expected_keys = {(k, n - k) for k in range(n + 1)}
         for k in range(n + 1):
-            lhs = power.coefficient(k, n - k)
-            rhs = gauss_binomial(n, k, Q)
-            if lhs != rhs:
-                report.mismatches.append({
-                    "n": n, "monomial": f"x^{k}*y^{n - k}",
-                    "lhs": scalars.render(lhs),
-                    "rhs": scalars.render(rhs)})
+            report.compare(power.coefficient(k, n - k),
+                           gauss_binomial(n, k, Q),
+                           n=n, monomial=f"x^{k}*y^{n - k}")
         for key in set(power.coeffs) - expected_keys:
-            report.mismatches.append({
-                "n": n, "monomial": f"x^{key[0]}*y^{key[1]}",
-                "lhs": scalars.render(power.coefficient(*key)),
-                "rhs": "0"})
+            report.compare(power.coefficient(*key), 0,
+                           n=n, monomial=f"x^{key[0]}*y^{key[1]}")
         power = power * base
     return report
 
@@ -277,10 +278,7 @@ def verify_cauchy_operator(fam: PsiFamily, r: int, s: int, j: int,
                      "r": r, "s": s, "j": j, "maxdeg": maxdeg})
     pairs = qhat.per_eigenvalue(qhat_operator(fam, maxdeg), sides)
     for m, (left, right) in enumerate(pairs):
-        if left != right:
-            report.mismatches.append({
-                "degree": m, "lhs": scalars.render(left),
-                "rhs": scalars.render(right)})
+        report.compare(left, right, degree=m)
     return report
 
 
@@ -298,9 +296,7 @@ def verify_fermat_operator(fam: PsiFamily, size: int, maxdeg: int) -> Report:
         lambda t: fermat_factorization_mismatches(size, ScalarMode(t)))
     for m, bad in enumerate(per_degree):
         for (i, j, lhs, rhs) in bad:
-            report.mismatches.append({
-                "degree": m, "entry": [i, j],
-                "lhs": scalars.render(lhs), "rhs": scalars.render(rhs)})
+            report.compare(lhs, rhs, degree=m, entry=[i, j])
     return report
 
 
@@ -309,7 +305,7 @@ class OpRealization(Frozen):
     monomials x^a y^b with a + b <= n, as matrices.
 
     Both operators raise total degree by one, so they annihilate the top
-    layer; comparisons must restrict to input degrees below n.
+    layer: its columns are zero.
     """
 
     __slots__ = ("n", "basis", "a", "b")
@@ -363,18 +359,12 @@ def realization_check(q0: Scalar, n: int) -> bool:
         raise ValueError("need n >= 2 to see a commutation")
     real = realization(q0, n)
     constant = DiagOperator((q0,) * len(real.basis))
-    # matrix of B A - q0 A B, via the diagonal-mutator combination
-    residual = qhat.qhat_mutator(real.b, real.a, constant)
-    for col, (xd, yd) in enumerate(real.basis):
-        if xd + yd <= n - 1:
-            for row in range(len(real.basis)):
-                if residual.entry(row, col) != 0:
-                    return False
-    return True
+    # B A - q0 A B, via the diagonal-mutator combination; A and B
+    # annihilate the top layer, so its columns vanish on both sides
+    return qhat.qhat_mutator(real.b, real.a, constant).is_zero()
 
 
-def explore_observation1_general(fam: PsiFamily, n: int,
-                                 trunc: int | None = None) -> Report:
+def explore_observation1_general(fam: PsiFamily, n: int) -> Report:
     """Ordered expansion of (A + B)^n for a general weight family,
     compared against the operator binomial coefficients.
 
@@ -388,16 +378,13 @@ def explore_observation1_general(fam: PsiFamily, n: int,
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    trunc = n if trunc is None else trunc
-    if trunc < n:
-        raise ValueError("truncation below the expansion degree")
-    mutator = qhat_operator(fam, max(trunc, 1))
+    mutator = qhat_operator(fam, max(n, 1))
     one = family_one(fam)
     weights: list[Scalar] = [one]
-    for a in range(1, trunc + 1):
+    for a in range(1, n + 1):
         weights.append(scalars.normalize(
             weights[-1] * eval_on_monomial(mutator, a)))
-    real = _weighted_realization(weights, trunc)
+    real = _weighted_realization(weights, n)
     combined = real.a + real.b
     vector: list[Scalar] = [0] * len(real.basis)
     vector[real.index(0, 0)] = one
@@ -405,14 +392,10 @@ def explore_observation1_general(fam: PsiFamily, n: int,
     for _ in range(n):
         state = combined.apply(state)
     report = Report({"check": "ordered-expansion", "family": fam.label,
-                     "n": n, "trunc": trunc})
+                     "n": n, "trunc": n})
     binom_cache = {k: op_binomial(n, k, mutator) for k in range(n + 1)}
     for k in range(n + 1):
-        lhs = state[real.index(k, n - k)]
-        rhs = eval_on_monomial(binom_cache[k], k)
-        if lhs != rhs:
-            report.mismatches.append({
-                "monomial": f"x^{k}*y^{n - k}",
-                "lhs": scalars.render(lhs),
-                "rhs": scalars.render(rhs)})
+        report.compare(state[real.index(k, n - k)],
+                       eval_on_monomial(binom_cache[k], k),
+                       monomial=f"x^{k}*y^{n - k}")
     return report

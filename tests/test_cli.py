@@ -68,6 +68,19 @@ def test_parse_error_carries_position():
         pytest.fail("expected ParseError")
 
 
+def test_matrix_fermat_takes_no_x(capsys):
+    argv = ["matrix", "fermat", "--family", "gauss@2", "--size", "2",
+            "--x", "5", "--format", "csv"]
+    with pytest.raises(ParseError) as err:
+        parse_command(argv)
+    assert err.value.position == 6
+    assert str(err.value).startswith("unknown flag '--x'")
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: unknown flag '--x'")
+
+
 def test_run_binom():
     code, text = run_command(parse_command(
         ["binom", "--family", "fib", "4", "2"]))
@@ -206,6 +219,17 @@ def test_env_default_truncation(monkeypatch):
         ["verify", "cauchy", "--family", "fib", "--r", "2", "--s", "2",
          "--j", "2"]))
     assert code == 2 and "PSIFOC_TRUNC" in text
+    # a bad family file is reported first; verbs without a sweep never
+    # read the variable
+    code, text = run_command(parse_command(
+        ["verify", "fermat", "--family", "custom:/nonexistent/table",
+         "--size", "2"]))
+    assert code == 2 and "cannot read family file" in text
+    for argv in (["binom", "--family", "fib", "4", "2"],
+                 ["verify", "obs1", "--family", "gauss", "--n", "2"],
+                 ["matrix", "fermat", "--family", "fib", "--size", "2",
+                  "--eigen", "1", "--format", "csv"]):
+        assert run_command(parse_command(argv))[0] == 0, argv
 
 
 def test_main_streams(capsys):
@@ -343,40 +367,57 @@ def test_answer_longer_than_the_digit_limit(run_python, capsys):
         sys.set_int_max_str_digits(_DIGIT_LIMIT)
     assert len(expected) == 5736
     assert proc.stdout == expected + "\n"
-    # in process, main lifts the limit for the run and restores it
-    assert main(["fact", "--family", "classical", "2000"]) == 0
+    # in process, main and run_command lift the limit for the run and
+    # restore it
+    argv = ["fact", "--family", "classical", "2000"]
+    assert main(argv) == 0
     assert capsys.readouterr().out == expected + "\n"
+    assert sys.get_int_max_str_digits() == _DIGIT_LIMIT
+    assert run_command(parse_command(argv)) == (0, expected)
+    assert sys.get_int_max_str_digits() == _DIGIT_LIMIT
+
+
+@pytest.mark.skipif(not _DIGIT_LIMIT, reason="no int digit limit")
+def test_digit_limit_is_restored_after_an_error(monkeypatch):
+    seen = []
+
+    def failing_factorial(fam, n):
+        seen.append(sys.get_int_max_str_digits())
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(psi, "psi_factorial", failing_factorial)
+    assert run_command(parse_command(["fact", "--family", "fib", "3"])) == (
+        2, "error: RuntimeError: boom")
+    assert seen == [0]
     assert sys.get_int_max_str_digits() == _DIGIT_LIMIT
 
 
 @pytest.mark.skipif(not _DIGIT_LIMIT, reason="no int digit limit")
 def test_overlong_custom_table_value_is_refused(tmp_path, capsys):
-    # the table is read while main has lifted the limit for the answer
     table = tmp_path / "table.txt"
     table.write_text("9" * (_DIGIT_LIMIT + 700) + "\n")
-    assert main(["fact", "--family", f"custom:{table}", "1"]) == 2
+    argv = ["fact", "--family", f"custom:{table}", "1"]
+    code, text = run_command(parse_command(argv))
+    assert code == 2
+    assert text.startswith(f"error: {table}:1: not a rational: ")
+    assert main(argv) == 2
     captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith(f"error: {table}:1: not a rational: ")
-    assert captured.err.count("\n") == 1
+    assert (captured.out, captured.err) == ("", text + "\n")
     assert sys.get_int_max_str_digits() == _DIGIT_LIMIT
 
 
 @pytest.mark.skipif(not _DIGIT_LIMIT, reason="no int digit limit")
-def test_overlong_psifoc_trunc_is_refused(monkeypatch):
+def test_overlong_psifoc_trunc_is_refused(monkeypatch, capsys):
     from psifoc import cli
     monkeypatch.setenv("PSIFOC_TRUNC", "1" + "0" * (_DIGIT_LIMIT + 700))
-    with cli._digit_limit_lifted():
-        assert sys.get_int_max_str_digits() == 0
-        with pytest.raises(cli.PsifocError) as err:
-            cli._default_trunc()
-        assert str(err.value) == (
-            f"PSIFOC_TRUNC has more than {_DIGIT_LIMIT} digits")
-        monkeypatch.setenv("PSIFOC_TRUNC", "1" + "0" * (_DIGIT_LIMIT - 1))
-        assert cli._default_trunc() == 10 ** (_DIGIT_LIMIT - 1)
-        assert sys.get_int_max_str_digits() == 0
+    argv = ["verify", "cauchy", "--family", "fib", "--r", "1", "--s", "1",
+            "--j", "1"]
+    refusal = f"error: PSIFOC_TRUNC has more than {_DIGIT_LIMIT} digits"
+    assert run_command(parse_command(argv)) == (2, refusal)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", refusal + "\n")
     assert sys.get_int_max_str_digits() == _DIGIT_LIMIT
-    # the same refusal outside main's window
-    monkeypatch.setenv("PSIFOC_TRUNC", "1" + "0" * (_DIGIT_LIMIT + 700))
-    with pytest.raises(cli.PsifocError, match="more than"):
-        cli._default_trunc()
+    # a value of exactly the limit's length is accepted
+    monkeypatch.setenv("PSIFOC_TRUNC", "1" + "0" * (_DIGIT_LIMIT - 1))
+    assert cli._default_trunc() == 10 ** (_DIGIT_LIMIT - 1)

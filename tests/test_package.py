@@ -21,6 +21,7 @@ def test_each_export_is_its_home_modules_object():
         home = getattr(obj, "__module__", None)
         if home is not None and home.startswith("psifoc."):
             assert getattr(importlib.import_module(home), name) is obj, name
+            assert f"psifoc.{psifoc._HOME[name]}" == home, name
     # typing aliases carry no home module of their own
     assert psifoc.Scalar is importlib.import_module("psifoc.scalars").Scalar
     assert (psifoc.EvalMode
@@ -69,3 +70,20 @@ def test_import_graph(run_python):
     assert {name for name in root if name.startswith("psifoc")} == {"psifoc"}
     assert not cli & _NOT_FOR_BINOM, cli & _NOT_FOR_BINOM
     assert not binom & _NOT_FOR_BINOM, binom & _NOT_FOR_BINOM
+
+
+_GEOMETRIC_SUM = """
+import sys
+start = set(sys.modules)
+import psifoc
+psifoc.geometric_sum
+print(sorted(set(sys.modules) - start))
+"""
+
+
+def test_an_export_loads_its_home_module_only(run_python):
+    proc = run_python("-c", _GEOMETRIC_SUM)
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(ast.literal_eval(proc.stdout))
+    assert "psifoc.psi" in loaded
+    assert not {"json", "psifoc.qhat"} & loaded, loaded

@@ -156,11 +156,6 @@ def test_observation1_fibonacci_mismatch_table():
         {"monomial": "x^2*y^1", "lhs": "1", "rhs": "3"}]
 
 
-def test_observation1_truncation_guard():
-    with pytest.raises(ValueError):
-        explore_observation1_general(fibonacci(), 3, trunc=2)
-
-
 def test_report_json_shape():
     report = explore_observation1_general(fibonacci(), 3)
     import json
