@@ -25,7 +25,7 @@ _EXPORTS = {
     "matrices": (
         "EigenMode", "EvalMode", "ScalarMatrix", "ScalarMode",
         "count_subspaces", "export_matrix", "fermat_matrix",
-        "pascal_matrix", "resolve_mode", "verify_fermat_factorization"),
+        "pascal_matrix", "resolve_mode"),
     "psi": (
         "PsiFamily", "classical", "custom", "fibonacci", "gauss",
         "gauss_binomial", "geometric_sum", "psi_binomial", "psi_factorial",
@@ -35,10 +35,9 @@ _EXPORTS = {
         "eval_on_monomial", "op_binomial", "op_factorial", "op_integer",
         "qhat_mutator", "qhat_operator"),
     "qplane": (
-        "MultiplicativityCheck", "OpRealization", "QPlanePoly", "Report",
-        "check_psi_multiplicativity", "explore_observation1_general",
-        "psi_plus_power", "realization", "realization_check",
-        "verify_cauchy_operator", "verify_cauchy_scalar",
+        "OpRealization", "QPlanePoly", "Report", "check_psi_multiplicativity",
+        "explore_observation1_general", "psi_plus_power", "realization",
+        "realization_check", "verify_cauchy_operator", "verify_cauchy_scalar",
         "verify_fermat_operator", "verify_gauss_binomial_theorem"),
     "scalars": (
         "Q", "RatFunc", "Scalar", "eval_ratfunc", "normalize",

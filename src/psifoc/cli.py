@@ -64,7 +64,7 @@ families: classical | gauss | gauss@<rational> | fib | custom:<path>
 global flags: --pretty\
 """
 
-_FAMILY_RE = re.compile(r"^(classical|gauss(@.+)?|fib|custom:.+)$")
+_FAMILY_RE = re.compile(r"classical|gauss(@.+)?|fib|custom:.+")
 
 
 class FamilySpec(Frozen):
@@ -110,7 +110,7 @@ class FamilySpec(Frozen):
 
 
 def parse_family(text: str, position: int) -> FamilySpec:
-    if not _FAMILY_RE.match(text):
+    if not _FAMILY_RE.fullmatch(text):
         raise ParseError(f"bad family {text!r}", position,
                          ("classical", "gauss", "gauss@<rational>", "fib",
                           "custom:<path>"))
@@ -159,7 +159,7 @@ class Command(Frozen):
         return argv
 
 
-_INT_RE = re.compile(r"^-?\d+$")
+_INT_RE = re.compile(r"-?\d+")
 
 # per (verb, subverb): flag name -> (value kind, Command field, required)
 _GRAMMAR: dict[tuple[str, str | None], dict] = {
@@ -230,7 +230,7 @@ _SUBVERBS = {verb: tuple(sub for v, sub in _GRAMMAR if v == verb)
 
 def _parse_value(kind: str, token: str, position: int, label: str):
     if kind == "int":
-        if not _INT_RE.match(token):
+        if not _INT_RE.fullmatch(token):
             raise ParseError(f"bad integer {token!r} for {label}", position,
                              ("<integer>",))
         try:
@@ -352,7 +352,7 @@ def _default_trunc() -> int:
     try:
         value = int(raw)
     except ValueError:
-        if _INT_RE.match(raw.strip()):  # beyond the digit limit
+        if _INT_RE.fullmatch(raw.strip()):  # beyond the digit limit
             raise PsifocError(f"PSIFOC_TRUNC has more than "
                               f"{sys.get_int_max_str_digits()} digits")
         raise PsifocError(f"PSIFOC_TRUNC must be an integer, got {raw!r}")

@@ -228,7 +228,7 @@ def fermat_factorization_mismatches(size: int, mode: EvalMode) -> list[tuple]:
     this size at this parameter.  Returned tuples are (i, j, lhs, rhs).
     """
     t = resolve_mode(mode)
-    fermat = fermat_matrix(size, mode)
+    fermat = fermat_matrix(size, ScalarMode(t))
     bad = []
     for i in range(size):
         for j in range(size):
@@ -236,12 +236,6 @@ def fermat_factorization_mismatches(size: int, mode: EvalMode) -> list[tuple]:
             if acc != fermat.entry(i, j):
                 bad.append((i, j, fermat.entry(i, j), acc))
     return bad
-
-
-def verify_fermat_factorization(size: int, mode: EvalMode) -> bool:
-    """True iff the Fermat matrix equals its twisted convolution on every
-    entry of the given size, exactly."""
-    return not fermat_factorization_mismatches(size, mode)
 
 
 # ---------------------------------------------------------------------------

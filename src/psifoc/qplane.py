@@ -6,15 +6,17 @@ normal form (all x powers left of all y powers), so multiplication is a
 bilinear rewrite: y^l x^k becomes t^(k*l) x^k y^l.  At t = 1 the variables
 commute, which is where the family convolution expansions live: the n-th
 convolution power sums the family binomials (n, k) times x^k y^(n-k), and
-the multiplicativity check exposes when those powers fail to multiply
-like true binomials.
+the multiplicativity check reports every monomial where those powers fail
+to multiply like true binomials.
 
 Verifiers in this module reduce operator claims to exhaustively checkable
 scalar claims through diagonal functional calculus: a diagonal-operator
 identity holds iff it holds at every eigenvalue, so the operator verifiers
 evaluate each claim once per distinct mutator eigenvalue
 (:func:`psifoc.qhat.per_eigenvalue`) and report mismatches per degree.
-Each verifier pairs the code path under test with an independent oracle:
+Each verifier pairs the code path under test with an independent oracle,
+and all but the two scalar predicates (:func:`verify_cauchy_scalar` and
+:func:`realization_check`) return a :class:`Report`, one row per mismatch:
 
 * the deformed binomial theorem: quantum-plane powers of x + y against
   the recurrence-computed Gaussian binomials;
@@ -25,6 +27,8 @@ Each verifier pairs the code path under test with an independent oracle:
   mutator eigenvalue of a family (factorial-quotient entries against the
   recurrence);
 * the multiplication-operator realization of the defining relation;
+* multiplicativity of the convolution powers: the product of the r-th and
+  s-th powers against the (r+s)-th power, monomial by monomial;
 * the ordered expansion of (A + B)^n for a general weight family, which
   reports coefficient mismatches rather than asserting them away, since
   for non-constant eigenvalue families the two sides genuinely differ.
@@ -157,43 +161,6 @@ def psi_plus_power(fam: PsiFamily, n: int) -> QPlanePoly:
                           for k in range(n + 1)})
 
 
-class MultiplicativityCheck(Frozen):
-    """Outcome of comparing a product of convolution powers with the
-    convolution power of the summed exponent.
-
-    ``first_difference`` is (xdeg, ydeg, product coefficient, direct
-    coefficient) at the lexicographically first differing monomial, or
-    None when equal.
-    """
-
-    __slots__ = ("family", "r", "s", "equal", "first_difference")
-
-    def __init__(self, family: str, r: int, s: int, equal: bool,
-                 first_difference: tuple[int, int, Scalar, Scalar] | None):
-        self._assign(family, r, s, equal, first_difference)
-
-
-def check_psi_multiplicativity(fam: PsiFamily, r: int, s: int) -> MultiplicativityCheck:
-    """Multiply the r-th and s-th convolution powers as ordinary
-    polynomials and compare with the (r+s)-th power.
-
-    For the classical family the two agree (the binomial theorem); for
-    genuinely deformed families such as Fibonacci they differ, which is
-    why the quantum-plane machinery exists at all.
-    """
-    if r < 0 or s < 0:
-        raise ValueError("exponents must be nonnegative")
-    product = psi_plus_power(fam, r) * psi_plus_power(fam, s)
-    direct = psi_plus_power(fam, r + s)
-    for key in sorted(set(product.coeffs) | set(direct.coeffs)):
-        lhs = product.coefficient(*key)
-        rhs = direct.coefficient(*key)
-        if lhs != rhs:
-            return MultiplicativityCheck(fam.label, r, s, False,
-                                         (key[0], key[1], lhs, rhs))
-    return MultiplicativityCheck(fam.label, r, s, True, None)
-
-
 class Report(Record):
     """Outcome of a verifier: parameters, verdict, mismatch table."""
 
@@ -222,6 +189,27 @@ class Report(Record):
         payload = {"params": self.params, "verdict": self.verdict,
                    "mismatches": self.mismatches}
         return json.dumps(payload, indent=2 if pretty else None)
+
+
+def check_psi_multiplicativity(fam: PsiFamily, r: int, s: int) -> Report:
+    """Multiply the r-th and s-th convolution powers as ordinary
+    polynomials and compare with the (r+s)-th power, one row per
+    differing monomial.
+
+    For the classical family the two agree (the binomial theorem); for
+    genuinely deformed families such as Fibonacci they differ, which is
+    why the quantum-plane machinery exists at all.
+    """
+    if r < 0 or s < 0:
+        raise ValueError("exponents must be nonnegative")
+    product = psi_plus_power(fam, r) * psi_plus_power(fam, s)
+    direct = psi_plus_power(fam, r + s)
+    report = Report({"check": "multiplicativity", "family": fam.label,
+                     "r": r, "s": s})
+    for a, b in sorted(set(product.coeffs) | set(direct.coeffs)):
+        report.compare(product.coefficient(a, b), direct.coefficient(a, b),
+                       monomial=f"x^{a}*y^{b}")
+    return report
 
 
 def verify_gauss_binomial_theorem(n_max: int) -> Report:

@@ -12,7 +12,7 @@ from fractions import Fraction
 from psifoc import psi
 from psifoc.cli import parse_command, run_command
 from psifoc.matrices import (EigenMode, ScalarMode, count_subspaces,
-                             verify_fermat_factorization)
+                             fermat_factorization_mismatches)
 from psifoc.psi import classical, fibonacci, gauss, psi_binomial
 from psifoc.qhat import eval_on_monomial, qhat_operator
 from psifoc.qplane import (QPlanePoly, check_psi_multiplicativity,
@@ -69,9 +69,10 @@ def test_criterion_3_cauchy_operator_sweep():
 
 
 def test_criterion_4_fermat_factorization():
-    assert verify_fermat_factorization(8, ScalarMode(Q))
+    assert not fermat_factorization_mismatches(8, ScalarMode(Q))
     for m in range(9):
-        assert verify_fermat_factorization(8, EigenMode(fibonacci(), m)), m
+        assert not fermat_factorization_mismatches(
+            8, EigenMode(fibonacci(), m)), m
     _report(4, "Fermat matrix factorization, size 8, symbolic and "
                "Fibonacci eigenvalues m <= 8")
 
@@ -93,8 +94,10 @@ def test_criterion_5_subspace_oracle():
 
 
 def test_criterion_6_fibonacci_counterexample():
-    check = check_psi_multiplicativity(fibonacci(), 1, 4)
-    assert not check.equal
+    report = check_psi_multiplicativity(fibonacci(), 1, 4)
+    assert report.verdict == "fail"
+    assert [row["monomial"] for row in report.mismatches] == [
+        "x^1*y^4", "x^2*y^3", "x^3*y^2", "x^4*y^1"]
     two = psi_plus_power(fibonacci(), 2)
     four = psi_plus_power(fibonacci(), 4)
     five = psi_plus_power(fibonacci(), 5)

@@ -81,6 +81,28 @@ def test_matrix_fermat_takes_no_x(capsys):
     assert captured.err.startswith("error: unknown flag '--x'")
 
 
+# a pattern anchored with $ also matches before a final newline, which
+# let 'classical\n' through to the custom-table reader and read '4\n' as 4
+@pytest.mark.parametrize("argv, position, message", [
+    (["binom", "--family", "classical\n", "4", "2"], 2,
+     "bad family 'classical\\n'"),
+    (["binom", "--family", "fib\n", "4", "2"], 2, "bad family 'fib\\n'"),
+    (["binom", "--family", "fib", "4\n", "2"], 3,
+     "bad integer '4\\n' for N"),
+], ids=["family-classical", "family-fib", "int"])
+def test_token_ending_in_newline_is_refused(argv, position, message,
+                                            capsys):
+    with pytest.raises(ParseError) as err:
+        parse_command(argv)
+    assert err.value.position == position
+    assert str(err.value).startswith(message)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {message}")
+    assert "usage:" in captured.err
+
+
 def test_run_binom():
     code, text = run_command(parse_command(
         ["binom", "--family", "fib", "4", "2"]))

@@ -10,9 +10,9 @@ from psifoc import matrices, psi, qhat, scalars
 from psifoc.errors import (DimensionMismatch, NonInvertibleDenominator,
                            SizeTooLarge, UnsupportedField)
 from psifoc.matrices import (EigenMode, ScalarMatrix, ScalarMode,
-                             count_subspaces, export_matrix, fermat_matrix,
-                             pascal_matrix, resolve_mode,
-                             verify_fermat_factorization)
+                             count_subspaces, export_matrix,
+                             fermat_factorization_mismatches, fermat_matrix,
+                             pascal_matrix, resolve_mode)
 from psifoc.psi import classical, custom, fibonacci, gauss
 from psifoc.qplane import realization, realization_check
 from psifoc.scalars import Q, RatFunc, eval_ratfunc
@@ -94,21 +94,35 @@ def test_resolve_mode():
 def test_factorization_small_symbolic():
     # size 2 is the two-term case checkable by hand:
     # t + 1 = (2 1) at the (1,1) entry
-    assert verify_fermat_factorization(2, ScalarMode(Q))
+    assert not fermat_factorization_mismatches(2, ScalarMode(Q))
 
 
 def test_factorization_classical():
-    assert verify_fermat_factorization(6, ScalarMode(1))
+    assert not fermat_factorization_mismatches(6, ScalarMode(1))
 
 
 def test_factorization_symbolic_size8():
-    assert verify_fermat_factorization(8, ScalarMode(Q))
+    assert not fermat_factorization_mismatches(8, ScalarMode(Q))
 
 
 def test_factorization_eigen_sweep():
     for fam in (classical(), fibonacci(), gauss(Fraction(2))):
         for m in range(9):
-            assert verify_fermat_factorization(8, EigenMode(fam, m)), (fam, m)
+            assert not fermat_factorization_mismatches(
+                8, EigenMode(fam, m)), (fam, m)
+
+
+def test_factorization_builds_the_mutator_once(monkeypatch):
+    calls = []
+    build = qhat.qhat_operator
+
+    def counted(fam, n_trunc):
+        calls.append((fam, n_trunc))
+        return build(fam, n_trunc)
+
+    monkeypatch.setattr(qhat, "qhat_operator", counted)
+    assert not fermat_factorization_mismatches(4, EigenMode(fibonacci(), 3))
+    assert calls == [(fibonacci(), 3)]
 
 
 def test_fermat_degenerate_eigenvalue_raises():

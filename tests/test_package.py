@@ -29,6 +29,15 @@ def test_each_export_is_its_home_modules_object():
     assert set(psifoc.__all__) <= set(dir(psifoc))
 
 
+def test_removed_names_stay_gone():
+    # the multiplicativity check reports through Report, and the Fermat
+    # factorization through its mismatch list
+    for name in ("MultiplicativityCheck", "verify_fermat_factorization"):
+        assert name not in psifoc.__all__
+        with pytest.raises(AttributeError):
+            getattr(psifoc, name)
+
+
 def test_star_import():
     namespace: dict = {}
     exec("from psifoc import *", namespace)

@@ -1,5 +1,6 @@
 """Weight families, generalized binomials, and the convolution check."""
 
+import json
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -166,22 +167,51 @@ def test_psi_plus_power_fibonacci_expansions():
 
 
 def test_multiplicativity_fails_for_fibonacci():
-    check = check_psi_multiplicativity(fibonacci(), 1, 4)
-    assert not check.equal
-    # lexicographically first difference: coefficient of x y^4 is
-    # F4 + 1 = 4 in the product but F5 = 5 in the direct power
-    assert check.first_difference == (1, 4, 4, 5)
+    # 4 of the 6 monomials of (x + y)(x + y)^4 against (x + y)^5 differ,
+    # in lexicographic order; the first, x y^4, is F4 + 1 = 4 in the
+    # product but F5 = 5 in the direct power
+    payload = json.loads(
+        check_psi_multiplicativity(fibonacci(), 1, 4).to_json())
+    assert payload == {
+        "params": {"check": "multiplicativity", "family": "fib",
+                   "r": 1, "s": 4},
+        "verdict": "fail",
+        "mismatches": [
+            {"monomial": "x^1*y^4", "lhs": "4", "rhs": "5"},
+            {"monomial": "x^2*y^3", "lhs": "9", "rhs": "15"},
+            {"monomial": "x^3*y^2", "lhs": "9", "rhs": "15"},
+            {"monomial": "x^4*y^1", "lhs": "4", "rhs": "5"},
+        ],
+    }
+
+
+def test_multiplicativity_fails_for_symbolic_gauss():
+    # the convolution powers multiply in commuting variables (t = 1), where
+    # the symbolic Gauss binomials do not: 1 + 1 against (2, 1)_q = 1 + q
+    report = check_psi_multiplicativity(gauss(), 1, 1)
+    assert report.mismatches == [{"monomial": "x^1*y^1", "lhs": "2",
+                                  "rhs": "1 + q"}]
+
+
+def test_multiplicativity_reports_monomials_the_product_lacks():
+    # at q0 = -2, (x + y)(x^2 - x y + y^2) = x^3 + y^3: the mixed
+    # monomials cancel in the product but carry [3] = 3 in the power
+    report = check_psi_multiplicativity(gauss(-2), 1, 2)
+    assert report.mismatches == [
+        {"monomial": "x^1*y^2", "lhs": "0", "rhs": "3"},
+        {"monomial": "x^2*y^1", "lhs": "0", "rhs": "3"},
+    ]
 
 
 def test_multiplicativity_holds_classically():
     for r in range(6):
         for s in range(6):
             if r + s <= 10:
-                assert check_psi_multiplicativity(classical(), r, s).equal
+                assert check_psi_multiplicativity(classical(), r, s).passed
 
 
 def test_multiplicativity_holds_for_gauss_at_one():
-    assert check_psi_multiplicativity(gauss(1), 2, 3).equal
+    assert check_psi_multiplicativity(gauss(1), 2, 3).passed
 
 
 def test_custom_family_errors():
@@ -215,7 +245,7 @@ def test_commpoly_serialization():
        st.integers(min_value=0, max_value=6))
 @settings(max_examples=50, deadline=None)
 def test_classical_multiplicativity_property(r, s):
-    assert check_psi_multiplicativity(classical(), r, s).equal
+    assert check_psi_multiplicativity(classical(), r, s).passed
 
 
 @given(st.integers(min_value=0, max_value=20),

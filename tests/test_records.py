@@ -13,7 +13,7 @@ from psifoc.errors import MixedFieldTags
 from psifoc.matrices import EigenMode, ScalarMatrix, ScalarMode
 from psifoc.psi import PsiFamily, fibonacci
 from psifoc.qhat import DiagOperator
-from psifoc.qplane import MultiplicativityCheck, OpRealization, Report
+from psifoc.qplane import OpRealization, Report
 from psifoc.scalars import Q, RatFunc
 
 _M = ScalarMatrix([[0, 1], [0, 0]])
@@ -35,9 +35,6 @@ CASES = [
     (EigenMode, (fibonacci(), 3),
      "EigenMode(family=PsiFamily(kind='fibonacci', q0=None, table=None), "
      "degree=3)", True),
-    (MultiplicativityCheck, ("fib", 1, 2, False, (0, 3, 1, 2)),
-     "MultiplicativityCheck(family='fib', r=1, s=2, equal=False, "
-     "first_difference=(0, 3, 1, 2))", True),
     (Report, ({"check": "x"}, [{"degree": 1}]),
      "Report(params={'check': 'x'}, mismatches=[{'degree': 1}])", False),
     # a ScalarMatrix field is unhashable, so the record is too
