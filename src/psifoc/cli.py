@@ -17,7 +17,8 @@ Grammar::
 
 Families: ``classical`` | ``gauss`` | ``gauss@<rational>`` | ``fib`` |
 ``custom:<path>`` (one rational per line, line n holding the n-th family
-integer).  ``--pretty`` anywhere pretty-prints JSON output.
+integer).  An integer is ``-?[0-9]+`` and a rational ``p`` or ``p/q`` of
+such integers.  ``--pretty`` anywhere pretty-prints JSON output.
 
 Exit codes: 0 on success or a passing verification, 1 when a verification
 reports mismatches (the JSON report goes to standard output), 2 on any
@@ -159,7 +160,7 @@ class Command(Frozen):
         return argv
 
 
-_INT_RE = re.compile(r"-?\d+")
+_INT_RE = re.compile(r"-?[0-9]+")
 
 # per (verb, subverb): flag name -> (value kind, Command field, required)
 _GRAMMAR: dict[tuple[str, str | None], dict] = {
@@ -349,13 +350,13 @@ def _digit_limit_lifted():
 
 def _default_trunc() -> int:
     raw = os.environ.get("PSIFOC_TRUNC", "32")
+    if not _INT_RE.fullmatch(raw.strip()):
+        raise PsifocError(f"PSIFOC_TRUNC must be an integer, got {raw!r}")
     try:
         value = int(raw)
-    except ValueError:
-        if _INT_RE.fullmatch(raw.strip()):  # beyond the digit limit
-            raise PsifocError(f"PSIFOC_TRUNC has more than "
-                              f"{sys.get_int_max_str_digits()} digits")
-        raise PsifocError(f"PSIFOC_TRUNC must be an integer, got {raw!r}")
+    except ValueError:  # beyond the digit limit
+        raise PsifocError(f"PSIFOC_TRUNC has more than "
+                          f"{sys.get_int_max_str_digits()} digits")
     if value < 0:
         raise PsifocError("PSIFOC_TRUNC must be nonnegative")
     return value

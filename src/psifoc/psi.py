@@ -244,10 +244,11 @@ def twisted_sum(r: int, s: int, j: int, t: Scalar,
     it is (r+s, j); at (i, j, j) it factors the Fermat entry (i+j, j),
     since (j, j-k) = (j, k)."""
     total = scalars.zero_like(t)
-    # outside max(0, j-s) <= k <= min(r, j) a binomial factor vanishes
+    # outside max(0, j-s) <= k <= min(r, j) a binomial factor vanishes; the
+    # twist goes on last, so the binomials multiply without its zeros
     for k in range(max(0, j - s), min(r, j) + 1):
-        total = total + (t ** ((r - k) * (j - k))
-                         * binomial(r, k, t) * binomial(s, j - k, t))
+        total = total + (binomial(r, k, t) * binomial(s, j - k, t)
+                         * t ** ((r - k) * (j - k)))
     return scalars.normalize(total)
 
 

@@ -112,16 +112,17 @@ class QPlanePoly:
             return NotImplemented
         self._check_t(other)
         acc: dict[tuple[int, int], Scalar] = {}
-        twists: dict[int, Scalar] = {}
+        # c2 t^swaps, folded once per right-hand term and swap count
+        twisted: dict[tuple[int, int, int], Scalar] = {}
         for (k1, l1), c1 in self.coeffs.items():
             for (k2, l2), c2 in other.coeffs.items():
                 # commute y^l1 past x^k2: one factor of t per swap
                 swaps = l1 * k2
-                twist = twists.get(swaps)
-                if twist is None:
-                    twist = twists[swaps] = self.t ** swaps
+                right = twisted.get((k2, l2, swaps))
+                if right is None:
+                    right = twisted[k2, l2, swaps] = c2 * self.t ** swaps
                 key = (k1 + k2, l1 + l2)
-                term = c1 * c2 * twist
+                term = c1 * right
                 acc[key] = acc[key] + term if key in acc else term
         return QPlanePoly(self.t, acc)
 
@@ -222,6 +223,8 @@ def verify_gauss_binomial_theorem(n_max: int) -> Report:
     base = QPlanePoly.x_plus_y(Q)
     power = QPlanePoly.one(Q)
     for n in range(n_max + 1):
+        if n:
+            power = power * base
         expected_keys = {(k, n - k) for k in range(n + 1)}
         for k in range(n + 1):
             report.compare(power.coefficient(k, n - k),
@@ -230,7 +233,6 @@ def verify_gauss_binomial_theorem(n_max: int) -> Report:
         for key in set(power.coeffs) - expected_keys:
             report.compare(power.coefficient(*key), 0,
                            n=n, monomial=f"x^{key[0]}*y^{key[1]}")
-        power = power * base
     return report
 
 

@@ -29,6 +29,7 @@ operation that needs more than an operator is the exact quotient
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from itertools import accumulate
 from math import gcd, lcm
@@ -44,13 +45,16 @@ Rational = Union[int, Fraction]
 # ascending degree with no trailing zeros; the zero polynomial is ().
 # Coefficients are int or Fraction; integral Fractions are normalized to
 # int so that the common all-integer case runs on native integers.  A
-# product loops over the shorter factor, and a monomial factor c q^d (the
-# recurrence multiplies by t^k) only shifts and scales the other; powers
-# of a monomial are closed-form.  The leading coefficient of a product is
-# the product of two nonzero leading ones, nonzero over the integral
-# domain Q, so an all-int product needs no _trim.  The canonical form is
-# fraction-free: _primitive, then _pexquo, else _prs_gcd (Collins 1967;
-# Brown 1971), and monic scaling last.
+# product loops over the shorter factor, and a monomial factor c q^d,
+# shorter or longer (the recurrence multiplies by t^k), only shifts and
+# scales the other, so no product walks a monomial's zeros; for the same
+# reason a twisted sum (psi.twisted_sum) multiplies its binomials first
+# and the twist t^((r-k)(j-k)) last.  Powers of a monomial are
+# closed-form, and a denominator of 1 is not powered.  The leading
+# coefficient of a product is the product of two nonzero leading ones,
+# nonzero over the integral domain Q, so an all-int product needs no
+# _trim.  The canonical form is fraction-free: _primitive, then _pexquo,
+# else _prs_gcd (Collins 1967; Brown 1971), and monic scaling last.
 #
 # The Gauss integer [m]_q = 1 + q + ... + q^(m-1), all ones, is the most
 # common operand, and both kernels take it in O(len) by its identities:
@@ -107,12 +111,15 @@ def _pmul(a: tuple, b: tuple) -> tuple:
         a, b = b, a
     if not a:
         return _PZERO
-    *low, c = a
-    if not any(low):
+    if a.count(0) != len(a) - 1 and b.count(0) == len(b) - 1:
+        a, b = b, a  # the longer factor is the monomial
+    d = len(a) - 1
+    if a.count(0) == d:
         # a is the monomial c q^d: shift b by d and scale it by c
+        c = a[-1]
         if c == 1:
-            return (*low, *b)
-        out = [*low, *(c * x for x in b)]
+            return a[:d] + b if d else b
+        out = [*a[:d], *(c * x for x in b)]
     elif a.count(1) == len(a):
         # a is [m]_q: a window sum of b, by padded prefix sums
         m = len(a)
@@ -138,10 +145,10 @@ def _ppow(a: tuple, n: int) -> tuple:
         return _PONE
     if not a:
         return _PZERO
-    *low, c = a
-    if not any(low):
+    d = len(a) - 1
+    if a.count(0) == d:
         # (c q^d)^n = c^n q^(dn)
-        return (0,) * (len(low) * n) + (_norm_coeff(c ** n),)
+        return (0,) * (d * n) + (_norm_coeff(a[-1] ** n),)
     result = _PONE
     base = a
     while n:
@@ -375,7 +382,8 @@ class RatFunc:
                              "integer exponents only")
         # coprime canonical parts stay coprime under powers, and powers of
         # a monic denominator stay monic, so no re-reduction is needed
-        return RatFunc._raw(_ppow(self.num, n), _ppow(self.den, n))
+        den = self.den if self.den == _PONE else _ppow(self.den, n)
+        return RatFunc._raw(_ppow(self.num, n), den)
 
     def __eq__(self, other):
         if isinstance(other, RatFunc):
@@ -498,13 +506,21 @@ def render(s: Scalar) -> str:
     raise TypeError(f"not a scalar: {s!r}")
 
 
+_RATIONAL_RE = re.compile(r"(-?[0-9]+)(?:/(-?[0-9]+))?")
+
+
 def parse_rational(text: str) -> Rational:
-    """Parse 'p' or 'p/q' into an exact rational; raises ValueError."""
-    text = text.strip()
-    if "/" in text:
-        num_text, _, den_text = text.partition("/")
-        den = int(den_text)
-        if den == 0:
-            raise ValueError("zero denominator")
-        return normalize(Fraction(int(num_text), den))
-    return int(text)
+    """Parse 'p' or 'p/q' into an exact rational; raises ValueError.
+
+    p and q are ASCII digits, each with an optional leading minus sign;
+    nothing else is accepted, not even surrounding whitespace."""
+    match = _RATIONAL_RE.fullmatch(text)
+    if match is None:
+        raise ValueError(f"not a rational: {text!r}")
+    num_text, den_text = match.groups()
+    if den_text is None:
+        return int(num_text)
+    den = int(den_text)
+    if den == 0:
+        raise ValueError("zero denominator")
+    return normalize(Fraction(int(num_text), den))

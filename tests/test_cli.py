@@ -103,6 +103,36 @@ def test_token_ending_in_newline_is_refused(argv, position, message,
     assert "usage:" in captured.err
 
 
+_PASCAL = ["matrix", "pascal", "--family", "classical", "--size", "2"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["binom", "--family", "fib", "\u0664", "2"],
+    ["binom", "--family", "gauss@ 2", "3", "1"],
+    ["binom", "--family", "gauss@\u0662", "3", "1"],
+    ["binom", "--family", "gauss@1_0", "3", "1"],
+    _PASCAL + ["--x", "2\n", "--format", "csv"],
+    _PASCAL + ["--x", "+1_0", "--format", "csv"],
+], ids=["arabic-indic-int", "space-in-family", "arabic-indic-family",
+        "underscore-in-family", "newline-rational", "plus-underscore"])
+def test_tokens_are_ascii_only(argv, capsys):
+    # int() reads all of these; the grammar promises ASCII digits
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: bad ")
+
+
+def test_psifoc_trunc_is_ascii_only(monkeypatch):
+    from psifoc import cli
+    monkeypatch.setenv("PSIFOC_TRUNC", " 12\n")
+    assert cli._default_trunc() == 12
+    for raw in ("\u0664", "1_0", "+3"):
+        monkeypatch.setenv("PSIFOC_TRUNC", raw)
+        with pytest.raises(cli.PsifocError, match="must be an integer"):
+            cli._default_trunc()
+
+
 def test_run_binom():
     code, text = run_command(parse_command(
         ["binom", "--family", "fib", "4", "2"]))

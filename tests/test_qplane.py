@@ -62,6 +62,22 @@ def test_binomial_theorem_report():
     assert single.passed
 
 
+def test_binomial_theorem_multiplies_once_per_power(monkeypatch):
+    # (x + y)^0 is one, so the powers up to n take n products
+    products = []
+    real = QPlanePoly.__mul__
+
+    def counted(self, other):
+        products.append(other)
+        return real(self, other)
+
+    monkeypatch.setattr(QPlanePoly, "__mul__", counted)
+    for n in (0, 1, 5):
+        products.clear()
+        assert verify_gauss_binomial_theorem(n).passed
+        assert len(products) == n
+
+
 def test_binomial_theorem_specializes_at_one():
     row = QPlanePoly.x_plus_y(1) ** 4
     assert [row.coefficient(k, 4 - k) for k in range(5)] == [1, 4, 6, 4, 1]

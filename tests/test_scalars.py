@@ -1,6 +1,7 @@
 """Exact field arithmetic: canonical forms, evaluation, tag discipline."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -132,6 +133,15 @@ def test_parse_rational():
         scalars.parse_rational("1/0")
     with pytest.raises(ValueError):
         scalars.parse_rational("q")
+    assert scalars.parse_rational("3/-6") == Fraction(-1, 2)
+    assert scalars.parse_rational("-4/-2") == 2
+
+
+@pytest.mark.parametrize("text", [" 7", "7\n", "+7", "1_0", "2/+3", "\u0664",
+                                  "1/\u0662", "7.0", "1/2/3", "--1", ""])
+def test_parse_rational_takes_ascii_digits_only(text):
+    with pytest.raises(ValueError):
+        scalars.parse_rational(text)
 
 
 def test_monic_denominator():
@@ -334,8 +344,13 @@ def _naive_exquo(a, b):
 
 _kernel_polys = st.one_of(
     _polys.map(scalars._trim),
-    st.tuples(st.integers(min_value=0, max_value=4), _nonzero_coeffs).map(
+    # monomials c q^d, often longer than the other factor
+    st.tuples(st.integers(min_value=0, max_value=40), _nonzero_coeffs).map(
         lambda t: (0,) * t[0] + (scalars._norm_coeff(t[1]),)),
+    # dense factors padded with zeros at the bottom, as a twist leaves them
+    st.tuples(st.integers(min_value=1, max_value=40),
+              _polys.map(scalars._trim).filter(bool)).map(
+        lambda t: (0,) * t[0] + t[1]),
     st.just(()))
 
 
@@ -344,6 +359,18 @@ _kernel_polys = st.one_of(
 def test_pmul_matches_naive_product(a, b):
     assert repr(scalars._pmul(a, b)) == repr(_naive_mul(a, b))
     assert repr(scalars._pmul(b, a)) == repr(_naive_mul(a, b))
+
+
+def test_pmul_by_a_long_monomial_is_a_shift():
+    # q^d times p is p shifted, whichever factor is the longer: no loop
+    # over the monomial's d zeros
+    p = tuple(range(1, 201))
+    shift = (0,) * 200_000 + (1,)
+    for a, b in ((shift, p), (p, shift)):
+        start = time.perf_counter()
+        out = scalars._pmul(a, b)
+        assert time.perf_counter() - start < 0.5
+        assert out == (0,) * 200_000 + p
 
 
 @given(_kernel_polys, st.integers(min_value=0, max_value=5))
