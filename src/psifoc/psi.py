@@ -11,9 +11,12 @@ and binomial coefficients.  It also houses the Gauss integers [n]_t at any
 parameter t, their factorials, the twisted convolution sum, and the
 independent Gaussian-binomial routine used as an oracle by the operator,
 matrix and quantum-plane modules: a Pascal-style recurrence that never
-divides, so it is total in t.  Each of these sequences, and the Fibonacci
-numbers, is kept in one table per parameter, grown bottom-up under one
-lock, so values do not depend on call order or thread interleaving.  The
+divides, so it is total in t.  Each of these sequences, the Fibonacci
+numbers and the quantum-plane powers of :mod:`psifoc.qplane` is kept in
+one table per parameter, grown bottom-up under one lock, so values do not
+depend on call order or thread interleaving.  The symbolic Gauss
+binomial, a quotient of Gauss integers, is cached once for this module and
+the operator symbols of :mod:`psifoc.qhat`.  The
 two-variable convolution expansions built from the family binomials live
 in :mod:`psifoc.qplane`, as quantum-plane polynomials at t = 1.
 """
@@ -117,8 +120,7 @@ def psi_int(fam: PsiFamily, n: int) -> Scalar:
         return _entry(_fib_step, None, n)
     if fam.kind == "gauss":
         if fam.q0 is None:
-            # closed form: a table of these would hold O(n^2) coefficients
-            return RatFunc._raw((1,) * n, (1,))
+            return _gauss_int(scalars.Q, n)
         value = geometric_sum(fam.q0, n)
         if value == 0:
             raise InadmissibleFamily(
@@ -175,9 +177,9 @@ def psi_binomial(fam: PsiFamily, n: int, k: int) -> Scalar:
     # symbolic families divide as they go.  The factors are read first, in
     # psi_falling's and then psi_factorial's order, so a bad index fails
     # as it does in the single quotient.  [i]_q never vanishes, so gauss
-    # takes the shorter side of (n, k) = (n, n-k).
+    # takes the cached quotient over the shorter side of (n, k) = (n, n-k).
     if fam.kind == "gauss":
-        k = min(k, n - k)
+        return _gauss_quotient(n, min(k, n - k), scalars.Q)
     tops = [psi_int(fam, n - i) for i in range(k)]
     bottoms = [psi_int(fam, i) for i in range(1, k + 1)]
     return interleaved_quotient(reversed(tops), bottoms, family_one(fam))
@@ -196,6 +198,19 @@ def interleaved_quotient(tops: Iterable[RatFunc], bottoms: Iterable[RatFunc],
     for top, bottom in zip(tops, bottoms):
         acc = acc * top / bottom
     return acc
+
+
+@lru_cache(maxsize=None, typed=True)
+def _gauss_quotient(n: int, k: int, t: Scalar) -> Scalar:
+    """The Gaussian binomial (n, k) at a checked t as the interleaved
+    quotient of [n-k+1]_t .. [n]_t over [1]_t .. [k]_t, for 0 <= k <= n
+    and no vanishing [i]_t below [n-k+1]_t.
+
+    Only those sums are read, the tops first and from [n]_t down, so an
+    index past sys.maxsize is refused before any table grows."""
+    tops = [_gauss_int(t, n - i) for i in range(k)]
+    bottoms = [_gauss_int(t, i) for i in range(1, k + 1)]
+    return interleaved_quotient(reversed(tops), bottoms, scalars.one_like(t))
 
 
 def psi_weight(fam: PsiFamily, n: int) -> Scalar:
@@ -232,6 +247,15 @@ def geometric_sum(t: Scalar, n: int) -> Scalar:
     return _entry(_sum_step, t, n)
 
 
+def _gauss_int(t: Scalar, n: int) -> Scalar:
+    """[n]_t for a checked t and n >= 0.  At the symbolic q it is the
+    closed form 1 + q + ... + q^(n-1): a table reaching it would hold
+    O(n^2) coefficients."""
+    if type(t) is RatFunc and t == scalars.Q:
+        return RatFunc._raw((1,) * n, (1,))
+    return _entry(_sum_step, t, n)
+
+
 def _geometric_factorial(t: Scalar, n: int) -> Scalar:
     """[1]_t [2]_t ... [n]_t for a checked t and n >= 0; empty is one."""
     return _entry(_factorial_step, t, n)
@@ -255,7 +279,8 @@ def twisted_sum(r: int, s: int, j: int, t: Scalar,
 # One table per sequence and parameter: step(seq, t) returns entry len(seq)
 # from the entries before it.  Entries only grow, one at a time, under the
 # lock, so an entry read outside it is final.  The lock is reentrant because
-# the factorial step reads the sums table.
+# a step may read another table: the factorial step reads the sums, and the
+# quantum-plane power step the rows.
 _GROW = threading.RLock()
 
 

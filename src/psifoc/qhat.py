@@ -11,8 +11,9 @@ and spreads the result back over the degrees.
 
 Operator integers and factorials read [n]_lambda and its factorial from
 the per-parameter tables of :mod:`psifoc.psi`.  Binomial symbols are
-cached per (n, k, lambda): at a symbolic eigenvalue the symbol divides as
-it multiplies, through :func:`psifoc.psi.interleaved_quotient`, and at a
+cached per (n, k, lambda).  At a symbolic eigenvalue the symbol divides as
+it multiplies, in the Gauss quotient of :mod:`psifoc.psi`, whose cache it
+shares with the symbolic Gauss :func:`psifoc.psi.psi_binomial`; at a
 rational one it is one quotient of factorials.
 
 The degree-0 eigenvalue of the defining formula is 0/0; by convention it
@@ -32,8 +33,8 @@ from . import scalars
 from ._record import Frozen
 from .errors import (DegreeOutOfRange, DimensionMismatch,
                      NonInvertibleDenominator)
-from .psi import (PsiFamily, _geometric_factorial, family_one,
-                  geometric_sum, interleaved_quotient, psi_int)
+from .psi import (PsiFamily, _gauss_quotient, _geometric_factorial,
+                  family_one, geometric_sum, psi_int)
 from .scalars import RatFunc, Scalar
 
 
@@ -130,13 +131,13 @@ def dilation_operator(q0: Scalar, n_trunc: int) -> DiagOperator:
 @lru_cache(maxsize=None, typed=True)
 def _binomial_eigenvalue(n: int, k: int, lam: Scalar) -> Scalar:
     if isinstance(lam, RatFunc):
-        # [k]! [n-k]! vanishes iff one of [1] .. [max(k, n-k)] does; the
+        # [k]! [n-k]! vanishes iff one of [1] .. [max(k, n-k)] does.  A
+        # rational function of q that is a root of unity is 1 or -1, so
+        # only lam = -1 has such zeros, [i] at every even i.  Otherwise the
         # quotient divides as it multiplies, over the shorter side
-        sums = [geometric_sum(lam, i) for i in range(n + 1)]
         short = min(k, n - k)
-        if all(sums[1:n - short + 1]):
-            return interleaved_quotient(sums[n - short + 1:],
-                                        sums[1:short + 1], RatFunc.one())
+        if lam != -1 or n - short < 2:
+            return _gauss_quotient(n, short, lam)
     else:
         denominator = (_geometric_factorial(lam, k)
                        * _geometric_factorial(lam, n - k))

@@ -19,7 +19,9 @@ and all but the two scalar predicates (:func:`verify_cauchy_scalar` and
 :func:`realization_check`) return a :class:`Report`, one row per mismatch:
 
 * the deformed binomial theorem: quantum-plane powers of x + y against
-  the recurrence-computed Gaussian binomials;
+  the recurrence-computed Gaussian binomials.  The powers are made once
+  per parameter, in one of the bottom-up tables of :mod:`psifoc.psi`,
+  and each stored coefficient is the row entry it was found equal to;
 * the twisted Cauchy convolution, both for a scalar parameter and for a
   family's mutator operator (the operator route goes through factorial
   quotients, the scalar route through the recurrence);
@@ -44,8 +46,8 @@ from ._record import Frozen, Record
 from .errors import DeformationMismatch
 from .matrices import (ScalarMatrix, ScalarMode,
                        fermat_factorization_mismatches)
-from .psi import (PsiFamily, family_one, gauss_binomial, psi_binomial,
-                  twisted_sum)
+from .psi import (PsiFamily, _entry, _row_step, family_one, gauss_binomial,
+                  psi_binomial, twisted_sum)
 from .qhat import (DiagOperator, binomial_eigenvalue, eval_on_monomial,
                    op_binomial, qhat_operator)
 from .scalars import Q, Scalar
@@ -216,15 +218,13 @@ def check_psi_multiplicativity(fam: PsiFamily, r: int, s: int) -> Report:
 def verify_gauss_binomial_theorem(n_max: int) -> Report:
     """Expand (x + y)^n on the symbolic quantum plane for every n up to
     n_max and compare each coefficient of x^k y^(n-k) with the
-    independently computed Gaussian binomial."""
+    independently computed Gaussian binomial.  Each power is multiplied
+    once, from the one before, and kept; every call compares them all."""
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
     report = Report({"check": "binomial-theorem", "n_max": n_max})
-    base = QPlanePoly.x_plus_y(Q)
-    power = QPlanePoly.one(Q)
     for n in range(n_max + 1):
-        if n:
-            power = power * base
+        power = _entry(_power_step, Q, n)
         expected_keys = {(k, n - k) for k in range(n + 1)}
         for k in range(n + 1):
             report.compare(power.coefficient(k, n - k),
@@ -234,6 +234,19 @@ def verify_gauss_binomial_theorem(n_max: int) -> Report:
             report.compare(power.coefficient(*key), 0,
                            n=n, monomial=f"x^{key[0]}*y^{key[1]}")
     return report
+
+
+def _power_step(seq: list, t: Scalar) -> QPlanePoly:
+    """(x + y)^n at t for n = len(seq), one product from the power before.
+
+    A coefficient equal to its Gaussian-row entry is stored as that entry,
+    so the table holds no second copy of the rows; the values are equal,
+    so later products do not change."""
+    n = len(seq)
+    row = _entry(_row_step, t, n)
+    power = seq[-1] * QPlanePoly.x_plus_y(t) if seq else QPlanePoly.one(t)
+    return QPlanePoly(t, {(k, l): row[k] if k + l == n and c == row[k] else c
+                          for (k, l), c in power.coeffs.items()})
 
 
 def verify_cauchy_scalar(r: int, s: int, j: int, t: Scalar) -> bool:

@@ -7,6 +7,7 @@ import sys
 import pytest
 
 import psifoc
+from psifoc import psi, qhat
 
 
 @pytest.fixture
@@ -21,3 +22,16 @@ def run_python():
         return subprocess.run([sys.executable, *args], env=env,
                               capture_output=True, text=True, timeout=120)
     return run
+
+
+@pytest.fixture
+def cold_tables():
+    """Empty every per-parameter table and the binomial quotient caches
+    before the test and after it; the fixture value clears them again."""
+    def clear():
+        for cached in (psi._table, psi._gauss_quotient,
+                       qhat._binomial_eigenvalue):
+            cached.cache_clear()
+    clear()
+    yield clear
+    clear()

@@ -391,6 +391,30 @@ def test_unexpected_exception_exits_two(verb, capsys):
         assert captured.err.count("\n") == 1
 
 
+# main under a 1 GiB address-space cap, so a table that grows without
+# bound ends in MemoryError rather than exhausting the host
+_CAPPED_MAIN = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from psifoc.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "cauchy", "--family", "gauss", "--r", "99999999999999999999",
+     "--s", "0", "--j", "1", "--maxdeg", "0"],
+    ["binom", "--family", "gauss", "99999999999999999999", "1"],
+], ids=["cauchy", "binom"])
+def test_huge_symbolic_index_is_refused_before_any_table_grows(run_python,
+                                                               argv):
+    proc = run_python("-c", _CAPPED_MAIN, *argv)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: OverflowError: "), proc.stderr
+    assert proc.stderr.count("\n") == 1
+
+
 _DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
 
 

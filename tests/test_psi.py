@@ -9,12 +9,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from psifoc import psi
+from psifoc import psi, qplane
 from psifoc.errors import InadmissibleFamily, MixedFieldTags, NegativeIndex
 from psifoc.psi import (classical, custom, fibonacci, gauss, gauss_binomial,
                         psi_binomial, psi_factorial, psi_falling, psi_int,
                         psi_weight)
-from psifoc.qplane import check_psi_multiplicativity, psi_plus_power
+from psifoc.qplane import (QPlanePoly, check_psi_multiplicativity,
+                           psi_plus_power)
 from psifoc.scalars import Q, RatFunc, eval_ratfunc
 
 
@@ -98,7 +99,7 @@ def test_gauss_at_minus_one_is_inadmissible():
         psi_int(gauss(-1), 2)
 
 
-def test_two_binomial_routes_agree(monkeypatch):
+def test_two_binomial_routes_agree(monkeypatch, cold_tables):
     # quotient-of-factorials definition vs the recurrence oracle, compared
     # on their canonical forms.  The symbolic quotient divides as it goes
     # but never reads the recurrence rows; the recurrence never divides.
@@ -121,7 +122,7 @@ def test_two_binomial_routes_agree(monkeypatch):
     def no_division(*args):
         raise AssertionError("gauss_binomial divided")
 
-    psi._table.cache_clear()
+    cold_tables()
     monkeypatch.setattr(RatFunc, "__truediv__", no_division)
     monkeypatch.setattr(RatFunc, "__rtruediv__", no_division)
     assert [gauss_binomial(30, k, Q) for k in range(-1, 32)] == rows[30]
@@ -278,12 +279,8 @@ def test_family_tag_fixed_when_built():
     assert gauss(Fraction(4, 2)).q0 == 2 and type(gauss(Fraction(4, 2)).q0) is int
 
 
-def test_gauss_row_deeper_than_recursion_limit():
-    psi._table.cache_clear()
-    try:
-        assert gauss_binomial(600, 1, 1) == 600
-    finally:
-        psi._table.cache_clear()
+def test_gauss_row_deeper_than_recursion_limit(cold_tables):
+    assert gauss_binomial(600, 1, 1) == 600
 
 
 def _gauss_row_by_product(n, t):
@@ -303,9 +300,10 @@ def _fib_by_doubling(n):
     return (d, c + d) if n % 2 else (c, d)
 
 
-# each table: its step, parameter, first index read, public reader of
-# entry n, and an independent formula for entry n; a cheap step needs many
-# entries for the threads to race
+# each table: its step, parameter, first index read, a reader of entry n
+# (public where the library has one), and an independent formula for entry
+# n; a cheap step needs many entries for the threads to race.  The power
+# step also reads, and may grow, the rows table at its parameter.
 _TABLES = {
     "rows": (psi._row_step, 3, 80,
              lambda n: tuple(gauss_binomial(n, k, 3) for k in range(n + 1)),
@@ -314,15 +312,17 @@ _TABLES = {
             lambda n: _fib_by_doubling(n)[0]),
     "sums": (psi._sum_step, 3, 400, lambda n: psi.geometric_sum(3, n),
              lambda n: (3 ** n - 1) // 2),
+    "powers": (qplane._power_step, 3, 40,
+               lambda n: psi._entry(qplane._power_step, 3, n),
+               lambda n: QPlanePoly.x_plus_y(3) ** n),
 }
 
 
 @pytest.mark.parametrize("name", sorted(_TABLES))
-def test_tables_grow_safely_across_threads(name):
+def test_tables_grow_safely_across_threads(name, cold_tables):
     # an entry grown from a stale predecessor, or appended twice, breaks the
     # formula from there on
     step, t, first, read, formula = _TABLES[name]
-    psi._table.cache_clear()
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -339,7 +339,6 @@ def test_tables_grow_safely_across_threads(name):
         table = list(psi._table(step, t))
     finally:
         sys.setswitchinterval(interval)
-        psi._table.cache_clear()
     assert table == [formula(n) for n in range(len(table))]
     for n, value in values.items():
         assert value == formula(n)

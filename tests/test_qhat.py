@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from psifoc import psi, qhat, scalars
 from psifoc.errors import (DegreeOutOfRange, DimensionMismatch,
@@ -14,6 +14,7 @@ from psifoc.qhat import (DiagOperator, binomial_eigenvalue, dilation_operator,
                          eval_on_monomial, geometric_sum, op_binomial,
                          op_factorial, op_integer, per_eigenvalue,
                          qhat_mutator, qhat_operator)
+from psifoc.qplane import verify_gauss_binomial_theorem
 from psifoc.scalars import Q, RatFunc
 
 
@@ -168,34 +169,51 @@ def test_per_eigenvalue_once_per_distinct_eigenvalue():
     assert calls == [2, 3]
 
 
-def _clear_scalar_caches():
-    for cached in (psi._table, qhat._binomial_eigenvalue):
-        cached.cache_clear()
-
-
 @pytest.mark.parametrize("routine", [psi.gauss_binomial, binomial_eigenvalue])
-def test_caches_keep_field_tags_apart(routine):
+def test_caches_keep_field_tags_apart(routine, cold_tables):
     # RatFunc.constant(2) == 2 and both hash alike; a cache keyed by value
     # alone hands the int call the rational function cached first
     for first, second in ((RatFunc.constant(2), 2), (2, RatFunc.constant(2))):
-        _clear_scalar_caches()
+        cold_tables()
         values = {type(t): routine(4, 2, t) for t in (first, second)}
         assert values[int] == 35 and type(values[int]) is int
         assert values[RatFunc] == RatFunc.constant(35)
         assert type(values[RatFunc]) is RatFunc
 
 
+def test_symbolic_binomial_routes_share_one_quotient(cold_tables):
+    # psi_binomial of the symbolic Gauss family and the operator symbol at
+    # lambda = q read one cache, whichever side of (n, k) comes first
+    for n in range(13):
+        for k in range(n + 1):
+            value = psi.psi_binomial(gauss(), n, k)
+            assert binomial_eigenvalue(n, k, Q) is value
+            assert binomial_eigenvalue(n, n - k, Q) is value
+    cold_tables()
+    for n in range(13):
+        for k in range(n + 1):
+            value = binomial_eigenvalue(n, k, Q)
+            assert psi.psi_binomial(gauss(), n, n - k) is value
+
+
 # 2, Fraction(2) and RatFunc.constant(2) compare and hash alike, so a
 # cache keyed by value alone would hand one tag's result to another
 _PARAMS = (2, Fraction(2), Fraction(1, 2), RatFunc.constant(2), Q)
 _CALLS = st.tuples(st.sampled_from(("gauss_binomial", "binomial_eigenvalue",
-                                    "geometric_sum", "op_factorial")),
+                                    "geometric_sum", "op_factorial",
+                                    "psi_binomial", "binomial_theorem")),
                    st.integers(0, 5), st.integers(0, 5),
                    st.sampled_from(range(len(_PARAMS))))
 
 
 def _call(name, n, k, p):
     t = _PARAMS[p]
+    # the last two take no parameter: they run at the symbolic q
+    if name == "psi_binomial":
+        return (psi.psi_binomial(gauss(), n, k),)
+    if name == "binomial_theorem":
+        report = verify_gauss_binomial_theorem(n)
+        return (report.passed, report.to_json())
     if name == "gauss_binomial":
         return (psi.gauss_binomial(n, k, t),)
     if name == "binomial_eigenvalue":
@@ -209,26 +227,29 @@ def _tagged(values):
     return [(type(v), v) for v in values]
 
 
+# the fixture hands over its clearing function, which every example calls
 @given(st.data())
-@settings(max_examples=25, deadline=None)
-def test_results_do_not_depend_on_call_order(data):
+@settings(max_examples=25, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_results_do_not_depend_on_call_order(cold_tables, data):
     calls = data.draw(st.lists(_CALLS, min_size=1, max_size=8))
     order = data.draw(st.permutations(range(len(calls))))
-    _clear_scalar_caches()
+    cold_tables()
     expected = {}
     for i in sorted(range(len(calls)), key=lambda i: calls[i]):
         expected[i] = _tagged(_call(*calls[i]))
-    _clear_scalar_caches()
+    cold_tables()
     for i in order:
         assert _tagged(_call(*calls[i])) == expected[i], calls[i]
 
 
-def test_symbolic_binomial_eigenvalue_matches_the_recurrence(monkeypatch):
+def test_symbolic_binomial_eigenvalue_matches_the_recurrence(monkeypatch,
+                                                            cold_tables):
     # the interleaved quotient at lambda = q against the recurrence, which
     # the quotient must not read
     rows = {n: [gauss_binomial(n, k, Q) for k in range(-1, n + 2)]
             for n in range(31)}
-    _clear_scalar_caches()
+    cold_tables()
 
     def no_rows(step, t, n):
         assert step is not psi._row_step, "binomial_eigenvalue read the rows"
@@ -264,8 +285,8 @@ def _factorial_quotient(n, k, lam):
 @pytest.mark.parametrize("lam", [2 * Q, 1 + Q, Q / (1 + Q),
                                  RatFunc.constant(3), RatFunc.constant(-1)],
                          ids=repr)
-def test_symbolic_binomial_eigenvalue_matches_the_factorial_quotient(lam):
-    _clear_scalar_caches()
+def test_symbolic_binomial_eigenvalue_matches_the_factorial_quotient(
+        lam, cold_tables):
     top = 9 if lam == -1 else 13
     refused = set()
     for n in range(top):

@@ -1,5 +1,6 @@
 """Quantum-plane arithmetic and the identity verifiers."""
 
+import json
 from fractions import Fraction
 
 import pytest
@@ -62,8 +63,10 @@ def test_binomial_theorem_report():
     assert single.passed
 
 
-def test_binomial_theorem_multiplies_once_per_power(monkeypatch):
-    # (x + y)^0 is one, so the powers up to n take n products
+def test_binomial_theorem_multiplies_each_power_once_per_parameter(
+        monkeypatch, cold_tables):
+    # (x + y)^0 is one, so the powers up to n take n products, made once:
+    # a repeat call reads them all, and a longer one makes only the new ones
     products = []
     real = QPlanePoly.__mul__
 
@@ -73,9 +76,40 @@ def test_binomial_theorem_multiplies_once_per_power(monkeypatch):
 
     monkeypatch.setattr(QPlanePoly, "__mul__", counted)
     for n in (0, 1, 5):
+        cold_tables()
         products.clear()
         assert verify_gauss_binomial_theorem(n).passed
         assert len(products) == n
+        products.clear()
+        assert verify_gauss_binomial_theorem(n).passed
+        assert products == []
+    assert verify_gauss_binomial_theorem(8).passed
+    assert len(products) == 3
+
+
+def test_stored_powers_hold_the_gaussian_rows(cold_tables):
+    # every coefficient of a stored power is the row entry it equals, so
+    # the table keeps no second copy of the rows
+    assert verify_gauss_binomial_theorem(16).passed
+    powers = psi._table(qplane._power_step, Q)
+    assert len(powers) == 17
+    for n, power in enumerate(powers):
+        assert sorted(power.coeffs) == [(k, n - k) for k in range(n + 1)]
+        for (k, l), value in power.coeffs.items():
+            assert value is gauss_binomial(n, k, Q), (n, k)
+
+
+def test_binomial_theorem_reports_do_not_depend_on_call_order(cold_tables):
+    cold = {}
+    for n in range(13):
+        cold_tables()
+        cold[n] = verify_gauss_binomial_theorem(n).to_json()
+    warm = {n: verify_gauss_binomial_theorem(n).to_json() for n in range(13)}
+    cold_tables()
+    descending = {n: verify_gauss_binomial_theorem(n).to_json()
+                  for n in reversed(range(13))}
+    assert cold == warm == descending
+    assert all(json.loads(text)["verdict"] == "pass" for text in cold.values())
 
 
 def test_binomial_theorem_specializes_at_one():
