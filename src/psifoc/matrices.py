@@ -10,7 +10,10 @@ are interchangeable because every operator entry is diagonal on monomials.
 The Fermat matrix entries come from the factorial-quotient route
 (:func:`psifoc.qhat.binomial_eigenvalue`), so the factorization check
 pits them against the independent Pascal-recurrence route in
-:func:`psifoc.psi.gauss_binomial`.
+:func:`psifoc.psi.gauss_binomial`.  The twisted sums of that check are
+kept per parameter in one of the bottom-up tables of :mod:`psifoc.psi`,
+hook by hook: hook n holds the entries a size n+1 matrix adds to a size-n
+one, and each sum found equal to its entry is stored as that entry.
 """
 
 from __future__ import annotations
@@ -22,7 +25,8 @@ from typing import Iterable, Sequence, Union
 from . import qhat, scalars
 from ._record import Frozen
 from .errors import DimensionMismatch, SizeTooLarge, UnsupportedField
-from .psi import PsiFamily, gauss_binomial, twisted_sum
+from .psi import (PsiFamily, _check_index, _entry, gauss_binomial,
+                  twisted_sum)
 from .scalars import Scalar
 
 
@@ -193,6 +197,7 @@ def pascal_matrix(x0: Scalar, size: int, mode: EvalMode) -> ScalarMatrix:
     scalars.check(x0)
     if size < 1:
         raise ValueError("size must be at least 1")
+    _check_index(size)
     t = resolve_mode(mode)
     out = []
     for i in range(size):
@@ -213,6 +218,7 @@ def fermat_matrix(size: int, mode: EvalMode) -> ScalarMatrix:
     route (so degenerate parameters raise NonInvertibleDenominator)."""
     if size < 1:
         raise ValueError("size must be at least 1")
+    _check_index(size)
     t = resolve_mode(mode)
     return ScalarMatrix(tuple(
         tuple(qhat.binomial_eigenvalue(i + j, j, t) for j in range(size))
@@ -226,16 +232,37 @@ def fermat_factorization_mismatches(size: int, mode: EvalMode) -> list[tuple]:
     The matrix side uses the factorial quotient, the sum side the
     independent recurrence; an empty list proves the factorization on
     this size at this parameter.  Returned tuples are (i, j, lhs, rhs).
+    Each sum is computed once per parameter and kept; every call compares
+    every entry.
     """
     t = resolve_mode(mode)
     fermat = fermat_matrix(size, ScalarMode(t))
+    hooks = [_entry(_hook_step, t, n) for n in range(size)]
     bad = []
     for i in range(size):
         for j in range(size):
-            acc = twisted_sum(i, j, j, t, gauss_binomial)
+            # (i, j) lies in hook max(i, j): its row part, then its column
+            acc = hooks[i][j] if i >= j else hooks[j][j + 1 + i]
             if acc != fermat.entry(i, j):
                 bad.append((i, j, fermat.entry(i, j), acc))
     return bad
+
+
+def _hook_step(seq: list, t: Scalar) -> tuple[Scalar, ...]:
+    """The twisted sums of Fermat entries (n, 0) .. (n, n), then (0, n) ..
+    (n-1, n), for n = len(seq): what a size n+1 matrix adds to size n.
+
+    A sum equal to its factorial-quotient entry is stored as that entry,
+    so the table holds no second copy of the matrix; a sum that differs
+    is stored as computed, so every call reports it."""
+    n = len(seq)
+    cells = [(n, j) for j in range(n + 1)] + [(i, n) for i in range(n)]
+    hook = []
+    for i, j in cells:
+        acc = twisted_sum(i, j, j, t, gauss_binomial)
+        entry = qhat.binomial_eigenvalue(i + j, j, t)
+        hook.append(entry if acc == entry else acc)
+    return tuple(hook)
 
 
 # ---------------------------------------------------------------------------

@@ -12,8 +12,9 @@ parameter t, their factorials, the twisted convolution sum, and the
 independent Gaussian-binomial routine used as an oracle by the operator,
 matrix and quantum-plane modules: a Pascal-style recurrence that never
 divides, so it is total in t.  Each of these sequences, the Fibonacci
-numbers and the quantum-plane powers of :mod:`psifoc.qplane` is kept in
-one table per parameter, grown bottom-up under one lock, so values do not
+numbers, the quantum-plane powers of :mod:`psifoc.qplane` and the
+twisted sums of the Fermat check in :mod:`psifoc.matrices` is kept in one
+table per parameter, grown bottom-up under one lock, so values do not
 depend on call order or thread interleaving.  The symbolic Gauss
 binomial, a quotient of Gauss integers, is cached once for this module and
 the operator symbols of :mod:`psifoc.qhat`.  The
@@ -279,8 +280,9 @@ def twisted_sum(r: int, s: int, j: int, t: Scalar,
 # One table per sequence and parameter: step(seq, t) returns entry len(seq)
 # from the entries before it.  Entries only grow, one at a time, under the
 # lock, so an entry read outside it is final.  The lock is reentrant because
-# a step may read another table: the factorial step reads the sums, and the
-# quantum-plane power step the rows.
+# a step may read another table: the factorial step reads the sums, the
+# quantum-plane power step the rows, and the Fermat hook step the rows and
+# the factorial quotients.
 _GROW = threading.RLock()
 
 
@@ -288,6 +290,14 @@ _GROW = threading.RLock()
 def _table(step: Callable, t: Scalar | None) -> list:
     """The entries of step's sequence at t computed so far, from 0 up."""
     return []
+
+
+def _check_index(n: int) -> None:
+    """Refuse an index past sys.maxsize with OverflowError: no list of that
+    length fits, so an operator or a matrix of that size checks it first,
+    as :func:`_entry` does inline on every table read."""
+    if n > sys.maxsize:
+        raise OverflowError(f"index {n} exceeds sys.maxsize, no list fits")
 
 
 def _entry(step: Callable, t: Scalar | None, n: int):

@@ -33,8 +33,8 @@ from . import scalars
 from ._record import Frozen
 from .errors import (DegreeOutOfRange, DimensionMismatch,
                      NonInvertibleDenominator)
-from .psi import (PsiFamily, _gauss_quotient, _geometric_factorial,
-                  family_one, geometric_sum, psi_int)
+from .psi import (PsiFamily, _check_index, _gauss_quotient,
+                  _geometric_factorial, family_one, geometric_sum, psi_int)
 from .scalars import RatFunc, Scalar
 
 
@@ -110,6 +110,7 @@ def qhat_operator(fam: PsiFamily, n_trunc: int) -> DiagOperator:
     """Mutator operator of a family, truncated at the given degree."""
     if n_trunc < 0:
         raise ValueError("truncation degree must be nonnegative")
+    _check_index(n_trunc)
     one = family_one(fam)
     ints = [psi_int(fam, m) for m in range(1, max(n_trunc, 1) + 2)]
     values = [scalars.div(after - one, before)

@@ -21,13 +21,15 @@ and all but the two scalar predicates (:func:`verify_cauchy_scalar` and
 * the deformed binomial theorem: quantum-plane powers of x + y against
   the recurrence-computed Gaussian binomials.  The powers are made once
   per parameter, in one of the bottom-up tables of :mod:`psifoc.psi`,
-  and each stored coefficient is the row entry it was found equal to;
+  and each stored coefficient is the row entry it was found equal to, so
+  a right power matches its row in one comparison of identities;
 * the twisted Cauchy convolution, both for a scalar parameter and for a
   family's mutator operator (the operator route goes through factorial
   quotients, the scalar route through the recurrence);
 * the twisted convolution factorization of the Fermat matrix at every
   mutator eigenvalue of a family (factorial-quotient entries against the
-  recurrence);
+  recurrence, whose twisted sums :mod:`psifoc.matrices` keeps per
+  eigenvalue);
 * the multiplication-operator realization of the defining relation;
 * multiplicativity of the convolution powers: the product of the r-th and
   s-th powers against the (r+s)-th power, monomial by monomial;
@@ -46,8 +48,8 @@ from ._record import Frozen, Record
 from .errors import DeformationMismatch
 from .matrices import (ScalarMatrix, ScalarMode,
                        fermat_factorization_mismatches)
-from .psi import (PsiFamily, _entry, _row_step, family_one, gauss_binomial,
-                  psi_binomial, twisted_sum)
+from .psi import (PsiFamily, _check_index, _entry, _row_step, family_one,
+                  gauss_binomial, psi_binomial, twisted_sum)
 from .qhat import (DiagOperator, binomial_eigenvalue, eval_on_monomial,
                    op_binomial, qhat_operator)
 from .scalars import Q, Scalar
@@ -160,6 +162,7 @@ def psi_plus_power(fam: PsiFamily, n: int) -> QPlanePoly:
     (n, k) times x^k y^(n-k), in commuting variables (t = 1)."""
     if n < 0:
         raise ValueError("psi_plus_power requires n >= 0")
+    _check_index(n)
     return QPlanePoly(1, {(k, n - k): psi_binomial(fam, n, k)
                           for k in range(n + 1)})
 
@@ -219,16 +222,23 @@ def verify_gauss_binomial_theorem(n_max: int) -> Report:
     """Expand (x + y)^n on the symbolic quantum plane for every n up to
     n_max and compare each coefficient of x^k y^(n-k) with the
     independently computed Gaussian binomial.  Each power is multiplied
-    once, from the one before, and kept; every call compares them all."""
+    once, from the one before, and kept; every call compares them all,
+    each power against its row in one comparison, and coefficient by
+    coefficient only where that fails."""
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
     report = Report({"check": "binomial-theorem", "n_max": n_max})
     for n in range(n_max + 1):
         power = _entry(_power_step, Q, n)
+        row = _entry(_row_step, Q, n)
+        # a stored coefficient equal to its row entry is that entry, so a
+        # right power compares by identity alone
+        stored = tuple(power.coeffs.get((k, n - k)) for k in range(n + 1))
+        if len(power.coeffs) == n + 1 and stored == row:
+            continue
         expected_keys = {(k, n - k) for k in range(n + 1)}
         for k in range(n + 1):
-            report.compare(power.coefficient(k, n - k),
-                           gauss_binomial(n, k, Q),
+            report.compare(power.coefficient(k, n - k), row[k],
                            n=n, monomial=f"x^{k}*y^{n - k}")
         for key in set(power.coeffs) - expected_keys:
             report.compare(power.coefficient(*key), 0,

@@ -401,11 +401,33 @@ sys.exit(main(sys.argv[1:]))
 """
 
 
+_HUGE = "99999999999999999999"
+
+
 @pytest.mark.parametrize("argv", [
-    ["verify", "cauchy", "--family", "gauss", "--r", "99999999999999999999",
-     "--s", "0", "--j", "1", "--maxdeg", "0"],
-    ["binom", "--family", "gauss", "99999999999999999999", "1"],
-], ids=["cauchy", "binom"])
+    ["verify", "cauchy", "--family", "gauss", "--r", _HUGE, "--s", "0",
+     "--j", "1", "--maxdeg", "0"],
+    ["binom", "--family", "gauss", _HUGE, "1"],
+    # a degree or a size past sys.maxsize: no operator or matrix fits
+    ["verify", "cauchy", "--family", "classical", "--r", "1", "--s", "1",
+     "--j", "1", "--maxdeg", _HUGE],
+    ["verify", "fermat", "--family", "gauss", "--size", "2",
+     "--maxdeg", _HUGE],
+    ["verify", "fermat", "--family", "classical", "--size", _HUGE,
+     "--maxdeg", "0"],
+    ["verify", "obs1", "--family", "fib", "--n", _HUGE],
+    ["matrix", "fermat", "--family", "fib", "--eigen", _HUGE, "--size", "2",
+     "--format", "csv"],
+    ["matrix", "pascal", "--family", "gauss@2", "--eigen", _HUGE,
+     "--size", "2", "--format", "csv"],
+    ["matrix", "fermat", "--family", "classical", "--size", _HUGE,
+     "--format", "json"],
+    ["matrix", "pascal", "--family", "classical", "--size", _HUGE,
+     "--format", "csv"],
+    ["expand", "--family", "classical", "--power", _HUGE],
+], ids=["cauchy", "binom", "cauchy-maxdeg", "fermat-maxdeg", "fermat-size",
+        "obs1", "matrix-fermat-eigen", "matrix-pascal-eigen",
+        "matrix-fermat-size", "matrix-pascal-size", "expand"])
 def test_huge_symbolic_index_is_refused_before_any_table_grows(run_python,
                                                                argv):
     proc = run_python("-c", _CAPPED_MAIN, *argv)

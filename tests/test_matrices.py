@@ -125,6 +125,73 @@ def test_factorization_builds_the_mutator_once(monkeypatch):
     assert calls == [(fibonacci(), 3)]
 
 
+def _hook_cells(n):
+    return [(n, j) for j in range(n + 1)] + [(i, n) for i in range(n)]
+
+
+@pytest.mark.parametrize("t", [Q, 1, 2, Fraction(1, 3)], ids=repr)
+def test_stored_hook_sums_are_the_fermat_entries(t, cold_tables):
+    # a twisted sum equal to its entry is kept as that entry, so the hook
+    # table holds no second copy of the matrix
+    assert not fermat_factorization_mismatches(7, ScalarMode(t))
+    fermat = fermat_matrix(7, ScalarMode(t))
+    hooks = psi._table(matrices._hook_step, t)
+    assert len(hooks) == 7
+    for n, hook in enumerate(hooks):
+        assert len(hook) == 2 * n + 1
+        for (i, j), value in zip(_hook_cells(n), hook):
+            assert value is fermat.entry(i, j), (i, j)
+
+
+def _corrupt_recurrence(monkeypatch):
+    """Make the sum side read (3, 1) off by one, at every parameter."""
+    right = psi.gauss_binomial
+
+    def wrong(n, k, t):
+        return right(n, k, t) + (1 if (n, k) == (3, 1) else 0)
+
+    monkeypatch.setattr(matrices, "gauss_binomial", wrong)
+    return wrong
+
+
+def _entrywise_mismatches(size, t, binomial):
+    """The factorization check with every sum computed afresh."""
+    fermat = fermat_matrix(size, ScalarMode(t))
+    bad = []
+    for i in range(size):
+        for j in range(size):
+            acc = psi.twisted_sum(i, j, j, t, binomial)
+            if acc != fermat.entry(i, j):
+                bad.append((i, j, fermat.entry(i, j), acc))
+    return bad
+
+
+@pytest.mark.parametrize("t", [Q, 2, Fraction(1, 3)], ids=repr)
+def test_hook_table_keeps_a_wrong_sum(t, monkeypatch, cold_tables):
+    wrong = _corrupt_recurrence(monkeypatch)
+    expected = _entrywise_mismatches(6, t, wrong)
+    # (3, 1) is read by the sums (3, j) for j >= 1 and (i, 3) for i >= 2
+    assert [(i, j) for i, j, _, _ in expected] == [
+        (2, 3), (3, 1), (3, 2), (3, 3), (3, 4), (3, 5), (4, 3), (5, 3)]
+    assert fermat_factorization_mismatches(6, ScalarMode(t)) == expected
+    assert fermat_factorization_mismatches(6, ScalarMode(t)) == expected
+
+
+@pytest.mark.parametrize("order", [range(1, 9), range(8, 0, -1),
+                                   (4, 1, 8, 2, 7, 3, 6, 5)],
+                         ids=["ascending", "descending", "mixed"])
+def test_factorization_does_not_depend_on_size_order(order, monkeypatch,
+                                                    cold_tables):
+    wrong = _corrupt_recurrence(monkeypatch)
+    for t in (Q, 2):
+        expected = {size: _entrywise_mismatches(size, t, wrong)
+                    for size in order}
+        cold_tables()
+        got = {size: fermat_factorization_mismatches(size, ScalarMode(t))
+               for size in order}
+        assert got == expected
+
+
 def test_fermat_degenerate_eigenvalue_raises():
     # custom table 1, 2, -1: eigenvalue -1 at degree 2 kills the
     # factorial quotient for entries needing the 2-factorial

@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from psifoc import psi, qplane
+from psifoc import matrices, psi, qplane
 from psifoc.errors import InadmissibleFamily, MixedFieldTags, NegativeIndex
 from psifoc.psi import (classical, custom, fibonacci, gauss, gauss_binomial,
                         psi_binomial, psi_factorial, psi_falling, psi_int,
@@ -290,6 +290,13 @@ def _gauss_row_by_product(n, t):
     return tuple(row)
 
 
+def _fermat_hook_by_product(n, t):
+    # the Fermat entries (n, 0) .. (n, n), (0, n) .. (n-1, n): the binomial
+    # (i+j, j) from the product formula, not a twisted sum
+    cells = [(n, j) for j in range(n + 1)] + [(i, n) for i in range(n)]
+    return tuple(_gauss_row_by_product(i + j, t)[j] for i, j in cells)
+
+
 def _fib_by_doubling(n):
     # (F(n), F(n+1)) by F(2m) = F(m)(2F(m+1) - F(m)), F(2m+1) = F(m)^2 +
     # F(m+1)^2, which share no step with the table's recurrence
@@ -303,7 +310,7 @@ def _fib_by_doubling(n):
 # each table: its step, parameter, first index read, a reader of entry n
 # (public where the library has one), and an independent formula for entry
 # n; a cheap step needs many entries for the threads to race.  The power
-# step also reads, and may grow, the rows table at its parameter.
+# and hook steps also read, and may grow, the rows table at their parameter.
 _TABLES = {
     "rows": (psi._row_step, 3, 80,
              lambda n: tuple(gauss_binomial(n, k, 3) for k in range(n + 1)),
@@ -315,6 +322,9 @@ _TABLES = {
     "powers": (qplane._power_step, 3, 40,
                lambda n: psi._entry(qplane._power_step, 3, n),
                lambda n: QPlanePoly.x_plus_y(3) ** n),
+    "hooks": (matrices._hook_step, 3, 16,
+              lambda n: psi._entry(matrices._hook_step, 3, n),
+              lambda n: _fermat_hook_by_product(n, 3)),
 }
 
 

@@ -5,10 +5,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from psifoc import psi, qhat, scalars
+from psifoc import matrices, psi, qhat, scalars
 from psifoc.errors import (DegreeOutOfRange, DimensionMismatch,
                            NonInvertibleDenominator)
-from psifoc.matrices import ScalarMatrix
+from psifoc.matrices import (ScalarMatrix, ScalarMode,
+                             fermat_factorization_mismatches)
 from psifoc.psi import classical, custom, fibonacci, gauss, gauss_binomial
 from psifoc.qhat import (DiagOperator, binomial_eigenvalue, dilation_operator,
                          eval_on_monomial, geometric_sum, op_binomial,
@@ -201,14 +202,15 @@ def test_symbolic_binomial_routes_share_one_quotient(cold_tables):
 _PARAMS = (2, Fraction(2), Fraction(1, 2), RatFunc.constant(2), Q)
 _CALLS = st.tuples(st.sampled_from(("gauss_binomial", "binomial_eigenvalue",
                                     "geometric_sum", "op_factorial",
-                                    "psi_binomial", "binomial_theorem")),
+                                    "psi_binomial", "binomial_theorem",
+                                    "fermat")),
                    st.integers(0, 5), st.integers(0, 5),
                    st.sampled_from(range(len(_PARAMS))))
 
 
 def _call(name, n, k, p):
     t = _PARAMS[p]
-    # the last two take no parameter: they run at the symbolic q
+    # psi_binomial and binomial_theorem take no parameter: they run at q
     if name == "psi_binomial":
         return (psi.psi_binomial(gauss(), n, k),)
     if name == "binomial_theorem":
@@ -216,6 +218,10 @@ def _call(name, n, k, p):
         return (report.passed, report.to_json())
     if name == "gauss_binomial":
         return (psi.gauss_binomial(n, k, t),)
+    if name == "fermat":
+        # the mismatches of size n + 1, then its last hook of stored sums
+        bad = fermat_factorization_mismatches(n + 1, ScalarMode(t))
+        return (*bad, *psi._entry(matrices._hook_step, t, n))
     if name == "binomial_eigenvalue":
         return (binomial_eigenvalue(n, k, t),)
     if name == "geometric_sum":

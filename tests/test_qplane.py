@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from psifoc import psi, qhat, qplane
 from psifoc.errors import DeformationMismatch, NonInvertibleDenominator
 from psifoc.psi import classical, fibonacci, gauss, gauss_binomial
-from psifoc.qplane import (QPlanePoly, explore_observation1_general,
+from psifoc.qplane import (QPlanePoly, Report, explore_observation1_general,
                            realization, realization_check,
                            verify_cauchy_operator, verify_cauchy_scalar,
                            verify_fermat_operator,
@@ -97,6 +97,49 @@ def test_stored_powers_hold_the_gaussian_rows(cold_tables):
         assert sorted(power.coeffs) == [(k, n - k) for k in range(n + 1)]
         for (k, l), value in power.coeffs.items():
             assert value is gauss_binomial(n, k, Q), (n, k)
+
+
+def _coefficient_rows(n_max):
+    """The binomial theorem's mismatch rows, coefficient by coefficient."""
+    report = Report({"check": "binomial-theorem", "n_max": n_max})
+    for n in range(n_max + 1):
+        power = psi._entry(qplane._power_step, Q, n)
+        for k in range(n + 1):
+            report.compare(power.coefficient(k, n - k),
+                           gauss_binomial(n, k, Q),
+                           n=n, monomial=f"x^{k}*y^{n - k}")
+        for k, l in set(power.coeffs) - {(k, n - k) for k in range(n + 1)}:
+            report.compare(power.coefficient(k, l), 0,
+                           n=n, monomial=f"x^{k}*y^{l}")
+    return report.mismatches
+
+
+def _wrong_value(coeffs):
+    coeffs[2, 3] = coeffs[2, 3] + 1
+
+
+def _extra_key(coeffs):
+    coeffs[6, 0] = Q
+
+
+def _missing_key(coeffs):
+    del coeffs[1, 4]
+
+
+@pytest.mark.parametrize("corrupt", [
+    [_wrong_value], [_extra_key], [_missing_key], [_wrong_value, _extra_key]],
+    ids=["wrong-value", "extra-key", "missing-key", "wrong-and-extra"])
+def test_binomial_theorem_reports_a_wrong_stored_power(corrupt, cold_tables):
+    # the one comparison per power fails, and the rows are those of the
+    # loop over single coefficients
+    assert verify_gauss_binomial_theorem(8).passed
+    coeffs = psi._table(qplane._power_step, Q)[5].coeffs
+    for change in corrupt:
+        change(coeffs)
+    report = verify_gauss_binomial_theorem(8)
+    assert report.mismatches == _coefficient_rows(8)
+    assert len(report.mismatches) == len(corrupt)
+    assert {row["n"] for row in report.mismatches} == {5}
 
 
 def test_binomial_theorem_reports_do_not_depend_on_call_order(cold_tables):
