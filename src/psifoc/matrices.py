@@ -7,6 +7,10 @@ choosing an evaluation mode: either a scalar deformation parameter t, or
 an eigenvalue of the family mutator at a chosen monomial degree.  The two
 are interchangeable because every operator entry is diagonal on monomials.
 
+Matrix arithmetic does none on zeros, and a result row that no term
+reaches is one shared row of int 0: most rows of the sparse realization
+matrices of :mod:`psifoc.qplane` are such rows.
+
 The Fermat matrix entries come from the factorial-quotient route
 (:func:`psifoc.qhat.binomial_eigenvalue`), so the factorization check
 pits them against the independent Pascal-recurrence route in
@@ -37,7 +41,9 @@ class ScalarMatrix:
     equality is entrywise equality of canonical forms.  Zeros cost no
     arithmetic: an entry that is zero in both operands of ``+`` or ``-``,
     or zero in the matrix that :meth:`scale_rows` scales, is int ``0`` in
-    the result, as an entry no product term reaches is in ``@``.
+    the result, as an entry no product term reaches is in ``@``, and only
+    the entries a term reaches are normalized.  A result row that no term
+    reaches at all is one row of int ``0`` shared by the whole result.
     """
 
     __slots__ = ("rows", "cols", "data")
@@ -80,14 +86,18 @@ class ScalarMatrix:
         # entry adds its terms in the order of the dense triple loop
         right = [[(j, b) for j, b in enumerate(row) if b]
                  for row in other.data]
+        zeros = (0,) * other.cols
         out = []
         for row in self.data:
-            acc: list[Scalar] = [0] * other.cols
+            acc: dict[int, Scalar] = {}
             for a, terms in zip(row, right):
                 if a:
                     for j, b in terms:
-                        acc[j] = acc[j] + a * b
-            out.append(tuple(map(scalars.normalize, acc)))
+                        acc[j] = acc[j] + a * b if j in acc else a * b
+            line = list(zeros)
+            for j, v in acc.items():
+                line[j] = scalars.normalize(v)
+            out.append(tuple(line) if acc else zeros)
         return ScalarMatrix._raw(tuple(out))
 
     def _zip(self, other: "ScalarMatrix", op) -> "ScalarMatrix":
@@ -95,9 +105,10 @@ class ScalarMatrix:
             raise DimensionMismatch(
                 f"shape {self.rows}x{self.cols} vs "
                 f"{other.rows}x{other.cols}")
+        zeros = (0,) * self.cols
         return ScalarMatrix._raw(tuple(
             tuple(scalars.normalize(op(a, b)) if a or b else 0
-                  for a, b in zip(ra, rb))
+                  for a, b in zip(ra, rb)) if any(ra) or any(rb) else zeros
             for ra, rb in zip(self.data, other.data)))
 
     def __add__(self, other):
@@ -122,8 +133,10 @@ class ScalarMatrix:
         if len(factors) != self.rows:
             raise DimensionMismatch(
                 f"{len(factors)} row factors for {self.rows} rows")
+        zeros = (0,) * self.cols
         return ScalarMatrix._raw(tuple(
             tuple(scalars.normalize(f * v) if v else 0 for v in row)
+            if any(row) else zeros
             for f, row in zip(map(scalars.check, factors), self.data)))
 
     def apply(self, vector: Sequence[Scalar]) -> tuple[Scalar, ...]:

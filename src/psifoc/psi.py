@@ -16,10 +16,13 @@ numbers, the quantum-plane powers of :mod:`psifoc.qplane` and the
 twisted sums of the Fermat check in :mod:`psifoc.matrices` is kept in one
 table per parameter, grown bottom-up under one lock, so values do not
 depend on call order or thread interleaving.  The symbolic Gauss
-binomial, a quotient of Gauss integers, is cached once for this module and
-the operator symbols of :mod:`psifoc.qhat`.  The
-two-variable convolution expansions built from the family binomials live
-in :mod:`psifoc.qplane`, as quantum-plane polynomials at t = 1.
+binomial, a quotient of Gauss integers, is stored once for this module and
+the operator symbols of :mod:`psifoc.qhat`, entry by requested entry, and a
+new entry steps from the nearest one stored on its diagonal n - k, so a
+row sweep costs one product and one exact division per entry.  Factorials
+and falling factorials multiply their factors by a balanced product tree.
+The two-variable convolution expansions built from the family binomials
+live in :mod:`psifoc.qplane`, as quantum-plane polynomials at t = 1.
 """
 
 from __future__ import annotations
@@ -145,25 +148,35 @@ def psi_factorial(fam: PsiFamily, n: int) -> Scalar:
     """Product n_psi (n-1)_psi ... 1_psi; the empty product is one."""
     if n < 0:
         raise NegativeIndex(f"factorial of negative index {n}")
-    acc = family_one(fam)
-    for j in range(1, n + 1):
-        acc = acc * psi_int(fam, j)
-    return scalars.normalize(acc)
+    return _product([psi_int(fam, j) for j in range(1, n + 1)],
+                    family_one(fam))
 
 
 def psi_falling(fam: PsiFamily, x: int, k: int) -> Scalar:
     """Product of k consecutive family integers descending from x_psi."""
     if k < 0:
         raise NegativeIndex(f"falling factorial of negative length {k}")
-    acc = family_one(fam)
+    factors = []
     for i in range(k):
         idx = x - i
         if idx < 0:
             raise NegativeIndex(
                 f"falling factorial from x = {x} of length {k} reaches "
                 f"index {idx}")
-        acc = acc * psi_int(fam, idx)
-    return scalars.normalize(acc)
+        factors.append(psi_int(fam, idx))
+    return _product(factors, family_one(fam))
+
+
+def _product(factors: list, one: Scalar) -> Scalar:
+    """The normalized product of factors (one when there are none), by a
+    balanced tree: adjacent pairs multiply, then pairs of those products.
+    A left fold multiplies a growing product by each small factor, which
+    for Fibonacci factorials, of about n^2/10 digits, is quadratic in the
+    digits; the tree keeps both sides of a product of similar size."""
+    while len(factors) > 1:
+        paired = [a * b for a, b in zip(factors[::2], factors[1::2])]
+        factors = paired + factors[-1:] if len(factors) % 2 else paired
+    return scalars.normalize(factors[0] if factors else one)
 
 
 def psi_binomial(fam: PsiFamily, n: int, k: int) -> Scalar:
@@ -178,7 +191,7 @@ def psi_binomial(fam: PsiFamily, n: int, k: int) -> Scalar:
     # symbolic families divide as they go.  The factors are read first, in
     # psi_falling's and then psi_factorial's order, so a bad index fails
     # as it does in the single quotient.  [i]_q never vanishes, so gauss
-    # takes the cached quotient over the shorter side of (n, k) = (n, n-k).
+    # takes the stored quotient over the shorter side of (n, k) = (n, n-k).
     if fam.kind == "gauss":
         return _gauss_quotient(n, min(k, n - k), scalars.Q)
     tops = [psi_int(fam, n - i) for i in range(k)]
@@ -187,31 +200,55 @@ def psi_binomial(fam: PsiFamily, n: int, k: int) -> Scalar:
 
 
 def interleaved_quotient(tops: Iterable[RatFunc], bottoms: Iterable[RatFunc],
-                         one: RatFunc) -> RatFunc:
-    """The product of tops over the product of bottoms, divided as it is
-    multiplied: acc = acc * top / bottom, step by step from one.
+                         start: RatFunc) -> RatFunc:
+    """start times the product of tops over the product of bottoms,
+    divided as it is multiplied: acc = acc * top / bottom, step by step.
 
-    For the binomial (n, k), tops [n-k+1] .. [n] and bottoms [1] .. [k]
-    leave the binomial (n-k+i, i) after step i.  For Gauss integers that
-    is a polynomial, far smaller than the falling factorial, and each step
-    an exact polynomial division."""
-    acc = one
+    From start = one, tops [n-k+1] .. [n] and bottoms [1] .. [k] leave the
+    binomial (n-k+i, i) after step i.  For Gauss integers that is a
+    polynomial, far smaller than the falling factorial, and each step an
+    exact polynomial division."""
+    acc = start
     for top, bottom in zip(tops, bottoms):
         acc = acc * top / bottom
     return acc
 
 
-@lru_cache(maxsize=None, typed=True)
+# The Gauss quotients callers requested, keyed by (n - k, k), t and the
+# field of t, as _table is: the entries (n - k + i, i) of one diagonal are
+# the steps of one quotient.  The steps between requested entries are not
+# kept, so a single large request stores one entry.  Grown under _GROW.
+_quotients: dict = {}
+
+
 def _gauss_quotient(n: int, k: int, t: Scalar) -> Scalar:
     """The Gaussian binomial (n, k) at a checked t as the interleaved
     quotient of [n-k+1]_t .. [n]_t over [1]_t .. [k]_t, for 0 <= k <= n
     and no vanishing [i]_t below [n-k+1]_t.
 
-    Only those sums are read, the tops first and from [n]_t down, so an
-    index past sys.maxsize is refused before any table grows."""
-    tops = [_gauss_int(t, n - i) for i in range(k)]
-    bottoms = [_gauss_int(t, i) for i in range(1, k + 1)]
-    return interleaved_quotient(reversed(tops), bottoms, scalars.one_like(t))
+    The quotient starts from the highest entry (n-k+i, i) stored on its
+    diagonal, or from one, and takes the steps i+1 .. k from there: in a
+    row sweep, or a Fermat matrix filled row by row, the neighbour
+    (n-1, k-1) is stored and the entry costs one product and one exact
+    division.  An index past sys.maxsize is refused before any table
+    grows."""
+    d, field = n - k, type(t)
+    value = _quotients.get((d, k, field, t))
+    if value is not None:
+        return value
+    _check_index(n)
+    with _GROW:
+        value = _quotients.get((d, k, field, t))
+        if value is None:
+            i = next((i for i in range(k - 1, 0, -1)
+                      if (d, i, field, t) in _quotients), 0)
+            acc = _quotients[d, i, field, t] if i else scalars.one_like(t)
+            steps = range(i + 1, k + 1)
+            value = interleaved_quotient(
+                [_gauss_int(t, d + j) for j in steps],
+                [_gauss_int(t, j) for j in steps], acc)
+            _quotients[d, k, field, t] = value
+    return value
 
 
 def psi_weight(fam: PsiFamily, n: int) -> Scalar:

@@ -12,9 +12,12 @@ and spreads the result back over the degrees.
 Operator integers and factorials read [n]_lambda and its factorial from
 the per-parameter tables of :mod:`psifoc.psi`.  Binomial symbols are
 cached per (n, k, lambda).  At a symbolic eigenvalue the symbol divides as
-it multiplies, in the Gauss quotient of :mod:`psifoc.psi`, whose cache it
-shares with the symbolic Gauss :func:`psifoc.psi.psi_binomial`; at a
-rational one it is one quotient of factorials.
+it multiplies, in the Gauss quotient of :mod:`psifoc.psi`, whose store it
+shares with the symbolic Gauss :func:`psifoc.psi.psi_binomial`: each
+entry steps from the nearest one stored on its diagonal n - k, so a
+Fermat matrix filled row by row costs one product and one exact division
+per entry.  At a rational eigenvalue the symbol is one quotient of
+factorials.
 
 The degree-0 eigenvalue of the defining formula is 0/0; by convention it
 is set to the degree-1 eigenvalue, which keeps the Gauss family exactly

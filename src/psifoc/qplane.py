@@ -341,7 +341,8 @@ def _weighted_realization(weights: list[Scalar], n: int) -> OpRealization:
 
     With weights[a] equal to the product of the first a mutator
     eigenvalues this is the unique diagonal-weight pair satisfying
-    B A = (mutator by x-degree) A B.
+    B A = (mutator by x-degree) A B.  Every entry is 0, 1 or a weight,
+    which the caller has checked, so the grids are taken as they are.
     """
     basis = _graded_basis(n)
     pos = {m: i for i, m in enumerate(basis)}
@@ -352,7 +353,9 @@ def _weighted_realization(weights: list[Scalar], n: int) -> OpRealization:
         if xd + yd + 1 <= n:
             a_grid[pos[(xd + 1, yd)]][col] = 1
             b_grid[pos[(xd, yd + 1)]][col] = weights[xd]
-    return OpRealization(n, basis, ScalarMatrix(a_grid), ScalarMatrix(b_grid))
+    a, b = (ScalarMatrix._raw(tuple(map(tuple, grid)))
+            for grid in (a_grid, b_grid))
+    return OpRealization(n, basis, a, b)
 
 
 def realization(q0: Scalar, n: int) -> OpRealization:

@@ -26,12 +26,13 @@ def run_python():
 
 @pytest.fixture
 def cold_tables():
-    """Empty every per-parameter table and the binomial quotient caches
-    before the test and after it; the fixture value clears them again."""
+    """Empty every per-parameter table, the Gauss quotient store and the
+    binomial symbol cache before the test and after it; the fixture value
+    clears them again."""
     def clear():
-        for cached in (psi._table, psi._gauss_quotient,
-                       qhat._binomial_eigenvalue):
+        for cached in (psi._table, qhat._binomial_eigenvalue):
             cached.cache_clear()
+        psi._quotients.clear()
     clear()
     yield clear
     clear()

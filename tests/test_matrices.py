@@ -1,6 +1,7 @@
 """Exact matrices, Pascal/Fermat constructions, the factorization check,
 and the subspace-counting oracle."""
 
+import operator
 import random
 from fractions import Fraction
 
@@ -262,32 +263,11 @@ def _dense_product(a, b):
     return tuple(out)
 
 
-@pytest.mark.parametrize("seed", range(6))
-def test_matmul_matches_dense_triple_loop(seed):
-    rng = random.Random(seed)
-    values = (lambda: rng.randint(-9, 9),
-              lambda: Fraction(rng.randint(-9, 9), rng.randint(1, 5)),
-              lambda: RatFunc([rng.randint(-3, 3), rng.randint(-3, 3)],
-                              [1, rng.randint(1, 3)]))
-
-    def sparse(rows, cols, value):
-        return ScalarMatrix([[value() if rng.random() < 0.3 else 0
-                              for _ in range(cols)] for _ in range(rows)])
-
-    for value in values:
-        n, m, p = (rng.randint(1, 6) for _ in range(3))
-        a, b = sparse(n, m, value), sparse(m, p, value)
-        product, dense = (a @ b).data, _dense_product(a, b)
-        assert product == dense
-        assert ([type(v) for row in product for v in row]
-                == [type(v) for row in dense for v in row])
-        with pytest.raises(DimensionMismatch):
-            a @ sparse(m + 1, p, value)
-
-
-# Elementwise ops skip zeros (an entry zero on both sides, or a zero entry
-# scaled, is int 0); the dense routes below do the arithmetic on every
-# entry, and the values must agree.
+# Products and elementwise ops skip zeros: an entry no term reaches (no
+# product term in @, zero on both sides of + and -, zero where scale_rows
+# scales) is int 0, and a row no term reaches is int 0 throughout.  The
+# dense routes below do the arithmetic on every entry; values agree, and
+# so do types wherever the dense route reaches no term either.
 
 def _sparse_values(rng):
     """Entry makers: int, Fraction and RatFunc, with zeros of each kind."""
@@ -299,9 +279,35 @@ def _sparse_values(rng):
 
 
 def _sparse(rng, rows, cols, value, zero):
-    return ScalarMatrix([[value() if rng.random() < 0.3
-                          else rng.choice((0, zero))
-                          for _ in range(cols)] for _ in range(rows)])
+    """About 30% nonzero entries; about 30% of the rows are all zero, each
+    such row of one zero kind."""
+    return ScalarMatrix([
+        [rng.choice((0, zero))] * cols if rng.random() < 0.3
+        else [value() if rng.random() < 0.3 else rng.choice((0, zero))
+              for _ in range(cols)]
+        for _ in range(rows)])
+
+
+def _flat(grid):
+    return [v for row in grid for v in row]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_matmul_matches_dense_triple_loop(seed):
+    rng = random.Random(seed)
+    for value, zero in _sparse_values(rng):
+        n, m, p = (rng.randint(1, 6) for _ in range(3))
+        a, b = _sparse(rng, n, m, value, zero), _sparse(rng, m, p, value, zero)
+        zero_a = ScalarMatrix([[zero] * m] * n)
+        zero_b = ScalarMatrix([[zero] * p] * m)
+        for left, right in ((a, b), (zero_a, b), (a, zero_b)):
+            product, dense = (left @ right).data, _dense_product(left, right)
+            assert product == dense
+            assert ([type(v) for v in _flat(product)]
+                    == [type(v) for v in _flat(dense)])
+        assert {type(v) for v in _flat((zero_a @ b).data)} == {int}
+        with pytest.raises(DimensionMismatch):
+            a @ _sparse(rng, m + 1, p, value, zero)
 
 
 def _dense_zip(a, b, op):
@@ -320,15 +326,20 @@ def test_elementwise_ops_match_the_dense_route(seed):
     for value, zero in _sparse_values(rng):
         n, m = rng.randint(1, 6), rng.randint(1, 6)
         a, b = (_sparse(rng, n, m, value, zero) for _ in range(2))
-        assert (a + b).data == _dense_zip(a, b, lambda x, y: x + y)
-        assert (a - b).data == _dense_zip(a, b, lambda x, y: x - y)
-        assert (a - a).is_zero()
+        nothing = ScalarMatrix([[zero] * m] * n)
         factors = [value() for _ in range(n)]
-        assert a.scale_rows(factors).data == _dense_scale_rows(a, factors)
-        for ra, rb, rs in zip(a.data, b.data, (a + b).data):
-            for x, y, total in zip(ra, rb, rs):
-                if not x and not y:
-                    assert type(total) is int
+        for left, right in ((a, b), (nothing, b), (a, nothing)):
+            for op in (operator.add, operator.sub):
+                result = op(left, right).data
+                assert result == _dense_zip(left, right, op)
+                assert all(type(v) is int for x, y, v in zip(
+                    _flat(left.data), _flat(right.data), _flat(result))
+                    if not x and not y)
+            scaled = left.scale_rows(factors).data
+            assert scaled == _dense_scale_rows(left, factors)
+            assert all(type(v) is int for x, v in zip(_flat(left.data),
+                                                      _flat(scaled)) if not x)
+        assert (a - a).is_zero()
 
 
 @pytest.mark.parametrize("seed", range(4))

@@ -1,6 +1,7 @@
 """Weight families, generalized binomials, and the convolution check."""
 
 import json
+import math
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -9,7 +10,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from psifoc import matrices, psi, qplane
+from psifoc import matrices, psi, qhat, qplane, scalars
 from psifoc.errors import InadmissibleFamily, MixedFieldTags, NegativeIndex
 from psifoc.psi import (classical, custom, fibonacci, gauss, gauss_binomial,
                         psi_binomial, psi_factorial, psi_falling, psi_int,
@@ -352,3 +353,137 @@ def test_tables_grow_safely_across_threads(name, cold_tables):
     assert table == [formula(n) for n in range(len(table))]
     for n, value in values.items():
         assert value == formula(n)
+
+
+# Factorials multiply by a product tree; the left fold below is the
+# route it replaced, one running product factor by factor.
+_TREE_FAMILIES = [classical(), gauss(), gauss(2), gauss(Fraction(1, 2)),
+                  fibonacci(), custom([RatFunc([j, 1]) for j in range(1, 61)])]
+
+
+@pytest.mark.parametrize("fam", _TREE_FAMILIES, ids=lambda fam: fam.label)
+def test_product_tree_matches_the_left_fold(fam):
+    # symbolic Gauss products of degree up to 1770 are slow to repeat, so
+    # that family is compared at fewer lengths
+    lengths = {*range(13), 31, 60, 61} if fam.label == "gauss" else range(62)
+    fold = psi.family_one(fam)
+    for n in range(61):
+        fold = fold * psi_int(fam, n) if n else fold
+        if n in lengths:
+            value, want = psi_factorial(fam, n), scalars.normalize(fold)
+            assert value == want and type(value) is type(want), n
+    fold = psi.family_one(fam)
+    for k in range(62):
+        # k = 61 reaches the factor 0_psi
+        fold = fold * psi_int(fam, 61 - k) if k else fold
+        if k in lengths:
+            value, want = psi_falling(fam, 60, k), scalars.normalize(fold)
+            assert value == want and type(value) is type(want), k
+
+
+def test_product_tree_reads_every_factor_first():
+    # the first bad factor in the fold's order is the one reported
+    with pytest.raises(InadmissibleFamily, match="has 2_psi = 0"):
+        psi_factorial(custom([1, 0, 2, 0]), 4)
+    with pytest.raises(InadmissibleFamily, match="no entry for n = 4"):
+        psi_falling(custom([1, 0]), 4, 3)
+    with pytest.raises(NegativeIndex, match="reaches index -1"):
+        psi_falling(custom([1, 1]), 2, 4)
+
+
+# The symbolic Gauss quotients are kept per requested entry, and a new
+# entry steps from the highest one stored on its diagonal n - k.
+
+def test_single_quotient_request_stores_one_entry(cold_tables,
+                                                  monkeypatch):
+    # the steps (n-k+i, i) of a request are not kept: keeping them raised
+    # the peak memory of a cold (300, 150) eightfold
+    value = psi_binomial(gauss(), 70, 30)
+    assert [v is value for v in psi._quotients.values()] == [True]
+    divisions = []
+    true_div = RatFunc.__truediv__
+    monkeypatch.setattr(RatFunc, "__truediv__",
+                        lambda a, b: divisions.append(b) or true_div(a, b))
+    # its neighbour (71, 31) on the diagonal n - k = 40 is one step away
+    assert psi_binomial(gauss(), 71, 31) == gauss_binomial(71, 31, Q)
+    assert divisions == [RatFunc([1] * 31)]
+    assert len(psi._quotients) == 2
+    cold_tables()
+    assert not psi._quotients
+
+
+def test_quotient_walk_deeper_than_recursion_limit(cold_tables):
+    one = RatFunc.constant(1)
+    qhat.binomial_eigenvalue(601, 1, one)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(250)
+    try:
+        # 599 stored entries probed below (1200, 600), then 599 steps
+        value = qhat.binomial_eigenvalue(1200, 600, one)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert value == RatFunc.constant(math.comb(1200, 600))
+
+
+@pytest.mark.parametrize("t", [Q, RatFunc([1, 2]), RatFunc([0, 1], [1, 1])],
+                         ids=str)
+def test_quotients_do_not_depend_on_their_neighbours(t, cold_tables):
+    cells = [(n, k) for n in range(13) for k in range(n // 2 + 1)]
+    cold = {}
+    for n, k in cells:
+        cold_tables()
+        cold[n, k] = qhat.binomial_eigenvalue(n, k, t)
+    cold_tables()
+    for n, k in cells:  # row by row: each entry after its neighbours
+        value = qhat.binomial_eigenvalue(n, k, t)
+        assert type(value) is RatFunc
+        assert (value.num, value.den) == (cold[n, k].num, cold[n, k].den)
+        assert value == gauss_binomial(n, k, t)
+        assert psi._gauss_quotient(n, k, t) is value
+
+
+def test_quotient_store_grows_safely_across_threads(cold_tables):
+    # six entries of the diagonal n - k = 12 requested at once: a step
+    # taken from a neighbour another thread has not finished breaks them.
+    # Then all six ask for one cold entry, which must be stored once.
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        start = threading.Barrier(6)
+
+        def request(k):
+            start.wait(timeout=30)
+            own = psi_binomial(gauss(), 12 + k, k)
+            start.wait(timeout=30)
+            return own, psi_binomial(gauss(), 48, 24)
+
+        with ThreadPoolExecutor(max_workers=6) as pool:
+            futures = {k: pool.submit(request, k) for k in range(7, 13)}
+            values = {k: f.result(timeout=60) for k, f in futures.items()}
+    finally:
+        sys.setswitchinterval(interval)
+    for k, (own, _) in values.items():
+        assert own == gauss_binomial(12 + k, k, Q)
+        assert psi_binomial(gauss(), 12 + k, k) is own
+    shared = psi_binomial(gauss(), 48, 24)
+    assert shared == gauss_binomial(48, 24, Q)
+    assert all(common is shared for _, common in values.values())
+
+
+def test_cold_tables_clears_every_cache(cold_tables, monkeypatch):
+    # a memo cache that cold_tables misses leaves the tests that ask for
+    # cold tables running on warm ones
+    found, cleared = {}, set()
+    for mod in (psi, qhat, qplane, matrices, scalars):
+        for name, obj in vars(mod).items():
+            if hasattr(obj, "cache_clear") and id(obj) not in found:
+                found[id(obj)] = f"{mod.__name__}.{name}"
+
+                def spy(obj=obj, clear=obj.cache_clear):
+                    cleared.add(id(obj))
+                    clear()
+                monkeypatch.setattr(obj, "cache_clear", spy)
+    assert {"psifoc.psi._table",
+            "psifoc.qhat._binomial_eigenvalue"} <= set(found.values())
+    cold_tables()
+    assert [found[i] for i in found if i not in cleared] == []
