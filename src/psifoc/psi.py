@@ -8,17 +8,17 @@ rational point), Fibonacci (n_psi = F_n), and finite user tables.
 
 On top of the integers the module builds factorials, falling factorials
 and binomial coefficients.  It also houses the Gauss integers [n]_t at any
-parameter t, their factorials, the twisted convolution sum, and the
-independent Gaussian-binomial routine used as an oracle by the operator,
-matrix and quantum-plane modules: a Pascal-style recurrence that never
-divides, so it is total in t.  Each of these sequences, the Fibonacci
-numbers, the quantum-plane powers of :mod:`psifoc.qplane` and the
-twisted sums of the Fermat check in :mod:`psifoc.matrices` is kept in one
-table per parameter, grown bottom-up under one lock, so values do not
-depend on call order or thread interleaving.  The symbolic Gauss
-binomial, a quotient of Gauss integers, is stored once for this module and
-the operator symbols of :mod:`psifoc.qhat`, entry by requested entry, and a
-new entry steps from the nearest one stored on its diagonal n - k, so a
+parameter t, the twisted convolution sum, and the independent
+Gaussian-binomial routine used as an oracle by the operator, matrix and
+quantum-plane modules: a Pascal-style recurrence that never divides, so
+it is total in t.  Each of these sequences, the Fibonacci numbers, the
+quantum-plane powers of :mod:`psifoc.qplane` and the twisted sums of the
+Fermat check in :mod:`psifoc.matrices` is kept in one table per
+parameter, grown bottom-up under one lock, so values do not depend on call
+order or thread interleaving.  The Gauss binomial as a quotient of Gauss
+integers, at the symbolic q of the Gauss family or at any operator
+eigenvalue of :mod:`psifoc.qhat`, is stored entry by requested entry, and
+a new entry steps from the nearest one stored on its diagonal n - k, so a
 row sweep costs one product and one exact division per entry.  Factorials
 and falling factorials multiply their factors by a balanced product tree.
 The two-variable convolution expansions built from the family binomials
@@ -34,7 +34,8 @@ from typing import Callable, Iterable
 
 from . import scalars
 from ._record import Frozen
-from .errors import InadmissibleFamily, MixedFieldTags, NegativeIndex
+from .errors import (InadmissibleFamily, MixedFieldTags, NegativeIndex,
+                     NonInvertibleDenominator)
 from .scalars import Rational, RatFunc, Scalar
 
 
@@ -199,18 +200,19 @@ def psi_binomial(fam: PsiFamily, n: int, k: int) -> Scalar:
     return interleaved_quotient(reversed(tops), bottoms, family_one(fam))
 
 
-def interleaved_quotient(tops: Iterable[RatFunc], bottoms: Iterable[RatFunc],
-                         start: RatFunc) -> RatFunc:
+def interleaved_quotient(tops: Iterable[Scalar], bottoms: Iterable[Scalar],
+                         start: Scalar) -> Scalar:
     """start times the product of tops over the product of bottoms,
-    divided as it is multiplied: acc = acc * top / bottom, step by step.
+    divided as it is multiplied: acc = acc * top / bottom, step by step,
+    each quotient exact (:func:`psifoc.scalars.div`).
 
     From start = one, tops [n-k+1] .. [n] and bottoms [1] .. [k] leave the
-    binomial (n-k+i, i) after step i.  For Gauss integers that is a
-    polynomial, far smaller than the falling factorial, and each step an
-    exact polynomial division."""
+    binomial (n-k+i, i) after step i.  For Gauss integers at the symbolic
+    q that is a polynomial, far smaller than the falling factorial, and
+    each step an exact polynomial division."""
     acc = start
     for top, bottom in zip(tops, bottoms):
-        acc = acc * top / bottom
+        acc = scalars.div(acc * top, bottom)
     return acc
 
 
@@ -222,20 +224,26 @@ _quotients: dict = {}
 
 
 def _gauss_quotient(n: int, k: int, t: Scalar) -> Scalar:
-    """The Gaussian binomial (n, k) at a checked t as the interleaved
-    quotient of [n-k+1]_t .. [n]_t over [1]_t .. [k]_t, for 0 <= k <= n
-    and no vanishing [i]_t below [n-k+1]_t.
+    """The Gaussian binomial (n, k) at a checked t, rational or a rational
+    function, as the interleaved quotient of [n-k+1]_t .. [n]_t over
+    [1]_t .. [k]_t, for 0 <= k <= n.
 
     The quotient starts from the highest entry (n-k+i, i) stored on its
     diagonal, or from one, and takes the steps i+1 .. k from there: in a
     row sweep, or a Fermat matrix filled row by row, the neighbour
     (n-1, k-1) is stored and the entry costs one product and one exact
-    division.  An index past sys.maxsize is refused before any table
-    grows."""
+    division.  Among such t only 1 and -1 are roots of unity, so only
+    [i]_-1 vanishes, at every even i: a miss at t = -1 with
+    max(k, n-k) >= 2, where [k]_t! [n-k]_t! has a zero factor, raises
+    NonInvertibleDenominator.  An index past sys.maxsize is refused before
+    any table grows."""
     d, field = n - k, type(t)
     value = _quotients.get((d, k, field, t))
     if value is not None:
         return value
+    if t == -1 and max(d, k) >= 2:
+        raise NonInvertibleDenominator(
+            f"Gauss quotient ({n} {k}) has vanishing denominator at t = -1")
     _check_index(n)
     with _GROW:
         value = _quotients.get((d, k, field, t))
@@ -282,7 +290,7 @@ def geometric_sum(t: Scalar, n: int) -> Scalar:
     scalars.check(t)
     if n < 0:
         raise ValueError("geometric_sum requires n >= 0")
-    return _entry(_sum_step, t, n)
+    return _gauss_int(t, n)
 
 
 def _gauss_int(t: Scalar, n: int) -> Scalar:
@@ -292,11 +300,6 @@ def _gauss_int(t: Scalar, n: int) -> Scalar:
     if type(t) is RatFunc and t == scalars.Q:
         return RatFunc._raw((1,) * n, (1,))
     return _entry(_sum_step, t, n)
-
-
-def _geometric_factorial(t: Scalar, n: int) -> Scalar:
-    """[1]_t [2]_t ... [n]_t for a checked t and n >= 0; empty is one."""
-    return _entry(_factorial_step, t, n)
 
 
 def twisted_sum(r: int, s: int, j: int, t: Scalar,
@@ -317,9 +320,9 @@ def twisted_sum(r: int, s: int, j: int, t: Scalar,
 # One table per sequence and parameter: step(seq, t) returns entry len(seq)
 # from the entries before it.  Entries only grow, one at a time, under the
 # lock, so an entry read outside it is final.  The lock is reentrant because
-# a step may read another table: the factorial step reads the sums, the
-# quantum-plane power step the rows, and the Fermat hook step the rows and
-# the factorial quotients.
+# a step may read another table: the quantum-plane power step reads the
+# rows, and the Fermat hook step the rows and the Gauss quotients, whose
+# steps read the sums.
 _GROW = threading.RLock()
 
 
@@ -355,11 +358,6 @@ def _fib_step(seq: list, _t: None) -> int:
 def _sum_step(seq: list, t: Scalar) -> Scalar:
     # [n]_t = 1 + t [n-1]_t
     return scalars.normalize(1 + t * seq[-1]) if seq else scalars.zero_like(t)
-
-
-def _factorial_step(seq: list, t: Scalar) -> Scalar:
-    return (scalars.normalize(seq[-1] * _entry(_sum_step, t, len(seq)))
-            if seq else scalars.one_like(t))
 
 
 def _row_step(seq: list, t: Scalar) -> tuple[Scalar, ...]:

@@ -9,15 +9,13 @@ identity of diagonal operators holds iff it holds at every eigenvalue, and
 :func:`per_eigenvalue` evaluates such a check once per distinct eigenvalue
 and spreads the result back over the degrees.
 
-Operator integers and factorials read [n]_lambda and its factorial from
-the per-parameter tables of :mod:`psifoc.psi`.  Binomial symbols are
-cached per (n, k, lambda).  At a symbolic eigenvalue the symbol divides as
-it multiplies, in the Gauss quotient of :mod:`psifoc.psi`, whose store it
-shares with the symbolic Gauss :func:`psifoc.psi.psi_binomial`: each
-entry steps from the nearest one stored on its diagonal n - k, so a
-Fermat matrix filled row by row costs one product and one exact division
-per entry.  At a rational eigenvalue the symbol is one quotient of
-factorials.
+Operator integers read [n]_lambda from :mod:`psifoc.psi`, and operator
+factorials multiply them.  A binomial symbol at any eigenvalue, rational or
+symbolic, divides as it multiplies, in the Gauss quotient of
+:mod:`psifoc.psi`, whose store it shares with the symbolic Gauss
+:func:`psifoc.psi.psi_binomial`: each entry steps from the nearest one
+stored on its diagonal n - k, so a Fermat matrix filled row by row costs
+one product and one exact division per entry.
 
 The degree-0 eigenvalue of the defining formula is 0/0; by convention it
 is set to the degree-1 eigenvalue, which keeps the Gauss family exactly
@@ -28,17 +26,17 @@ multiplication-operator realization in :mod:`psifoc.qplane` uses.
 
 from __future__ import annotations
 
-from functools import lru_cache
 import json
+import math
 from typing import Any, Callable
 
 from . import scalars
 from ._record import Frozen
 from .errors import (DegreeOutOfRange, DimensionMismatch,
                      NonInvertibleDenominator)
-from .psi import (PsiFamily, _check_index, _gauss_quotient,
-                  _geometric_factorial, family_one, geometric_sum, psi_int)
-from .scalars import RatFunc, Scalar
+from .psi import (PsiFamily, _check_index, _gauss_quotient, family_one,
+                  geometric_sum, psi_int)
+from .scalars import Scalar
 
 
 class DiagOperator(Frozen):
@@ -132,36 +130,24 @@ def dilation_operator(q0: Scalar, n_trunc: int) -> DiagOperator:
                               for m in range(n_trunc + 1)))
 
 
-@lru_cache(maxsize=None, typed=True)
-def _binomial_eigenvalue(n: int, k: int, lam: Scalar) -> Scalar:
-    if isinstance(lam, RatFunc):
-        # [k]! [n-k]! vanishes iff one of [1] .. [max(k, n-k)] does.  A
-        # rational function of q that is a root of unity is 1 or -1, so
-        # only lam = -1 has such zeros, [i] at every even i.  Otherwise the
-        # quotient divides as it multiplies, over the shorter side
-        short = min(k, n - k)
-        if lam != -1 or n - short < 2:
-            return _gauss_quotient(n, short, lam)
-    else:
-        denominator = (_geometric_factorial(lam, k)
-                       * _geometric_factorial(lam, n - k))
-        if denominator != 0:
-            return scalars.div(_geometric_factorial(lam, n), denominator)
-    raise NonInvertibleDenominator(
-        f"binomial symbol ({n} {k}) has vanishing denominator at "
-        f"eigenvalue {scalars.render(lam)}")
-
-
 def binomial_eigenvalue(n: int, k: int, lam: Scalar) -> Scalar:
-    """Operator binomial symbol evaluated at one eigenvalue: the quotient
-    of geometric-sum factorials.  Where defined it equals the Gaussian
-    binomial at t = lam; where a factorial in the denominator vanishes
-    (lam a root of unity pattern) it raises, by design; the recurrence
-    form in :func:`psifoc.psi.gauss_binomial` is the total companion."""
+    """Operator binomial symbol evaluated at one eigenvalue: the factorial
+    quotient [n]! / ([k]! [n-k]!) of geometric sums at lam, divided as it
+    multiplies over the shorter side of (n, k) in the stored Gauss
+    quotient.  Where defined it equals the Gaussian binomial at t = lam;
+    at lam = -1, where the denominator has the factor [2]_lam = 0 once
+    max(k, n-k) >= 2, it raises NonInvertibleDenominator, by design; the
+    recurrence form in :func:`psifoc.psi.gauss_binomial` is the total
+    companion."""
     scalars.check(lam)
     if k < 0 or k > n:
         return scalars.zero_like(lam)
-    return _binomial_eigenvalue(n, k, lam)
+    try:
+        return _gauss_quotient(n, min(k, n - k), lam)
+    except NonInvertibleDenominator:
+        raise NonInvertibleDenominator(
+            f"binomial symbol ({n} {k}) has vanishing denominator at "
+            f"eigenvalue {scalars.render(lam)}") from None
 
 
 def per_eigenvalue(op: DiagOperator, fn: Callable[[Scalar], Any]) -> list:
@@ -194,11 +180,16 @@ def op_integer(n: int, op: DiagOperator) -> DiagOperator:
 
 def op_factorial(n: int, op: DiagOperator) -> DiagOperator:
     """Pointwise product of op_integer(j, op) for j = 1..n; empty is the
-    identity."""
+    identity.  A left fold: at the symbolic q each factor [j]_q is all
+    ones, which :mod:`psifoc.scalars` multiplies in one pass, where a
+    product tree would multiply two long polynomials."""
     if n < 0:
         raise ValueError("op_factorial requires n >= 0")
-    return DiagOperator(tuple(_geometric_factorial(lam, n)
-                              for lam in op.eigenvalues))
+    return DiagOperator(tuple(
+        scalars.normalize(math.prod((geometric_sum(lam, j)
+                                     for j in range(1, n + 1)),
+                                    start=scalars.one_like(lam)))
+        for lam in op.eigenvalues))
 
 
 def op_binomial(n: int, k: int, op: DiagOperator) -> DiagOperator:

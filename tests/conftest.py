@@ -7,7 +7,7 @@ import sys
 import pytest
 
 import psifoc
-from psifoc import psi, qhat
+from psifoc import psi
 
 
 @pytest.fixture
@@ -26,12 +26,10 @@ def run_python():
 
 @pytest.fixture
 def cold_tables():
-    """Empty every per-parameter table, the Gauss quotient store and the
-    binomial symbol cache before the test and after it; the fixture value
-    clears them again."""
+    """Empty every per-parameter table and the Gauss quotient store before
+    the test and after it; the fixture value clears them again."""
     def clear():
-        for cached in (psi._table, qhat._binomial_eigenvalue):
-            cached.cache_clear()
+        psi._table.cache_clear()
         psi._quotients.clear()
     clear()
     yield clear

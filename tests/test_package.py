@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import pathlib
 import types
 
 import pytest
@@ -96,3 +97,25 @@ def test_an_export_loads_its_home_module_only(run_python):
     loaded = set(ast.literal_eval(proc.stdout))
     assert "psifoc.psi" in loaded
     assert not {"json", "psifoc.qhat"} & loaded, loaded
+
+
+_MEMO_DECORATORS = {"lru_cache", "cache", "cached_property"}
+
+
+def test_only_psi_keeps_an_lru_cache():
+    # every memo store lives in psi, where cold_tables clears it; a
+    # functools cache in another module would keep warm values across it
+    users = set()
+    for path in pathlib.Path(psifoc.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.module == "functools":
+                names = {alias.name for alias in node.names}
+            elif (isinstance(node, ast.Attribute)
+                  and isinstance(node.value, ast.Name)
+                  and node.value.id == "functools"):
+                names = {node.attr}
+            else:
+                continue
+            if names & _MEMO_DECORATORS:
+                users.add(path.stem)
+    assert users == {"psi"}

@@ -442,10 +442,9 @@ def test_quotients_do_not_depend_on_their_neighbours(t, cold_tables):
         assert psi._gauss_quotient(n, k, t) is value
 
 
-def test_quotient_store_grows_safely_across_threads(cold_tables):
-    # six entries of the diagonal n - k = 12 requested at once: a step
-    # taken from a neighbour another thread has not finished breaks them.
-    # Then all six ask for one cold entry, which must be stored once.
+def _quotient_requests_across_threads(binomial):
+    """Six entries of the diagonal n - k = 12 requested at once, then one
+    cold entry requested by all six: each thread's pair of values."""
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -453,21 +452,42 @@ def test_quotient_store_grows_safely_across_threads(cold_tables):
 
         def request(k):
             start.wait(timeout=30)
-            own = psi_binomial(gauss(), 12 + k, k)
+            own = binomial(12 + k, k)
             start.wait(timeout=30)
-            return own, psi_binomial(gauss(), 48, 24)
+            return own, binomial(48, 24)
 
         with ThreadPoolExecutor(max_workers=6) as pool:
             futures = {k: pool.submit(request, k) for k in range(7, 13)}
-            values = {k: f.result(timeout=60) for k, f in futures.items()}
+            return {k: f.result(timeout=60) for k, f in futures.items()}
     finally:
         sys.setswitchinterval(interval)
-    for k, (own, _) in values.items():
-        assert own == gauss_binomial(12 + k, k, Q)
-        assert psi_binomial(gauss(), 12 + k, k) is own
-    shared = psi_binomial(gauss(), 48, 24)
-    assert shared == gauss_binomial(48, 24, Q)
-    assert all(common is shared for _, common in values.values())
+
+
+def test_quotient_store_grows_safely_across_threads(cold_tables):
+    # a step taken from a neighbour another thread has not finished breaks
+    # the entries, and the cold entry all six ask for must be stored once;
+    # at q and at a rational t, which the operator symbols store alike
+    routes = [(Q, lambda n, k: psi_binomial(gauss(), n, k)),
+              (Fraction(3, 2), lambda n, k: qhat.binomial_eigenvalue(
+                  n, k, Fraction(3, 2)))]
+    for t, binomial in routes:
+        cold_tables()
+        values = _quotient_requests_across_threads(binomial)
+        for k, (own, _) in values.items():
+            assert own == gauss_binomial(12 + k, k, t)
+            assert binomial(12 + k, k) is own
+        shared = binomial(48, 24)
+        assert shared == gauss_binomial(48, 24, t)
+        assert all(common is shared for _, common in values.values())
+
+
+def test_gauss_quotient_at_rational_t_is_exact(cold_tables):
+    # each step divides exactly: a rational t gives an int or a Fraction,
+    # never a float
+    value = psi._gauss_quotient(4, 2, 2)
+    assert value == 35 and type(value) is int
+    value = psi._gauss_quotient(4, 2, Fraction(1, 2))
+    assert value == Fraction(35, 16) and type(value) is Fraction
 
 
 def test_cold_tables_clears_every_cache(cold_tables, monkeypatch):
@@ -483,7 +503,6 @@ def test_cold_tables_clears_every_cache(cold_tables, monkeypatch):
                     cleared.add(id(obj))
                     clear()
                 monkeypatch.setattr(obj, "cache_clear", spy)
-    assert {"psifoc.psi._table",
-            "psifoc.qhat._binomial_eigenvalue"} <= set(found.values())
+    assert {"psifoc.psi._table"} <= set(found.values())
     cold_tables()
     assert [found[i] for i in found if i not in cleared] == []

@@ -1,5 +1,6 @@
 """Diagonal mutator operators and the operator binomial calculus."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -43,9 +44,12 @@ def test_gauss_at_point_constant():
     assert eval_on_monomial(op, 5) == 2
 
 
-def test_op_integer():
+def test_op_integer(cold_tables):
     g = qhat_operator(gauss(), 4)
     assert op_integer(3, g).eigenvalues == (RatFunc([1, 1, 1]),) * 5
+    # [n]_q is the closed form: no table of the sums below it grows
+    assert op_integer(500, g).eigenvalues[0] == RatFunc([1] * 500)
+    assert psi._table(psi._sum_step, Q) == []
     assert op_integer(1, g) == qhat.identity_like(g)
     c = qhat_operator(classical(), 4)
     assert op_integer(4, c).eigenvalues == (4,) * 5
@@ -174,11 +178,13 @@ def test_per_eigenvalue_once_per_distinct_eigenvalue():
 def test_caches_keep_field_tags_apart(routine, cold_tables):
     # RatFunc.constant(2) == 2 and both hash alike; a cache keyed by value
     # alone hands the int call the rational function cached first
-    for first, second in ((RatFunc.constant(2), 2), (2, RatFunc.constant(2))):
+    orders = ((RatFunc.constant(2), 2), (2, RatFunc.constant(2)))
+    for (n, k, want), (first, second) in itertools.product(
+            ((4, 2, 35), (8, 3, 97155)), orders):
         cold_tables()
-        values = {type(t): routine(4, 2, t) for t in (first, second)}
-        assert values[int] == 35 and type(values[int]) is int
-        assert values[RatFunc] == RatFunc.constant(35)
+        values = {type(t): routine(n, k, t) for t in (first, second)}
+        assert values[int] == want and type(values[int]) is int
+        assert values[RatFunc] == RatFunc.constant(want)
         assert type(values[RatFunc]) is RatFunc
 
 
@@ -249,31 +255,48 @@ def test_results_do_not_depend_on_call_order(cold_tables, data):
         assert _tagged(_call(*calls[i])) == expected[i], calls[i]
 
 
+# the eigenvalues the quotient tests run at besides q: rationals, 0 and the
+# roots of unity 1 and -1, and two fib eigenvalues, (F_4 - 1)/F_3 and
+# (F_5 - 1)/F_4
+_RATIONAL_EIGENVALUES = [2, Fraction(1, 2), Fraction(3, 2), -2, 0, 1, -1,
+                         Fraction(4, 3), Fraction(7, 5)]
+
+
 def test_symbolic_binomial_eigenvalue_matches_the_recurrence(monkeypatch,
                                                             cold_tables):
-    # the interleaved quotient at lambda = q against the recurrence, which
-    # the quotient must not read
-    rows = {n: [gauss_binomial(n, k, Q) for k in range(-1, n + 2)]
-            for n in range(31)}
-    cold_tables()
+    # the interleaved quotient at lambda = q and at rational eigenvalues
+    # against the recurrence, which the quotient must not read
+    table_entry = psi._entry
 
     def no_rows(step, t, n):
         assert step is not psi._row_step, "binomial_eigenvalue read the rows"
         return table_entry(step, t, n)
 
-    table_entry = psi._entry
-    monkeypatch.setattr(psi, "_entry", no_rows)
-    for n, row in rows.items():
-        for k, value in enumerate(row, start=-1):
-            quotient = binomial_eigenvalue(n, k, Q)
-            assert type(quotient) is RatFunc
-            assert (quotient.num, quotient.den) == (value.num, value.den)
+    for lam in [Q, *_RATIONAL_EIGENVALUES]:
+        rows = {n: [gauss_binomial(n, k, lam) for k in range(-1, n + 2)]
+                for n in range(31)}
+        cold_tables()
+        monkeypatch.setattr(psi, "_entry", no_rows)
+        refused = set()
+        for n, row in rows.items():
+            for k, value in enumerate(row, start=-1):
+                try:
+                    quotient = binomial_eigenvalue(n, k, lam)
+                except NonInvertibleDenominator:
+                    refused.add((n, k))
+                    continue
+                assert type(quotient) is type(value), (lam, n, k)
+                assert quotient == value, (lam, n, k)
+        monkeypatch.setattr(psi, "_entry", table_entry)
+        # at -1, [2]_lambda = 0 refuses every symbol with max(k, n-k) >= 2
+        assert refused == ({(n, k) for n in rows for k in range(n + 1)
+                            if max(k, n - k) >= 2} if lam == -1 else set())
 
 
 def _naive_factorial(lam, n):
-    out = RatFunc.one()
+    out = scalars.one_like(lam)
     for i in range(1, n + 1):
-        out = out * sum((lam ** j for j in range(i)), RatFunc.zero())
+        out = out * sum((lam ** j for j in range(i)), scalars.zero_like(lam))
     return out
 
 
@@ -289,7 +312,8 @@ def _factorial_quotient(n, k, lam):
 
 
 @pytest.mark.parametrize("lam", [2 * Q, 1 + Q, Q / (1 + Q),
-                                 RatFunc.constant(3), RatFunc.constant(-1)],
+                                 RatFunc.constant(3), RatFunc.constant(-1),
+                                 *_RATIONAL_EIGENVALUES],
                          ids=repr)
 def test_symbolic_binomial_eigenvalue_matches_the_factorial_quotient(
         lam, cold_tables):
