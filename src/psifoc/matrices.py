@@ -9,7 +9,9 @@ are interchangeable because every operator entry is diagonal on monomials.
 
 Matrix arithmetic does none on zeros, and a result row that no term
 reaches is one shared row of int 0: most rows of the sparse realization
-matrices of :mod:`psifoc.qplane` are such rows.
+matrices of :mod:`psifoc.qplane` are such rows.  A row's nonzero columns
+are found by :func:`itertools.compress`, which tests truth in C, so the
+Python loops run only over the entries a term reaches.
 
 The Fermat matrix entries come from the factorial-quotient route
 (:func:`psifoc.qhat.binomial_eigenvalue`), so the factorization check
@@ -24,6 +26,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import operator
 from typing import Iterable, Sequence, Union
 
 from . import qhat, scalars
@@ -84,20 +87,18 @@ class ScalarMatrix:
         # Gustavson's row-by-row product: row i is the sum over k of a_ik
         # times the nonzero entries of row k of other, k ascending, so each
         # entry adds its terms in the order of the dense triple loop
-        right = [[(j, b) for j, b in enumerate(row) if b]
+        cols, zeros = range(other.cols), (0,) * other.cols
+        right = [[(j, row[j]) for j in itertools.compress(cols, row)]
                  for row in other.data]
-        zeros = (0,) * other.cols
+        ks = range(self.cols)
         out = []
         for row in self.data:
             acc: dict[int, Scalar] = {}
-            for a, terms in zip(row, right):
-                if a:
-                    for j, b in terms:
-                        acc[j] = acc[j] + a * b if j in acc else a * b
-            line = list(zeros)
-            for j, v in acc.items():
-                line[j] = scalars.normalize(v)
-            out.append(tuple(line) if acc else zeros)
+            for k in itertools.compress(ks, row):
+                a = row[k]
+                for j, b in right[k]:
+                    acc[j] = acc[j] + a * b if j in acc else a * b
+            out.append(_row(zeros, acc.items()))
         return ScalarMatrix._raw(tuple(out))
 
     def _zip(self, other: "ScalarMatrix", op) -> "ScalarMatrix":
@@ -105,21 +106,24 @@ class ScalarMatrix:
             raise DimensionMismatch(
                 f"shape {self.rows}x{self.cols} vs "
                 f"{other.rows}x{other.cols}")
-        zeros = (0,) * self.cols
-        return ScalarMatrix._raw(tuple(
-            tuple(scalars.normalize(op(a, b)) if a or b else 0
-                  for a, b in zip(ra, rb)) if any(ra) or any(rb) else zeros
-            for ra, rb in zip(self.data, other.data)))
+        cols, zeros = range(self.cols), (0,) * self.cols
+        out = []
+        for ra, rb in zip(self.data, other.data):
+            # the columns where either entry is nonzero
+            hits = {*itertools.compress(cols, ra),
+                    *itertools.compress(cols, rb)}
+            out.append(_row(zeros, ((j, op(ra[j], rb[j])) for j in hits)))
+        return ScalarMatrix._raw(tuple(out))
 
     def __add__(self, other):
         if not isinstance(other, ScalarMatrix):
             return NotImplemented
-        return self._zip(other, lambda a, b: a + b)
+        return self._zip(other, operator.add)
 
     def __sub__(self, other):
         if not isinstance(other, ScalarMatrix):
             return NotImplemented
-        return self._zip(other, lambda a, b: a - b)
+        return self._zip(other, operator.sub)
 
     def scale(self, factor: Scalar) -> "ScalarMatrix":
         scalars.check(factor)
@@ -133,11 +137,12 @@ class ScalarMatrix:
         if len(factors) != self.rows:
             raise DimensionMismatch(
                 f"{len(factors)} row factors for {self.rows} rows")
-        zeros = (0,) * self.cols
-        return ScalarMatrix._raw(tuple(
-            tuple(scalars.normalize(f * v) if v else 0 for v in row)
-            if any(row) else zeros
-            for f, row in zip(map(scalars.check, factors), self.data)))
+        cols, zeros = range(self.cols), (0,) * self.cols
+        out = []
+        for f, row in zip(map(scalars.check, factors), self.data):
+            hits = itertools.compress(cols, row)
+            out.append(_row(zeros, ((j, f * row[j]) for j in hits)))
+        return ScalarMatrix._raw(tuple(out))
 
     def apply(self, vector: Sequence[Scalar]) -> tuple[Scalar, ...]:
         if len(vector) != self.cols:
@@ -169,6 +174,17 @@ class ScalarMatrix:
         body = "; ".join(
             ", ".join(scalars.render(v) for v in row) for row in self.data)
         return f"ScalarMatrix[{body}]"
+
+
+def _row(zeros: tuple, entries: Iterable[tuple[int, Scalar]]) -> tuple:
+    """The row zeros with each entry (j, v) normalized into column j, or
+    zeros itself, the row shared by a whole result, if there are none."""
+    line = None
+    for j, v in entries:
+        if line is None:
+            line = list(zeros)
+        line[j] = scalars.normalize(v)
+    return zeros if line is None else tuple(line)
 
 
 class ScalarMode(Frozen):

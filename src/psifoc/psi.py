@@ -307,13 +307,24 @@ def twisted_sum(r: int, s: int, j: int, t: Scalar,
     """The sum over k of t^((r-k)(j-k)) (r, k) (s, j-k), each binomial
     (n, k) taken from binomial(n, k, t).  The twisted Cauchy identity says
     it is (r+s, j); at (i, j, j) it factors the Fermat entry (i+j, j),
-    since (j, j-k) = (j, k)."""
+    since (j, j-k) = (j, k).
+
+    Every factor is read first, (r, k) then (s, j-k) for k ascending.  At
+    the symbolic q, with every factor a polynomial, the twist is a shift,
+    and :func:`psifoc.scalars.shifted_product_sum` adds the products into
+    one coefficient list; any other t or factor takes the fold of scalar
+    operators.  Both give the same canonical form."""
+    # outside max(0, j-s) <= k <= min(r, j) a binomial factor vanishes
+    terms = [((r - k) * (j - k), binomial(r, k, t), binomial(s, j - k, t))
+             for k in range(max(0, j - s), min(r, j) + 1)]
+    if type(t) is RatFunc and t == scalars.Q:
+        total = scalars.shifted_product_sum(terms)
+        if total is not None:
+            return total
     total = scalars.zero_like(t)
-    # outside max(0, j-s) <= k <= min(r, j) a binomial factor vanishes; the
-    # twist goes on last, so the binomials multiply without its zeros
-    for k in range(max(0, j - s), min(r, j) + 1):
-        total = total + (binomial(r, k, t) * binomial(s, j - k, t)
-                         * t ** ((r - k) * (j - k)))
+    # the twist goes on last, so the binomials multiply without its zeros
+    for e, a, b in terms:
+        total = total + a * b * t ** e
     return scalars.normalize(total)
 
 

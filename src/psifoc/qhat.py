@@ -10,7 +10,7 @@ identity of diagonal operators holds iff it holds at every eigenvalue, and
 and spreads the result back over the degrees.
 
 Operator integers read [n]_lambda from :mod:`psifoc.psi`, and operator
-factorials multiply them.  A binomial symbol at any eigenvalue, rational or
+factorials multiply them, both once per distinct eigenvalue.  A binomial symbol at any eigenvalue, rational or
 symbolic, divides as it multiplies, in the Gauss quotient of
 :mod:`psifoc.psi`, whose store it shares with the symbolic Gauss
 :func:`psifoc.psi.psi_binomial`: each entry steps from the nearest one
@@ -150,46 +150,59 @@ def binomial_eigenvalue(n: int, k: int, lam: Scalar) -> Scalar:
             f"eigenvalue {scalars.render(lam)}") from None
 
 
+_UNSEEN = object()
+
+
 def per_eigenvalue(op: DiagOperator, fn: Callable[[Scalar], Any]) -> list:
     """Evaluate fn once per distinct eigenvalue of op and return its values
     degree by degree.
 
-    A NonInvertibleDenominator raised by fn is raised again with
-    ``degree`` set to the first degree carrying the offending eigenvalue.
+    Eigenvalues are distinct by field tag as well as by value: 2,
+    ``Fraction(2)`` and ``RatFunc.constant(2)`` compare and hash alike,
+    and each gets fn's value at its own tag.  A NonInvertibleDenominator
+    raised by fn is raised again with ``degree`` set to the first degree
+    carrying the offending eigenvalue.
     """
     seen: dict = {}
     values = []
     for m, lam in enumerate(op.eigenvalues):
-        if lam not in seen:
+        # one probe per degree: a Fraction is hashed anew at every probe
+        key = (type(lam), lam)
+        value = seen.get(key, _UNSEEN)
+        if value is _UNSEEN:
             try:
-                seen[lam] = fn(lam)
+                value = seen[key] = fn(lam)
             except NonInvertibleDenominator as exc:
                 raise NonInvertibleDenominator(f"{exc} (degree {m})",
                                                degree=m) from None
-        values.append(seen[lam])
+        values.append(value)
     return values
 
 
 def op_integer(n: int, op: DiagOperator) -> DiagOperator:
-    """Operator integer: geometric sum of the first n powers of op."""
+    """Operator integer: geometric sum of the first n powers of op, once
+    per distinct eigenvalue."""
     if n < 0:
         raise ValueError("op_integer requires n >= 0")
-    return DiagOperator(tuple(geometric_sum(lam, n)
-                              for lam in op.eigenvalues))
+    return DiagOperator(tuple(
+        per_eigenvalue(op, lambda lam: geometric_sum(lam, n))))
 
 
 def op_factorial(n: int, op: DiagOperator) -> DiagOperator:
-    """Pointwise product of op_integer(j, op) for j = 1..n; empty is the
-    identity.  A left fold: at the symbolic q each factor [j]_q is all
-    ones, which :mod:`psifoc.scalars` multiplies in one pass, where a
-    product tree would multiply two long polynomials."""
+    """Pointwise product of op_integer(j, op) for j = 1..n, once per
+    distinct eigenvalue; empty is the identity.  A left fold: at the
+    symbolic q each factor [j]_q is all ones, which :mod:`psifoc.scalars`
+    multiplies in one pass, where a product tree would multiply two long
+    polynomials."""
     if n < 0:
         raise ValueError("op_factorial requires n >= 0")
-    return DiagOperator(tuple(
-        scalars.normalize(math.prod((geometric_sum(lam, j)
-                                     for j in range(1, n + 1)),
-                                    start=scalars.one_like(lam)))
-        for lam in op.eigenvalues))
+
+    def factorial(lam: Scalar) -> Scalar:
+        return scalars.normalize(math.prod(
+            (geometric_sum(lam, j) for j in range(1, n + 1)),
+            start=scalars.one_like(lam)))
+
+    return DiagOperator(tuple(per_eigenvalue(op, factorial)))
 
 
 def op_binomial(n: int, k: int, op: DiagOperator) -> DiagOperator:

@@ -33,7 +33,7 @@ import re
 from fractions import Fraction
 from itertools import accumulate
 from math import gcd, lcm
-from operator import add, sub
+from operator import add, neg, sub
 from typing import Iterable, Union
 
 from .errors import DivisionByZero, PoleAtPoint
@@ -49,12 +49,16 @@ Rational = Union[int, Fraction]
 # shorter or longer (the recurrence multiplies by t^k), only shifts and
 # scales the other, so no product walks a monomial's zeros; for the same
 # reason a twisted sum (psi.twisted_sum) multiplies its binomials first
-# and the twist t^((r-k)(j-k)) last.  Powers of a monomial are
-# closed-form, and a denominator of 1 is not powered.  The leading
-# coefficient of a product is the product of two nonzero leading ones,
-# nonzero over the integral domain Q, so an all-int product needs no
-# _trim.  The canonical form is fraction-free: _primitive, then _pexquo,
-# else _prs_gcd (Collins 1967; Brown 1971), and monic scaling last.
+# and the twist t^((r-k)(j-k)) last.  At the symbolic q that twist is a
+# shift, and shifted_product_sum adds each product of two polynomials
+# into one coefficient list at its offset: a sum builds one RatFunc, not
+# four per term.  A difference of two polynomials subtracts their tuples
+# directly.  Powers of a monomial are closed-form, and a denominator of 1
+# is not powered.  The leading coefficient of a product is the product of
+# two nonzero leading ones, nonzero over the integral domain Q, so an
+# all-int product needs no _trim.  The canonical form is fraction-free:
+# _primitive, then _pexquo, else _prs_gcd (Collins 1967; Brown 1971), and
+# monic scaling last.
 #
 # The Gauss integer [m]_q = 1 + q + ... + q^(m-1), all ones, is the most
 # common operand, and both kernels take it in O(len) by its identities:
@@ -91,15 +95,24 @@ def _constant(c: Rational) -> tuple:
     return (c,) if c else _PZERO
 
 
-def _padd(a: tuple, b: tuple) -> tuple:
-    if len(a) < len(b):
-        a, b = b, a
-    out = [*map(add, a, b), *a[len(b):]]
+def _strip(out: list) -> tuple:
+    """The coefficient list out as a polynomial: an all-int list only
+    drops its trailing zeros, one with a Fraction takes _trim."""
     if _INT_ONLY.issuperset(map(type, out)):
         while out and not out[-1]:
             out.pop()
         return tuple(out)
     return _trim(out)
+
+
+def _padd(a: tuple, b: tuple) -> tuple:
+    if len(a) < len(b):
+        a, b = b, a
+    return _strip([*map(add, a, b), *a[len(b):]])
+
+
+def _psub(a: tuple, b: tuple) -> tuple:
+    return _strip([*map(sub, a, b), *a[len(b):], *map(neg, b[len(a):])])
 
 
 def _pneg(a: tuple) -> tuple:
@@ -325,6 +338,9 @@ class RatFunc:
     def __sub__(self, other):
         if not isinstance(other, (RatFunc, int, Fraction)):
             return NotImplemented
+        if (type(other) is RatFunc and self.den == _PONE
+                and other.den == _PONE):
+            return RatFunc._raw(_psub(self.num, other.num), _PONE)
         return self.__add__(-other)
 
     def __rsub__(self, other):
@@ -470,6 +486,33 @@ def div(a: Scalar, b: Scalar) -> Scalar:
     if b == 0:
         raise DivisionByZero(f"division of {render(a)} by zero")
     return normalize(Fraction(a) / b)
+
+
+def shifted_product_sum(
+        terms: Iterable[tuple[int, Scalar, Scalar]]) -> RatFunc | None:
+    """The sum of q^e a b over the terms (e, a, b) if every a and b is a
+    polynomial in q, a RatFunc with denominator 1; else None.
+
+    Each product is added into one coefficient list at offset e, row by
+    row of its shorter factor, and the sum is one RatFunc, where a fold
+    of RatFunc operators builds a power of q, a product, its shift and a
+    full-length sum per term.  No terms sum to the zero RatFunc."""
+    polys = []
+    for e, a, b in terms:
+        if (type(a) is not RatFunc or type(b) is not RatFunc
+                or a.den != _PONE or b.den != _PONE):
+            return None
+        x, y = (a.num, b.num) if len(a.num) <= len(b.num) else (b.num, a.num)
+        if x:
+            polys.append((e, x, y))
+    acc = [0] * max((e + len(x) + len(y) - 1 for e, x, y in polys),
+                    default=0)
+    for e, x, y in polys:
+        for i, c in enumerate(x, e):
+            if c:
+                for k, d in enumerate(y, i):
+                    acc[k] += c * d
+    return RatFunc._raw(_strip(acc), _PONE)
 
 
 def zero_like(s: Scalar) -> Scalar:

@@ -119,3 +119,37 @@ def test_only_psi_keeps_an_lru_cache():
             if names & _MEMO_DECORATORS:
                 users.add(path.stem)
     assert users == {"psi"}
+
+
+def _scalars_internals(tree: ast.AST) -> set[str]:
+    """The parts of a rational function's representation and the private
+    helpers of psifoc.scalars that a module's syntax tree names."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            if node.attr in ("num", "den"):
+                found.add(f".{node.attr}")
+            owner = node.value
+            name = (owner.id if isinstance(owner, ast.Name) else
+                    owner.attr if isinstance(owner, ast.Attribute) else "")
+            if name == "scalars" and node.attr.startswith("_"):
+                found.add(f"scalars.{node.attr}")
+        elif (isinstance(node, ast.ImportFrom)
+              and (node.module or "").split(".")[-1] == "scalars"):
+            found.update(f"scalars.{alias.name}" for alias in node.names
+                         if alias.name.startswith("_"))
+    return found
+
+
+def test_only_scalars_reads_the_coefficient_tuples():
+    # the polynomial kernels work on the coefficient tuples of RatFunc;
+    # every other module goes through scalars' public functions
+    assert _scalars_internals(ast.parse(
+        "from .scalars import _pmul\nimport psifoc.scalars\n"
+        "f.num, g.den, scalars._padd, psifoc.scalars._trim")) == {
+        ".num", ".den", "scalars._pmul", "scalars._padd", "scalars._trim"}
+    named = {path.stem: _scalars_internals(
+                 ast.parse(path.read_text(encoding="utf-8")))
+             for path in pathlib.Path(psifoc.__file__).parent.glob("*.py")
+             if path.stem != "scalars"}
+    assert {stem: found for stem, found in named.items() if found} == {}

@@ -506,3 +506,67 @@ def test_cold_tables_clears_every_cache(cold_tables, monkeypatch):
     assert {"psifoc.psi._table"} <= set(found.values())
     cold_tables()
     assert [found[i] for i in found if i not in cleared] == []
+
+
+# At the symbolic q, a twisted sum of polynomial factors adds each product
+# into one coefficient list; the fold below is the scalar-operator route
+# every other t and factor takes.
+
+def _twisted_fold(r, s, j, t, binomial):
+    total = scalars.zero_like(t)
+    for k in range(max(0, j - s), min(r, j) + 1):
+        total = total + (binomial(r, k, t) * binomial(s, j - k, t)
+                         * t ** ((r - k) * (j - k)))
+    return scalars.normalize(total)
+
+
+def test_twisted_sum_at_q_matches_the_fold():
+    for r in range(13):
+        for s in range(13):
+            for j in range(-1, r + s + 2):
+                value = psi.twisted_sum(r, s, j, Q, gauss_binomial)
+                want = _twisted_fold(r, s, j, Q, gauss_binomial)
+                assert value == want and type(value) is RatFunc, (r, s, j)
+                assert value == gauss_binomial(r + s, j, Q), (r, s, j)
+    # the empty range sums to the zero rational function
+    assert psi.twisted_sum(3, 4, -1, Q, gauss_binomial) == RatFunc.zero()
+    assert psi.twisted_sum(3, 4, 8, Q, gauss_binomial) == RatFunc.zero()
+
+
+def test_twisted_sum_at_an_equal_q_reads_the_quotients(cold_tables):
+    # the mutator eigenvalue of the symbolic Gauss family is q, but not the
+    # object Q; the factors come from the stored Gauss quotients
+    q = qhat.qhat_operator(gauss(), 1).eigenvalues[0]
+    assert q == Q and q is not Q
+    for r, s, j in ((4, 5, 3), (6, 2, 6), (0, 3, 2), (7, 7, 7)):
+        value = psi.twisted_sum(r, s, j, q, qhat.binomial_eigenvalue)
+        assert value == _twisted_fold(r, s, j, Q, gauss_binomial)
+        assert type(value) is RatFunc
+
+
+@pytest.mark.parametrize("binomial", [
+    # an int factor, and a factor whose denominator is not 1
+    lambda n, k, t: math.comb(n, k),
+    lambda n, k, t: gauss_binomial(n, k, t) / RatFunc([1, 1]),
+    lambda n, k, t: gauss_binomial(n, k, t) if k % 2 else math.comb(n, k),
+], ids=["int", "denominator", "mixed"])
+def test_twisted_sum_of_other_factors_takes_the_fold(binomial):
+    for r, s, j in ((0, 0, 0), (3, 4, 2), (5, 5, 5), (6, 2, 7), (2, 2, 9)):
+        terms = [(0, binomial(r, k, Q), binomial(s, j - k, Q))
+                 for k in range(max(0, j - s), min(r, j) + 1)]
+        assert scalars.shifted_product_sum(terms) is None or not terms
+        value = psi.twisted_sum(r, s, j, Q, binomial)
+        want = _twisted_fold(r, s, j, Q, binomial)
+        assert value == want and type(value) is type(want), (r, s, j)
+
+
+def test_twisted_sum_trims_cancelled_coefficients():
+    # (1, 0) q (2, 1) + (1, 1) (2, 0) = q + (1 - q) = 1, and with (1, 1)
+    # = -q the two terms cancel to zero
+    for top, want in ((RatFunc([1, -1]), RatFunc.one()),
+                      (RatFunc([0, -1]), RatFunc.zero())):
+        table = {(1, 0): RatFunc.one(), (1, 1): top,
+                 (2, 0): RatFunc.one(), (2, 1): RatFunc.one()}
+        value = psi.twisted_sum(1, 2, 1, Q, lambda n, k, t: table[n, k])
+        assert value == want == _twisted_fold(1, 2, 1, Q,
+                                              lambda n, k, t: table[n, k])

@@ -174,6 +174,51 @@ def test_per_eigenvalue_once_per_distinct_eigenvalue():
     assert calls == [2, 3]
 
 
+@pytest.mark.parametrize("lams", [(2, RatFunc.constant(2)),
+                                  (RatFunc.constant(2), 2),
+                                  (Fraction(2), RatFunc.constant(2), 2)])
+def test_per_eigenvalue_keeps_field_tags_apart(lams):
+    # the eigenvalues compare and hash alike; each degree keeps its own tag
+    op = DiagOperator(lams)
+    for values in (op_binomial(4, 2, op), op_integer(3, op),
+                   op_factorial(3, op)):
+        assert ([type(v) for v in values.eigenvalues]
+                == [RatFunc if isinstance(lam, RatFunc) else int
+                    for lam in lams])
+
+
+_SIX_FAMILIES = (classical(), gauss(), gauss(2), gauss(Fraction(1, 2)),
+                 fibonacci(), custom([1, 3, 4, 9, 3, 2, 5]))
+
+
+@pytest.mark.parametrize("fam", _SIX_FAMILIES, ids=lambda f: f.label)
+def test_operator_integers_once_per_distinct_eigenvalue(fam, monkeypatch):
+    op = qhat_operator(fam, 5)
+    distinct = {(type(lam), lam) for lam in op.eigenvalues}
+    # the degree-by-degree products, computed before the counting starts
+    want_int = [geometric_sum(lam, 4) for lam in op.eigenvalues]
+    want_fact = [scalars.normalize(
+        scalars.one_like(lam) * geometric_sum(lam, 1) * geometric_sum(lam, 2)
+        * geometric_sum(lam, 3) * geometric_sum(lam, 4))
+        for lam in op.eigenvalues]
+    calls = []
+
+    def counted(t, n):
+        calls.append((type(t), t, n))
+        return geometric_sum(t, n)
+    monkeypatch.setattr(qhat, "geometric_sum", counted)
+    got_int = op_integer(4, op).eigenvalues
+    assert sorted(calls, key=repr) == sorted(
+        ((*key, 4) for key in distinct), key=repr)
+    calls.clear()
+    got_fact = op_factorial(4, op).eigenvalues
+    assert len(calls) == 4 * len(distinct)
+    assert {(tag, lam) for tag, lam, _n in calls} == distinct
+    for got, want in ((got_int, want_int), (got_fact, want_fact)):
+        assert list(got) == want
+        assert [type(v) for v in got] == [type(v) for v in want]
+
+
 @pytest.mark.parametrize("routine", [psi.gauss_binomial, binomial_eigenvalue])
 def test_caches_keep_field_tags_apart(routine, cold_tables):
     # RatFunc.constant(2) == 2 and both hash alike; a cache keyed by value

@@ -466,6 +466,10 @@ def test_padd_matches_naive_sum(a, b):
     # b - a added to a cancels the top of a when b is shorter
     diff = _naive_add(b, scalars._pneg(a))
     assert repr(scalars._padd(a, diff)) == repr(_naive_add(a, diff))
+    # the direct difference, and a difference whose top cancels
+    assert repr(scalars._psub(b, a)) == repr(diff)
+    assert repr(scalars._psub(a, b)) == repr(scalars._pneg(diff))
+    assert repr(scalars._psub(a, scalars._pneg(diff))) == repr(b)
 
 
 # RatFunc / RatFunc of two polynomials tries _pexquo on the raw operands
