@@ -19,7 +19,9 @@ order or thread interleaving.  The Gauss binomial as a quotient of Gauss
 integers, at the symbolic q of the Gauss family or at any operator
 eigenvalue of :mod:`psifoc.qhat`, is stored entry by requested entry, and
 a new entry steps from the nearest one stored on its diagonal n - k, so a
-row sweep costs one product and one exact division per entry.  Factorials
+row sweep costs one product and one exact division per entry.  At the
+symbolic q the rows and the quotient steps run on coefficient tuples in
+:mod:`psifoc.scalars`, which wraps one RatFunc per stored entry.  Factorials
 and falling factorials multiply their factors by a balanced product tree.
 The two-variable convolution expansions built from the family binomials
 live in :mod:`psifoc.qplane`, as quantum-plane polynomials at t = 1.
@@ -252,9 +254,13 @@ def _gauss_quotient(n: int, k: int, t: Scalar) -> Scalar:
                       if (d, i, field, t) in _quotients), 0)
             acc = _quotients[d, i, field, t] if i else scalars.one_like(t)
             steps = range(i + 1, k + 1)
-            value = interleaved_quotient(
-                [_gauss_int(t, d + j) for j in steps],
-                [_gauss_int(t, j) for j in steps], acc)
+            value = None
+            if type(t) is RatFunc and t == scalars.Q:
+                value = scalars.q_binomial_steps(acc, d, steps)
+            if value is None:
+                value = interleaved_quotient(
+                    [_gauss_int(t, d + j) for j in steps],
+                    [_gauss_int(t, j) for j in steps], acc)
             _quotients[d, k, field, t] = value
     return value
 
@@ -298,7 +304,7 @@ def _gauss_int(t: Scalar, n: int) -> Scalar:
     closed form 1 + q + ... + q^(n-1): a table reaching it would hold
     O(n^2) coefficients."""
     if type(t) is RatFunc and t == scalars.Q:
-        return RatFunc._raw((1,) * n, (1,))
+        return scalars.q_integer(n)
     return _entry(_sum_step, t, n)
 
 
@@ -375,6 +381,8 @@ def _row_step(seq: list, t: Scalar) -> tuple[Scalar, ...]:
     if not seq:
         return (scalars.one_like(t),)
     prev = seq[-1]
+    if type(t) is RatFunc and t == scalars.Q:
+        return scalars.q_pascal_row(prev)
     one = prev[0]
     row = [one]
     t_pow = one

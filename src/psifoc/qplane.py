@@ -3,7 +3,8 @@
 The quantum plane is the algebra generated by x and y with the rewriting
 rule y x = t * x y for a deformation scalar t.  Polynomials are stored in
 normal form (all x powers left of all y powers), so multiplication is a
-bilinear rewrite: y^l x^k becomes t^(k*l) x^k y^l.  At t = 1 the variables
+bilinear rewrite: y^l x^k becomes t^(k*l) x^k y^l, a shift of the
+coefficient tuples at the symbolic q.  At t = 1 the variables
 commute, which is where the family convolution expansions live: the n-th
 convolution power sums the family binomials (n, k) times x^k y^(n-k), and
 the multiplicativity check reports every monomial where those powers fail
@@ -52,7 +53,7 @@ from .psi import (PsiFamily, _check_index, _entry, _row_step, family_one,
                   gauss_binomial, psi_binomial, twisted_sum)
 from .qhat import (DiagOperator, binomial_eigenvalue, eval_on_monomial,
                    op_binomial, qhat_operator)
-from .scalars import Q, Scalar
+from .scalars import Q, RatFunc, Scalar
 
 
 class QPlanePoly:
@@ -115,6 +116,15 @@ class QPlanePoly:
         if not isinstance(other, QPlanePoly):
             return NotImplemented
         self._check_t(other)
+        if type(self.t) is RatFunc and self.t == Q:
+            # at q the twist q^(l1 k2) is a shift, and the terms of each
+            # monomial add as coefficient tuples
+            sums = scalars.shifted_product_sums(
+                ((k1 + k2, l1 + l2), l1 * k2, c1, c2)
+                for (k1, l1), c1 in self.coeffs.items()
+                for (k2, l2), c2 in other.coeffs.items())
+            if sums is not None:
+                return QPlanePoly(self.t, sums)
         acc: dict[tuple[int, int], Scalar] = {}
         # c2 t^swaps, folded once per right-hand term and swap count
         twisted: dict[tuple[int, int, int], Scalar] = {}
@@ -342,20 +352,32 @@ def _weighted_realization(weights: list[Scalar], n: int) -> OpRealization:
     With weights[a] equal to the product of the first a mutator
     eigenvalues this is the unique diagonal-weight pair satisfying
     B A = (mutator by x-degree) A B.  Every entry is 0, 1 or a weight,
-    which the caller has checked, so the grids are taken as they are.
+    which the caller has checked, so the rows are taken as they are.  The
+    row of x^a y^b holds at most one entry, in the column of x^(a-1) y^b
+    in A and of x^a y^(b-1) in B; a row with none is one shared zero row.
     """
     basis = _graded_basis(n)
-    pos = {m: i for i, m in enumerate(basis)}
-    size = len(basis)
-    a_grid = [[0] * size for _ in range(size)]
-    b_grid = [[0] * size for _ in range(size)]
-    for col, (xd, yd) in enumerate(basis):
-        if xd + yd + 1 <= n:
-            a_grid[pos[(xd + 1, yd)]][col] = 1
-            b_grid[pos[(xd, yd + 1)]][col] = weights[xd]
-    a, b = (ScalarMatrix._raw(tuple(map(tuple, grid)))
-            for grid in (a_grid, b_grid))
+    zeros = (0,) * len(basis)
+    line = list(zeros)
+    a_rows, b_rows = [], []
+    for xd, yd in basis:
+        # the basis index of x^0 y^(xd+yd-1), the first monomial of the
+        # layer below
+        below = (xd + yd - 1) * (xd + yd) // 2
+        a_rows.append(_unit_row(line, below + xd - 1, 1) if xd else zeros)
+        b_rows.append(_unit_row(line, below + xd, weights[xd])
+                      if yd else zeros)
+    a, b = (ScalarMatrix._raw(tuple(rows)) for rows in (a_rows, b_rows))
     return OpRealization(n, basis, a, b)
+
+
+def _unit_row(line: list, col: int, value: Scalar) -> tuple:
+    """The all-zero list line with value in column col, as a tuple; line
+    is left all zero."""
+    line[col] = value
+    row = tuple(line)
+    line[col] = 0
+    return row
 
 
 def realization(q0: Scalar, n: int) -> OpRealization:

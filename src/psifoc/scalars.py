@@ -52,13 +52,16 @@ Rational = Union[int, Fraction]
 # and the twist t^((r-k)(j-k)) last.  At the symbolic q that twist is a
 # shift, and shifted_product_sum adds each product of two polynomials
 # into one coefficient list at its offset: a sum builds one RatFunc, not
-# four per term.  A difference of two polynomials subtracts their tuples
-# directly.  Powers of a monomial are closed-form, and a denominator of 1
-# is not powered.  The leading coefficient of a product is the product of
-# two nonzero leading ones, nonzero over the integral domain Q, so an
-# all-int product needs no _trim.  The canonical form is fraction-free:
-# _primitive, then _pexquo, else _prs_gcd (Collins 1967; Brown 1971), and
-# monic scaling last.
+# four per term.  The other tables at q step on tuples as well, with one
+# RatFunc per stored entry: q_pascal_row shifts and adds the Gauss rows,
+# q_binomial_steps walks a Gauss quotient, and shifted_product_sums adds
+# the quantum-plane products per monomial.  A difference of two
+# polynomials subtracts their tuples directly.  Powers of a monomial are
+# closed-form, and a denominator of 1 is not powered.  The leading
+# coefficient of a product is the product of two nonzero leading ones,
+# nonzero over the integral domain Q, so an all-int product needs no
+# _trim.  The canonical form is fraction-free: _primitive, then _pexquo,
+# else _prs_gcd (Collins 1967; Brown 1971), and monic scaling last.
 #
 # The Gauss integer [m]_q = 1 + q + ... + q^(m-1), all ones, is the most
 # common operand, and both kernels take it in O(len) by its identities:
@@ -113,6 +116,15 @@ def _padd(a: tuple, b: tuple) -> tuple:
 
 def _psub(a: tuple, b: tuple) -> tuple:
     return _strip([*map(sub, a, b), *a[len(b):], *map(neg, b[len(a):])])
+
+
+def _pshift_add(a: tuple, b: tuple, e: int) -> tuple:
+    """a + q^e b: the coefficients of a below degree e are kept as they
+    are."""
+    if len(a) <= e:
+        return a + (0,) * (e - len(a)) + b if b else a
+    tail = _padd(a[e:], b)
+    return a[:e] + tail if tail else _strip(list(a[:e]))
 
 
 def _pneg(a: tuple) -> tuple:
@@ -291,7 +303,7 @@ class RatFunc:
     ``RatFunc([1, 1])`` is 1 + q, ``RatFunc([0, 1], [1, 1])`` is q/(1+q).
     """
 
-    __slots__ = ("num", "den")
+    __slots__ = ("num", "den", "_hash")
 
     def __init__(self, num: Iterable = (), den: Iterable = (1,)):
         canonical = _canonical_fraction(_trim(num), _trim(den))
@@ -409,11 +421,19 @@ class RatFunc:
         return NotImplemented
 
     def __hash__(self):
+        # computed once, at the first probe: the tables keyed by q hash it
+        # at every read
+        try:
+            return self._hash
+        except AttributeError:
+            pass
         # constants must hash like the numbers they embed, because they
         # compare equal to them
         if self.den == _PONE and len(self.num) <= 1:
-            return hash(self.num[0] if self.num else 0)
-        return hash((self.num, self.den))
+            self._hash = hash(self.num[0] if self.num else 0)
+        else:
+            self._hash = hash((self.num, self.den))
+        return self._hash
 
     def __bool__(self):
         return bool(self.num)
@@ -513,6 +533,53 @@ def shifted_product_sum(
                 for k, d in enumerate(y, i):
                     acc[k] += c * d
     return RatFunc._raw(_strip(acc), _PONE)
+
+
+def shifted_product_sums(
+        terms: Iterable[tuple[object, int, Scalar, Scalar]]) -> dict | None:
+    """For the terms (key, e, a, b), the sum of q^e a b per key as one
+    RatFunc, if every a and b is a polynomial in q; else None.
+
+    Each product is one _pmul, which shifts rather than multiplies where
+    a factor is a monomial, and the products of a key add as tuples at
+    their offsets.  A key whose terms cancel maps to the zero RatFunc."""
+    acc: dict = {}
+    for key, e, a, b in terms:
+        if (type(a) is not RatFunc or type(b) is not RatFunc
+                or a.den != _PONE or b.den != _PONE):
+            return None
+        acc[key] = _pshift_add(acc.get(key, _PZERO), _pmul(a.num, b.num), e)
+    return {key: RatFunc._raw(num, _PONE) for key, num in acc.items()}
+
+
+def q_integer(n: int) -> RatFunc:
+    """The Gauss integer [n]_q = 1 + q + ... + q^(n-1) at the symbolic q."""
+    return RatFunc._raw((1,) * n, _PONE)
+
+
+def q_pascal_row(prev: tuple) -> tuple:
+    """The Gaussian binomials (n, 0) .. (n, n) at q from the row of n - 1,
+    whose entries are polynomials in q: (n, k) = (n-1, k-1) + q^k (n-1, k)
+    is one shift and one sum of coefficient tuples, and one RatFunc per
+    inner entry.  Both ends of the row are the object prev[0]."""
+    one = prev[0]
+    nums = [c.num for c in prev]
+    return (one, *[RatFunc._raw(_pshift_add(a, b, k), _PONE)
+                   for k, (a, b) in enumerate(zip(nums, nums[1:]), 1)], one)
+
+
+def q_binomial_steps(start: RatFunc, d: int, steps: range) -> RatFunc | None:
+    """start times [d+j]_q / [j]_q for each j in steps, one product and one
+    exact division of coefficient tuples per step and one RatFunc at the
+    end; None if start is not a polynomial or a division is not exact."""
+    if start.den != _PONE:
+        return None
+    num = start.num
+    for j in steps:
+        num = _pexquo(_pmul(num, (1,) * (d + j)), (1,) * j)
+        if num is None:
+            return None
+    return RatFunc._raw(num, _PONE)
 
 
 def zero_like(s: Scalar) -> Scalar:

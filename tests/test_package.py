@@ -122,8 +122,9 @@ def test_only_psi_keeps_an_lru_cache():
 
 
 def _scalars_internals(tree: ast.AST) -> set[str]:
-    """The parts of a rational function's representation and the private
-    helpers of psifoc.scalars that a module's syntax tree names."""
+    """The parts of a rational function's representation, its private
+    constructors and the private helpers of psifoc.scalars that a module's
+    syntax tree names."""
     found = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Attribute):
@@ -132,8 +133,8 @@ def _scalars_internals(tree: ast.AST) -> set[str]:
             owner = node.value
             name = (owner.id if isinstance(owner, ast.Name) else
                     owner.attr if isinstance(owner, ast.Attribute) else "")
-            if name == "scalars" and node.attr.startswith("_"):
-                found.add(f"scalars.{node.attr}")
+            if name in ("scalars", "RatFunc") and node.attr.startswith("_"):
+                found.add(f"{name}.{node.attr}")
         elif (isinstance(node, ast.ImportFrom)
               and (node.module or "").split(".")[-1] == "scalars"):
             found.update(f"scalars.{alias.name}" for alias in node.names
@@ -143,11 +144,14 @@ def _scalars_internals(tree: ast.AST) -> set[str]:
 
 def test_only_scalars_reads_the_coefficient_tuples():
     # the polynomial kernels work on the coefficient tuples of RatFunc;
-    # every other module goes through scalars' public functions
+    # every other module goes through scalars' public functions, and only
+    # scalars wraps a tuple as a RatFunc without its canonical form
     assert _scalars_internals(ast.parse(
         "from .scalars import _pmul\nimport psifoc.scalars\n"
-        "f.num, g.den, scalars._padd, psifoc.scalars._trim")) == {
-        ".num", ".den", "scalars._pmul", "scalars._padd", "scalars._trim"}
+        "f.num, g.den, scalars._padd, psifoc.scalars._trim\n"
+        "RatFunc._raw((1, 1), (1,)), scalars.RatFunc._raw")) == {
+        ".num", ".den", "scalars._pmul", "scalars._padd", "scalars._trim",
+        "RatFunc._raw"}
     named = {path.stem: _scalars_internals(
                  ast.parse(path.read_text(encoding="utf-8")))
              for path in pathlib.Path(psifoc.__file__).parent.glob("*.py")

@@ -400,13 +400,14 @@ def test_single_quotient_request_stores_one_entry(cold_tables,
     # the peak memory of a cold (300, 150) eightfold
     value = psi_binomial(gauss(), 70, 30)
     assert [v is value for v in psi._quotients.values()] == [True]
-    divisions = []
-    true_div = RatFunc.__truediv__
-    monkeypatch.setattr(RatFunc, "__truediv__",
-                        lambda a, b: divisions.append(b) or true_div(a, b))
-    # its neighbour (71, 31) on the diagonal n - k = 40 is one step away
+    walks = []
+    steps = scalars.q_binomial_steps
+    monkeypatch.setattr(scalars, "q_binomial_steps",
+                        lambda *args: walks.append(args) or steps(*args))
+    # its neighbour (71, 31) on the diagonal n - k = 40 is one step away:
+    # the walk starts from the stored entry and divides by [31]_q only
     assert psi_binomial(gauss(), 71, 31) == gauss_binomial(71, 31, Q)
-    assert divisions == [RatFunc([1] * 31)]
+    assert walks == [(value, 40, range(31, 32))]
     assert len(psi._quotients) == 2
     cold_tables()
     assert not psi._quotients
@@ -570,3 +571,49 @@ def test_twisted_sum_trims_cancelled_coefficients():
         value = psi.twisted_sum(1, 2, 1, Q, lambda n, k, t: table[n, k])
         assert value == want == _twisted_fold(1, 2, 1, Q,
                                               lambda n, k, t: table[n, k])
+
+
+_EVAL_POINTS = (2, Fraction(-1, 3), Fraction(5, 2))
+
+
+def _q_route_values(n_max):
+    """Per (n, k): the row entry, psi_binomial, binomial_eigenvalue and the
+    power coefficient at the symbolic q."""
+    return {(n, k): (gauss_binomial(n, k, Q), psi_binomial(gauss(), n, k),
+                     qhat.binomial_eigenvalue(n, k, Q),
+                     psi._entry(qplane._power_step, Q, n).coeffs[k, n - k])
+            for n in range(n_max + 1) for k in range(n + 1)}
+
+
+def test_q_route_evaluates_to_the_rational_route(cold_tables):
+    # the tuple kernels at q against the scalar operators at rational t
+    symbolic = _q_route_values(30)
+    for t in _EVAL_POINTS:
+        values = {}  # one evaluation per distinct object
+        for (n, k), entries in symbolic.items():
+            power = psi._entry(qplane._power_step, t, n)
+            rational = (gauss_binomial(n, k, t), psi_binomial(gauss(t), n, k),
+                        qhat.binomial_eigenvalue(n, k, t),
+                        power.coeffs[k, n - k])
+            for f, value in zip(entries, rational, strict=True):
+                if id(f) not in values:
+                    values[id(f)] = eval_ratfunc(f, t)
+                assert values[id(f)] == value, (t, n, k)
+    for n in range(31):
+        assert len(psi._entry(qplane._power_step, Q, n).coeffs) == n + 1
+
+
+def test_q_tables_grown_in_reverse_give_the_same_forms(cold_tables):
+    forward = {key: [(f.num, f.den) for f in entries]
+               for key, entries in _q_route_values(30).items()}
+    cold_tables()
+    # the Gauss quotients first, from the far end of each row and row 30
+    # first, so each walk starts from a different stored neighbour
+    for n in range(30, -1, -1):
+        for k in range(n, -1, -1):
+            qhat.binomial_eigenvalue(n, k, Q)
+    backward = _q_route_values(30)
+    for key, entries in backward.items():
+        assert [(f.num, f.den) for f in entries] == forward[key], key
+        for f in entries:
+            assert f.den == (1,) and all(type(c) is int for c in f.num), key

@@ -373,3 +373,66 @@ def test_product_prunes_cancelled_terms(t):
     assert sorted((key, repr(value)) for key, value in
                   product.coeffs.items()) == _naive_product(x_plus_y, other)
     assert product.coefficient(0, 2) == t and product.coefficient(2, 0) == -1
+
+
+def _dense_realization(weights, n):
+    """A and B as dense grids over the graded basis, column by column."""
+    basis = [(a, total - a)
+             for total in range(n + 1) for a in range(total + 1)]
+    pos = {m: i for i, m in enumerate(basis)}
+    a_grid = [[0] * len(basis) for _ in basis]
+    b_grid = [[0] * len(basis) for _ in basis]
+    for col, (xd, yd) in enumerate(basis):
+        if xd + yd < n:
+            a_grid[pos[xd + 1, yd]][col] = 1
+            b_grid[pos[xd, yd + 1]][col] = weights[xd]
+    return a_grid, b_grid
+
+
+def _assert_entries_identical(real, weights):
+    a_grid, b_grid = _dense_realization(weights, real.n)
+    for matrix, grid in ((real.a, a_grid), (real.b, b_grid)):
+        assert (matrix.rows, matrix.cols) == (len(grid), len(grid))
+        for row, expected in zip(matrix.data, grid):
+            assert all(type(v) is type(w) and v == w
+                       for v, w in zip(row, expected, strict=True))
+
+
+@pytest.mark.parametrize("q0", [Q, 0, 1, 2, -1, Fraction(3, 7),
+                                RatFunc([1], [1, 1])], ids=repr)
+def test_realization_rows_match_the_dense_grids(q0):
+    for n in range(1, 11):
+        real = realization(q0, n)
+        _assert_entries_identical(real, [normalize(q0 ** a)
+                                         for a in range(n + 1)])
+
+
+@pytest.mark.parametrize("fam", [classical(), gauss(), gauss(2),
+                                 fibonacci(), psi.custom([1, 2, 3, 5, 7])],
+                         ids=lambda fam: fam.label)
+def test_observation1_realization_rows_match_the_dense_grids(fam,
+                                                             monkeypatch):
+    built = []
+    weighted = qplane._weighted_realization
+    monkeypatch.setattr(
+        qplane, "_weighted_realization",
+        lambda weights, n: built.append((list(weights), weighted(weights, n)))
+        or built[-1][1])
+    for n in range(0, 11 if fam.kind != "custom" else 5):
+        explore_observation1_general(fam, n)
+    assert len(built) == (11 if fam.kind != "custom" else 5)
+    for weights, real in built:
+        _assert_entries_identical(real, weights)
+
+
+@pytest.mark.parametrize("coeff", [RatFunc([1], [1, 1]), 2, Fraction(1, 3)],
+                         ids=repr)
+def test_product_at_q_with_other_coefficients_takes_the_fold(coeff):
+    # a coefficient that is not a polynomial RatFunc sends the product at q
+    # to the scalar-operator route, with the same normal form
+    a = QPlanePoly(Q, {(1, 0): coeff, (0, 1): Q, (1, 2): RatFunc([1, 1])})
+    b = QPlanePoly(Q, {(2, 1): Q ** 2, (0, 1): coeff, (1, 0): -1})
+    for left, right in ((a, b), (b, a), (a, a)):
+        assert sorted((key, repr(value)) for key, value in
+                      (left * right).coeffs.items()) == _naive_product(
+            left, right)

@@ -518,3 +518,60 @@ def test_division_by_a_zero_constant(zero):
     with pytest.raises(DivisionByZero,
                        match="^division by the zero rational function$"):
         RatFunc([1, 1], [0, 1]) / zero
+
+
+@given(st.one_of(_kernel_polys, _gauss_integers),
+       st.one_of(_kernel_polys, _gauss_integers),
+       st.integers(min_value=0, max_value=45))
+@settings(max_examples=300, deadline=None)
+def test_pshift_add_matches_naive_sum(a, b, e):
+    shifted = (0,) * e + b if b else b
+    assert repr(scalars._pshift_add(a, b, e)) == repr(_naive_add(a, shifted))
+    # a shifted tail that cancels the top of a leaves the bottom trimmed
+    top = scalars._pneg(a[e:])
+    assert repr(scalars._pshift_add(a, top, e)) == repr(
+        scalars._trim(a[:e]))
+
+
+def _ratfunc_terms():
+    polys = st.one_of(_kernel_polys, _gauss_integers).map(
+        lambda num: RatFunc(num))
+    return st.lists(st.tuples(st.sampled_from("abc"),
+                              st.integers(min_value=0, max_value=12),
+                              polys, polys), max_size=8)
+
+
+@given(_ratfunc_terms())
+@settings(max_examples=200, deadline=None)
+def test_shifted_product_sums_match_the_fold(terms):
+    folded = {}
+    for key, e, a, b in terms:
+        folded[key] = folded.get(key, RatFunc.zero()) + a * b * Q ** e
+    sums = scalars.shifted_product_sums(terms)
+    assert {key: _form(v) for key, v in sums.items()} == {
+        key: _form(v) for key, v in folded.items()}
+
+
+@pytest.mark.parametrize("odd", [2, Fraction(1, 2), RatFunc([1], [1, 1])],
+                         ids=repr)
+def test_shifted_product_sums_refuse_a_non_polynomial(odd):
+    terms = [("a", 1, Q, Q), ("a", 0, Q, odd)]
+    assert scalars.shifted_product_sums(terms) is None
+    assert scalars.shifted_product_sums(terms[::-1]) is None
+
+
+def test_ratfunc_hash_matches_equal_values_across_arithmetic():
+    assert {Q: 1}[RatFunc([0, 1])] == 1
+    assert {RatFunc([0, 1]): 1}[Q] == 1
+    for c in (3, 0, -7, Fraction(2, 3)):
+        constant = RatFunc.constant(c)
+        assert hash(constant) == hash(c)
+        assert {c: "x"}[constant] == "x" and {constant: "x"}[c] == "x"
+    f = RatFunc([1, 2], [3, 0, 1])
+    before = hash(f), hash(Q)
+    # arithmetic builds new objects and leaves the operands' hashes alone
+    g = (f * Q + f) / (Q + 1) - f
+    assert (hash(f), hash(Q)) == before
+    assert hash(g) == hash(RatFunc(g.num, g.den))
+    assert hash(Q + 1 - 1) == hash(Q)
+    assert hash(Q - Q) == hash(0) and hash(Q / Q) == hash(1)
