@@ -22,10 +22,16 @@ is set to the degree-1 eigenvalue, which keeps the Gauss family exactly
 constant.  The dilation operator (x^m goes to q0^m x^m) is provided under
 its own name; it is a different operator from the mutator and is what the
 multiplication-operator realization in :mod:`psifoc.qplane` uses.
+
+The mutator combination a@b - op b@a of two matrices is built by
+:func:`qhat_mutator`; :func:`mutator_vanishes` answers whether it is zero
+column by column, from the nonzero entries of each column, and builds no
+matrix.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from typing import Any, Callable
@@ -226,14 +232,7 @@ def eval_on_monomial(op: DiagOperator, m: int) -> Scalar:
     return op.eigenvalues[m]
 
 
-def qhat_mutator(a, b, op: DiagOperator):
-    """Mutator combination of two matrices: a@b - op applied after b@a.
-
-    ``a`` and ``b`` are square matrices over the same truncated basis as
-    ``op`` (anything exposing rows, cols, __matmul__, __sub__ and
-    scale_rows); vanishing of the result says the matrices are muting
-    variables for the operator.
-    """
+def _check_mutator_shapes(a, b, op: DiagOperator) -> None:
     if a.rows != a.cols or b.rows != b.cols or a.rows != b.rows:
         raise DimensionMismatch(
             f"mutator needs square matrices of equal size, got "
@@ -242,4 +241,60 @@ def qhat_mutator(a, b, op: DiagOperator):
         raise DimensionMismatch(
             f"matrix size {a.rows} does not match operator truncated at "
             f"degree {op.n_trunc}")
+
+
+def qhat_mutator(a, b, op: DiagOperator):
+    """Mutator combination of two matrices: a@b - op applied after b@a.
+
+    ``a`` and ``b`` are square matrices over the same truncated basis as
+    ``op`` (anything exposing rows, cols, __matmul__, __sub__ and
+    scale_rows); vanishing of the result says the matrices are muting
+    variables for the operator.
+    """
+    _check_mutator_shapes(a, b, op)
     return (a @ b) - (b @ a).scale_rows(op.eigenvalues)
+
+
+def mutator_vanishes(a, b, op: DiagOperator) -> bool:
+    """Whether ``qhat_mutator(a, b, op)`` is the zero matrix, without
+    building it.
+
+    ``a`` and ``b`` need only rows, cols and data.  Each matrix is read
+    once, as the nonzero (row, value) entries of its columns; column j of
+    a@b and of b@a is summed from them into a dict by row, and entry i of
+    the first is compared with eigenvalue i times entry i of the second
+    over the rows of both, up to the first difference.  On sparse
+    columns, such as those of the realization matrices of
+    :mod:`psifoc.qplane`, that is a few products per column.
+    """
+    _check_mutator_shapes(a, b, op)
+    a_cols, b_cols = _columns(a), _columns(b)
+    eigenvalues = op.eigenvalues
+    for a_col, b_col in zip(a_cols, b_cols):
+        left = _column_product(a_cols, b_col)
+        right = _column_product(b_cols, a_col)
+        for i in left.keys() | right.keys():
+            if left.get(i, 0) != eigenvalues[i] * right.get(i, 0):
+                return False
+    return True
+
+
+def _columns(m) -> list[list[tuple[int, Scalar]]]:
+    """The nonzero entries (i, value) of each column of m, i ascending,
+    read row by row: a scan of the rows finds the nonzero entries in C,
+    where a transpose would copy every entry first."""
+    cols: list[list[tuple[int, Scalar]]] = [[] for _ in range(m.cols)]
+    js = range(m.cols)
+    for i, row in enumerate(m.data):
+        for j in itertools.compress(js, row):
+            cols[j].append((i, row[j]))
+    return cols
+
+
+def _column_product(x_cols: list, y_col: list) -> dict[int, Scalar]:
+    """Column j of x@y by row, from the columns of x and column j of y."""
+    acc: dict[int, Scalar] = {}
+    for k, v in y_col:
+        for i, u in x_cols[k]:
+            acc[i] = acc[i] + u * v if i in acc else u * v
+    return acc

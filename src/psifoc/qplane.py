@@ -31,7 +31,10 @@ and all but the two scalar predicates (:func:`verify_cauchy_scalar` and
   mutator eigenvalue of a family (factorial-quotient entries against the
   recurrence, whose twisted sums :mod:`psifoc.matrices` keeps per
   eigenvalue);
-* the multiplication-operator realization of the defining relation;
+* the multiplication-operator realization of the defining relation,
+  B A = t A B, checked column by column from the nonzero entries of A
+  and B (:func:`psifoc.qhat.mutator_vanishes`); no product or residual
+  matrix is built;
 * multiplicativity of the convolution powers: the product of the r-th and
   s-th powers against the (r+s)-th power, monomial by monomial;
 * the ordered expansion of (A + B)^n for a general weight family, which
@@ -265,8 +268,14 @@ def _power_step(seq: list, t: Scalar) -> QPlanePoly:
     n = len(seq)
     row = _entry(_row_step, t, n)
     power = seq[-1] * QPlanePoly.x_plus_y(t) if seq else QPlanePoly.one(t)
-    return QPlanePoly(t, {(k, l): row[k] if k + l == n and c == row[k] else c
-                          for (k, l), c in power.coeffs.items()})
+    # the product is fresh and not yet shared, so its coefficients are
+    # swapped in place
+    coeffs = power.coeffs
+    for k in range(n + 1):
+        c = coeffs.get((k, n - k))
+        if c is not None and c == row[k]:
+            coeffs[k, n - k] = row[k]
+    return power
 
 
 def verify_cauchy_scalar(r: int, s: int, j: int, t: Scalar) -> bool:
@@ -338,12 +347,21 @@ class OpRealization(Frozen):
         self._assign(n, basis, a, b)
 
     def index(self, xdeg: int, ydeg: int) -> int:
-        return self.basis.index((xdeg, ydeg))
+        if xdeg < 0 or ydeg < 0 or xdeg + ydeg > self.n:
+            raise ValueError(f"x^{xdeg}*y^{ydeg} is not in the basis")
+        return _graded_index(xdeg, ydeg)
 
 
 def _graded_basis(n: int) -> tuple[tuple[int, int], ...]:
     return tuple((a, total - a)
                  for total in range(n + 1) for a in range(total + 1))
+
+
+def _graded_index(xdeg: int, ydeg: int) -> int:
+    """Position of x^xdeg y^ydeg in the graded basis: the layers of lower
+    total degree come first, then the x-degree within the layer."""
+    total = xdeg + ydeg
+    return total * (total + 1) // 2 + xdeg
 
 
 def _weighted_realization(weights: list[Scalar], n: int) -> OpRealization:
@@ -361,11 +379,9 @@ def _weighted_realization(weights: list[Scalar], n: int) -> OpRealization:
     line = list(zeros)
     a_rows, b_rows = [], []
     for xd, yd in basis:
-        # the basis index of x^0 y^(xd+yd-1), the first monomial of the
-        # layer below
-        below = (xd + yd - 1) * (xd + yd) // 2
-        a_rows.append(_unit_row(line, below + xd - 1, 1) if xd else zeros)
-        b_rows.append(_unit_row(line, below + xd, weights[xd])
+        a_rows.append(_unit_row(line, _graded_index(xd - 1, yd), 1)
+                      if xd else zeros)
+        b_rows.append(_unit_row(line, _graded_index(xd, yd - 1), weights[xd])
                       if yd else zeros)
     a, b = (ScalarMatrix._raw(tuple(rows)) for rows in (a_rows, b_rows))
     return OpRealization(n, basis, a, b)
@@ -397,9 +413,10 @@ def realization_check(q0: Scalar, n: int) -> bool:
         raise ValueError("need n >= 2 to see a commutation")
     real = realization(q0, n)
     constant = DiagOperator((q0,) * len(real.basis))
-    # B A - q0 A B, via the diagonal-mutator combination; A and B
-    # annihilate the top layer, so its columns vanish on both sides
-    return qhat.qhat_mutator(real.b, real.a, constant).is_zero()
+    # B A - q0 A B, via the diagonal-mutator combination read column by
+    # column; A and B annihilate the top layer, so its columns vanish on
+    # both sides
+    return qhat.mutator_vanishes(real.b, real.a, constant)
 
 
 def explore_observation1_general(fam: PsiFamily, n: int) -> Report:

@@ -357,6 +357,41 @@ def test_qhat_mutator_matches_the_dense_route(seed):
         assert qhat.qhat_mutator(a, b, op).data == dense
 
 
+def _by_columns(rng, n, value, zero):
+    """A square matrix whose columns hold no, one and several nonzero
+    entries in turn, over zeros of both kinds."""
+    grid = [[rng.choice((0, zero)) for _ in range(n)] for _ in range(n)]
+    for j in range(n):
+        count = j % 3 if j % 3 < 2 else rng.randint(2, n)
+        for i in rng.sample(range(n), count):
+            grid[i][j] = value() or 1
+    return ScalarMatrix(grid)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_mutator_vanishes_answers_as_the_dense_residual(seed):
+    # random pairs fail; a pair with a zero operand, and a matrix with a
+    # polynomial in itself under the identity operator, pass
+    rng = random.Random(seed)
+    verdicts = []
+    for value, zero in _sparse_values(rng):
+        n = rng.randint(3, 6)
+        a, b = (_by_columns(rng, n, value, zero) for _ in range(2))
+        nothing = ScalarMatrix([[zero] * n] * n)
+        distinct = qhat.DiagOperator(tuple(value() + 20 * i
+                                           for i in range(n)))
+        identity = qhat.DiagOperator((1,) * n)
+        for left, right, op in ((a, b, distinct), (a, b, identity),
+                                (a, nothing, distinct),
+                                (nothing, b, distinct),
+                                (a, a @ a + a, identity),
+                                (b @ b - b, b, identity)):
+            vanishes = qhat.qhat_mutator(left, right, op).is_zero()
+            assert qhat.mutator_vanishes(left, right, op) is vanishes
+            verdicts.append(vanishes)
+    assert verdicts == [False, False, True, True, True, True] * 3
+
+
 def test_scale_rows_checks_every_factor():
     with pytest.raises(TypeError):
         ScalarMatrix([[0]]).scale_rows([1.5])
@@ -364,8 +399,8 @@ def test_scale_rows_checks_every_factor():
         ScalarMatrix([[1], [0]]).scale_rows([1, 1.5])
 
 
-@pytest.mark.parametrize("q0", [Q, 2])
-@pytest.mark.parametrize("n", range(2, 9))
+@pytest.mark.parametrize("q0", [Q, 0, 1, 2, -1, Fraction(3, 7), -3])
+@pytest.mark.parametrize("n", range(2, 11))
 def test_realization_check_matches_the_dense_residual(q0, n):
     # B A - q0 A B by dense products, on inputs of total degree below n
     real = realization(q0, n)

@@ -13,9 +13,9 @@ from psifoc.matrices import (ScalarMatrix, ScalarMode,
                              fermat_factorization_mismatches)
 from psifoc.psi import classical, custom, fibonacci, gauss, gauss_binomial
 from psifoc.qhat import (DiagOperator, binomial_eigenvalue, dilation_operator,
-                         eval_on_monomial, geometric_sum, op_binomial,
-                         op_factorial, op_integer, per_eigenvalue,
-                         qhat_mutator, qhat_operator)
+                         eval_on_monomial, geometric_sum, mutator_vanishes,
+                         op_binomial, op_factorial, op_integer,
+                         per_eigenvalue, qhat_mutator, qhat_operator)
 from psifoc.qplane import verify_gauss_binomial_theorem
 from psifoc.scalars import Q, RatFunc
 
@@ -161,6 +161,44 @@ def test_qhat_mutator_dimension_check():
     a = ScalarMatrix([[1, 2], [3, 4]])
     with pytest.raises(DimensionMismatch):
         qhat_mutator(a, a, DiagOperator((1, 1, 1)))
+
+
+def test_mutator_vanishes_checks_shapes_as_the_mutator_does():
+    square, wide = ScalarMatrix([[1, 2], [3, 4]]), ScalarMatrix([[1, 2]])
+    cube = ScalarMatrix.identity(3)
+    for a, b, op in ((square, square, DiagOperator((1, 1, 1))),
+                     (square, wide, DiagOperator((1, 1))),
+                     (square, cube, DiagOperator((1, 1, 1)))):
+        with pytest.raises(DimensionMismatch) as dense:
+            qhat_mutator(a, b, op)
+        with pytest.raises(DimensionMismatch) as sparse:
+            mutator_vanishes(a, b, op)
+        assert str(sparse.value) == str(dense.value)
+
+
+def test_mutator_vanishes_reads_every_entry_of_a_column():
+    # a commutes with a^2, and both have two entries in every column;
+    # dropping any entry of a column breaks the commutation
+    a = ScalarMatrix([[1, 2], [3, 4]])
+    b = a @ a
+    identity_op = DiagOperator((1, 1))
+    assert mutator_vanishes(a, b, identity_op) is True
+    assert mutator_vanishes(b, a, identity_op) is True
+    halving = DiagOperator((Fraction(1, 2), Fraction(1, 2)))
+    assert mutator_vanishes(a, b, halving) is False
+    assert not qhat_mutator(a, b, halving).is_zero()
+
+
+def test_mutator_vanishes_reads_rows_only_b_at_a_reaches():
+    # e12 e01 = 0 but e01 e12 = e02: the residual's only entry is in a
+    # row that column 2 of a@b does not reach
+    e01 = ScalarMatrix([[0, 1, 0], [0, 0, 0], [0, 0, 0]])
+    e12 = ScalarMatrix([[0, 0, 0], [0, 0, 1], [0, 0, 0]])
+    for eigenvalues, vanishes in (((1, 1, 1), False), ((0, 1, 1), True),
+                                  ((RatFunc([0, 1]), 0, 0), False)):
+        op = DiagOperator(eigenvalues)
+        assert qhat_mutator(e12, e01, op).is_zero() is vanishes
+        assert mutator_vanishes(e12, e01, op) is vanishes
 
 
 def test_per_eigenvalue_once_per_distinct_eigenvalue():

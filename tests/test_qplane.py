@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from psifoc import psi, qhat, qplane
 from psifoc.errors import DeformationMismatch, NonInvertibleDenominator
+from psifoc.matrices import ScalarMatrix
 from psifoc.psi import classical, fibonacci, gauss, gauss_binomial
 from psifoc.qplane import (QPlanePoly, Report, explore_observation1_general,
                            realization, realization_check,
@@ -234,6 +235,75 @@ def test_realization_action():
     target = real.index(2, 2)
     assert ba.entry(target, col) == 4
     assert ab.entry(target, col) == 2
+
+
+def test_graded_index_is_the_basis_position():
+    for n in range(13):
+        basis = qplane._graded_basis(n)
+        assert [qplane._graded_index(xd, yd) for xd, yd in basis] == [
+            basis.index(m) for m in basis]
+        real = realization(2, max(n, 1))
+        assert all(real.index(*m) == i for i, m in enumerate(basis))
+    for outside in ((-1, 1), (1, -1), (3, 2)):
+        with pytest.raises(ValueError):
+            realization(2, 4).index(*outside)
+
+
+def _dense_residual_vanishes(q0, n):
+    real = realization(q0, n)
+    constant = qhat.DiagOperator((q0,) * len(real.basis))
+    return qhat.qhat_mutator(real.b, real.a, constant).is_zero()
+
+
+@pytest.mark.parametrize("q0", [Q, 0, 2, -1, Fraction(3, 7)], ids=repr)
+def test_realization_check_fails_on_a_corrupted_weight(q0, monkeypatch):
+    # weight a enters B A on the columns of x-degree a - 1 and q0 A B on
+    # those of x-degree a, below the top two layers: every weight but the
+    # last is seen, and weight 0 only if q0 is not 0
+    n = 6
+    dilation = qhat.dilation_operator
+    for bad in range(n + 1):
+        def corrupted(q, trunc):
+            values = list(dilation(q, trunc).eigenvalues)
+            values[bad] = values[bad] + 1
+            return qhat.DiagOperator(tuple(values))
+
+        monkeypatch.setattr(qhat, "dilation_operator", corrupted)
+        unseen = bad == n or (bad == 0 and q0 == 0)
+        assert realization_check(q0, n) is unseen, bad
+        assert _dense_residual_vanishes(q0, n) is unseen, bad
+
+
+def test_realization_check_builds_no_matrix_product(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the realization check built a matrix")
+
+    monkeypatch.setattr(ScalarMatrix, "__matmul__", refuse)
+    monkeypatch.setattr(ScalarMatrix, "scale_rows", refuse)
+    for q0 in (Q, 2, Fraction(3, 7)):
+        assert realization_check(q0, 10) is True
+    with pytest.raises(AssertionError):
+        _dense_residual_vanishes(2, 3)
+
+
+@pytest.mark.parametrize("lam", [
+    [Fraction(a + 2, a + 3) for a in range(5)], [Q + a for a in range(5)]],
+    ids=["fraction", "ratfunc"])
+def test_weighted_pair_mutes_by_x_degree(lam):
+    # weights that multiply the eigenvalues lam give B A = L A B, with L
+    # the eigenvalue at the x-degree of each row: distinct eigenvalues
+    n = len(lam) - 1
+    weights = [1]
+    for a in range(1, n + 1):
+        weights.append(normalize(weights[-1] * lam[a]))
+    real = qplane._weighted_realization(weights, n)
+    by_row = [lam[xd] for xd, _ in real.basis]
+    assert qhat.mutator_vanishes(real.b, real.a,
+                                 qhat.DiagOperator(tuple(by_row))) is True
+    by_row[real.index(2, 1)] += 1
+    off = qhat.DiagOperator(tuple(by_row))
+    assert qhat.mutator_vanishes(real.b, real.a, off) is False
+    assert not qhat.qhat_mutator(real.b, real.a, off).is_zero()
 
 
 def test_observation1_matches_for_constant_eigenvalues():
