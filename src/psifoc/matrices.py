@@ -8,10 +8,11 @@ an eigenvalue of the family mutator at a chosen monomial degree.  The two
 are interchangeable because every operator entry is diagonal on monomials.
 
 Matrix arithmetic does none on zeros, and a result row that no term
-reaches is one shared row of int 0: most rows of the sparse realization
-matrices of :mod:`psifoc.qplane` are such rows.  A row's nonzero columns
-are found by :func:`itertools.compress`, which tests truth in C, so the
-Python loops run only over the entries a term reaches.
+reaches is one shared row of int 0, as the matrices of the realization
+maps of :mod:`psifoc.qplane`, which its ordered expansion adds, share
+theirs.  A row's nonzero columns are found by :func:`itertools.compress`,
+which tests truth in C, so the Python loops run only over the entries a
+term reaches.
 
 The Fermat matrix entries come from the factorial-quotient route
 (:func:`psifoc.qhat.binomial_eigenvalue`), so the factorization check
@@ -156,12 +157,6 @@ class ScalarMatrix:
                     acc = acc + a * v
             out.append(scalars.normalize(acc))
         return tuple(out)
-
-    def transpose(self) -> "ScalarMatrix":
-        return ScalarMatrix._raw(tuple(zip(*self.data)))
-
-    def is_zero(self) -> bool:
-        return not any(any(row) for row in self.data)
 
     def __eq__(self, other):
         if not isinstance(other, ScalarMatrix):

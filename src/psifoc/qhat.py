@@ -20,18 +20,11 @@ one product and one exact division per entry.
 The degree-0 eigenvalue of the defining formula is 0/0; by convention it
 is set to the degree-1 eigenvalue, which keeps the Gauss family exactly
 constant.  The dilation operator (x^m goes to q0^m x^m) is provided under
-its own name; it is a different operator from the mutator and is what the
-multiplication-operator realization in :mod:`psifoc.qplane` uses.
-
-The mutator combination a@b - op b@a of two matrices is built by
-:func:`qhat_mutator`; :func:`mutator_vanishes` answers whether it is zero
-column by column, from the nonzero entries of each column, and builds no
-matrix.
+its own name; it is a different operator from the mutator.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from typing import Any, Callable
@@ -103,16 +96,6 @@ class DiagOperator(Frozen):
         return f"DiagOperator([{body}])"
 
 
-def identity_like(op: DiagOperator) -> DiagOperator:
-    one = scalars.one_like(op.eigenvalues[0])
-    return DiagOperator((one,) * len(op.eigenvalues))
-
-
-def zero_like(op: DiagOperator) -> DiagOperator:
-    zero = scalars.zero_like(op.eigenvalues[0])
-    return DiagOperator((zero,) * len(op.eigenvalues))
-
-
 def qhat_operator(fam: PsiFamily, n_trunc: int) -> DiagOperator:
     """Mutator operator of a family, truncated at the given degree."""
     if n_trunc < 0:
@@ -132,6 +115,7 @@ def dilation_operator(q0: Scalar, n_trunc: int) -> DiagOperator:
     scalars.check(q0)
     if n_trunc < 0:
         raise ValueError("truncation degree must be nonnegative")
+    _check_index(n_trunc)
     return DiagOperator(tuple(scalars.normalize(q0 ** m)
                               for m in range(n_trunc + 1)))
 
@@ -232,17 +216,6 @@ def eval_on_monomial(op: DiagOperator, m: int) -> Scalar:
     return op.eigenvalues[m]
 
 
-def _check_mutator_shapes(a, b, op: DiagOperator) -> None:
-    if a.rows != a.cols or b.rows != b.cols or a.rows != b.rows:
-        raise DimensionMismatch(
-            f"mutator needs square matrices of equal size, got "
-            f"{a.rows}x{a.cols} and {b.rows}x{b.cols}")
-    if a.rows != len(op.eigenvalues):
-        raise DimensionMismatch(
-            f"matrix size {a.rows} does not match operator truncated at "
-            f"degree {op.n_trunc}")
-
-
 def qhat_mutator(a, b, op: DiagOperator):
     """Mutator combination of two matrices: a@b - op applied after b@a.
 
@@ -251,50 +224,12 @@ def qhat_mutator(a, b, op: DiagOperator):
     scale_rows); vanishing of the result says the matrices are muting
     variables for the operator.
     """
-    _check_mutator_shapes(a, b, op)
+    if a.rows != a.cols or b.rows != b.cols or a.rows != b.rows:
+        raise DimensionMismatch(
+            f"mutator needs square matrices of equal size, got "
+            f"{a.rows}x{a.cols} and {b.rows}x{b.cols}")
+    if a.rows != len(op.eigenvalues):
+        raise DimensionMismatch(
+            f"matrix size {a.rows} does not match operator truncated at "
+            f"degree {op.n_trunc}")
     return (a @ b) - (b @ a).scale_rows(op.eigenvalues)
-
-
-def mutator_vanishes(a, b, op: DiagOperator) -> bool:
-    """Whether ``qhat_mutator(a, b, op)`` is the zero matrix, without
-    building it.
-
-    ``a`` and ``b`` need only rows, cols and data.  Each matrix is read
-    once, as the nonzero (row, value) entries of its columns; column j of
-    a@b and of b@a is summed from them into a dict by row, and entry i of
-    the first is compared with eigenvalue i times entry i of the second
-    over the rows of both, up to the first difference.  On sparse
-    columns, such as those of the realization matrices of
-    :mod:`psifoc.qplane`, that is a few products per column.
-    """
-    _check_mutator_shapes(a, b, op)
-    a_cols, b_cols = _columns(a), _columns(b)
-    eigenvalues = op.eigenvalues
-    for a_col, b_col in zip(a_cols, b_cols):
-        left = _column_product(a_cols, b_col)
-        right = _column_product(b_cols, a_col)
-        for i in left.keys() | right.keys():
-            if left.get(i, 0) != eigenvalues[i] * right.get(i, 0):
-                return False
-    return True
-
-
-def _columns(m) -> list[list[tuple[int, Scalar]]]:
-    """The nonzero entries (i, value) of each column of m, i ascending,
-    read row by row: a scan of the rows finds the nonzero entries in C,
-    where a transpose would copy every entry first."""
-    cols: list[list[tuple[int, Scalar]]] = [[] for _ in range(m.cols)]
-    js = range(m.cols)
-    for i, row in enumerate(m.data):
-        for j in itertools.compress(js, row):
-            cols[j].append((i, row[j]))
-    return cols
-
-
-def _column_product(x_cols: list, y_col: list) -> dict[int, Scalar]:
-    """Column j of x@y by row, from the columns of x and column j of y."""
-    acc: dict[int, Scalar] = {}
-    for k, v in y_col:
-        for i, u in x_cols[k]:
-            acc[i] = acc[i] + u * v if i in acc else u * v
-    return acc

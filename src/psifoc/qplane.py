@@ -32,9 +32,9 @@ and all but the two scalar predicates (:func:`verify_cauchy_scalar` and
   recurrence, whose twisted sums :mod:`psifoc.matrices` keeps per
   eigenvalue);
 * the multiplication-operator realization of the defining relation,
-  B A = t A B, checked column by column from the nonzero entries of A
-  and B (:func:`psifoc.qhat.mutator_vanishes`); no product or residual
-  matrix is built;
+  B A = t A B: A and B send each basis monomial to a multiple of at most
+  one monomial (:class:`MonomialMap`), so B A and A B are composed as
+  maps and compared column by column, and no matrix is built;
 * multiplicativity of the convolution powers: the product of the r-th and
   s-th powers against the (r+s)-th power, monomial by monomial;
 * the ordered expansion of (A + B)^n for a general weight family, which
@@ -49,13 +49,13 @@ from typing import Mapping
 
 from . import qhat, scalars
 from ._record import Frozen, Record
-from .errors import DeformationMismatch
+from .errors import DeformationMismatch, DimensionMismatch
 from .matrices import (ScalarMatrix, ScalarMode,
                        fermat_factorization_mismatches)
 from .psi import (PsiFamily, _check_index, _entry, _row_step, family_one,
                   gauss_binomial, psi_binomial, twisted_sum)
-from .qhat import (DiagOperator, binomial_eigenvalue, eval_on_monomial,
-                   op_binomial, qhat_operator)
+from .qhat import (binomial_eigenvalue, eval_on_monomial, op_binomial,
+                   qhat_operator)
 from .scalars import Q, RatFunc, Scalar
 
 
@@ -332,18 +332,64 @@ def verify_fermat_operator(fam: PsiFamily, size: int, maxdeg: int) -> Report:
     return report
 
 
+class MonomialMap(Frozen):
+    """Linear map sending each basis monomial to a multiple of at most
+    one basis monomial: ``images[j]`` is ``(i, w)`` when monomial j goes
+    to w times monomial i, or ``None`` when it goes to zero.
+
+    ``f @ g`` is f after g, the map of the matrix product; a composed
+    weight that is zero is no image, as an entry that no product term
+    reaches is int 0 there.
+    """
+
+    __slots__ = ("images",)
+
+    def __init__(self, images: tuple[tuple[int, Scalar] | None, ...]):
+        for image in images:
+            if image is not None:
+                scalars.check(image[1])
+        self._assign(images)
+
+    def __matmul__(self, other: "MonomialMap") -> "MonomialMap":
+        if not isinstance(other, MonomialMap):
+            return NotImplemented
+        if len(self.images) != len(other.images):
+            raise DimensionMismatch(
+                f"maps on {len(self.images)} and {len(other.images)} "
+                f"monomials")
+        out = []
+        for image in other.images:
+            outer = None if image is None else self.images[image[0]]
+            weight = outer and scalars.normalize(outer[1] * image[1])
+            out.append((outer[0], weight) if weight else None)
+        return MonomialMap(tuple(out))
+
+    def to_matrix(self) -> ScalarMatrix:
+        """The map as a matrix: w in row i of column j for each image, and
+        one shared zero row for every row that no image reaches."""
+        zeros = (0,) * len(self.images)
+        rows: list = [zeros] * len(self.images)
+        for j, image in enumerate(self.images):
+            if image is not None:
+                i, w = image
+                if rows[i] is zeros:
+                    rows[i] = list(zeros)
+                rows[i][j] = w
+        return ScalarMatrix._raw(tuple(map(tuple, rows)))
+
+
 class OpRealization(Frozen):
     """Multiplication-by-x and weighted y-shift operators on the basis of
-    monomials x^a y^b with a + b <= n, as matrices.
+    monomials x^a y^b with a + b <= n, as monomial maps.
 
     Both operators raise total degree by one, so they annihilate the top
-    layer: its columns are zero.
+    layer: its monomials have no image.
     """
 
     __slots__ = ("n", "basis", "a", "b")
 
     def __init__(self, n: int, basis: tuple[tuple[int, int], ...],
-                 a: ScalarMatrix, b: ScalarMatrix):
+                 a: MonomialMap, b: MonomialMap):
         self._assign(n, basis, a, b)
 
     def index(self, xdeg: int, ydeg: int) -> int:
@@ -369,31 +415,16 @@ def _weighted_realization(weights: list[Scalar], n: int) -> OpRealization:
 
     With weights[a] equal to the product of the first a mutator
     eigenvalues this is the unique diagonal-weight pair satisfying
-    B A = (mutator by x-degree) A B.  Every entry is 0, 1 or a weight,
-    which the caller has checked, so the rows are taken as they are.  The
-    row of x^a y^b holds at most one entry, in the column of x^(a-1) y^b
-    in A and of x^a y^(b-1) in B; a row with none is one shared zero row.
+    B A = (mutator by x-degree) A B.
     """
     basis = _graded_basis(n)
-    zeros = (0,) * len(basis)
-    line = list(zeros)
-    a_rows, b_rows = [], []
+    a, b = [], []
     for xd, yd in basis:
-        a_rows.append(_unit_row(line, _graded_index(xd - 1, yd), 1)
-                      if xd else zeros)
-        b_rows.append(_unit_row(line, _graded_index(xd, yd - 1), weights[xd])
-                      if yd else zeros)
-    a, b = (ScalarMatrix._raw(tuple(rows)) for rows in (a_rows, b_rows))
-    return OpRealization(n, basis, a, b)
-
-
-def _unit_row(line: list, col: int, value: Scalar) -> tuple:
-    """The all-zero list line with value in column col, as a tuple; line
-    is left all zero."""
-    line[col] = value
-    row = tuple(line)
-    line[col] = 0
-    return row
+        top = xd + yd == n
+        a.append(None if top else (_graded_index(xd + 1, yd), 1))
+        b.append(None if top else (_graded_index(xd, yd + 1), weights[xd]))
+    return OpRealization(n, basis, MonomialMap(tuple(a)),
+                         MonomialMap(tuple(b)))
 
 
 def realization(q0: Scalar, n: int) -> OpRealization:
@@ -412,11 +443,16 @@ def realization_check(q0: Scalar, n: int) -> bool:
     if n < 2:
         raise ValueError("need n >= 2 to see a commutation")
     real = realization(q0, n)
-    constant = DiagOperator((q0,) * len(real.basis))
-    # B A - q0 A B, via the diagonal-mutator combination read column by
-    # column; A and B annihilate the top layer, so its columns vanish on
-    # both sides
-    return qhat.mutator_vanishes(real.b, real.a, constant)
+    # column j of B A - q0 A B holds w at row i and -q0 v at row k; a
+    # missing image has weight 0, and a zero weight is a zero entry
+    for left, right in zip((real.b @ real.a).images,
+                           (real.a @ real.b).images):
+        i, w = left or (None, 0)
+        k, v = right or (None, 0)
+        v = q0 * v
+        if (w != v) if i == k else (w or v):
+            return False
+    return True
 
 
 def explore_observation1_general(fam: PsiFamily, n: int) -> Report:
@@ -440,7 +476,7 @@ def explore_observation1_general(fam: PsiFamily, n: int) -> Report:
         weights.append(scalars.normalize(
             weights[-1] * eval_on_monomial(mutator, a)))
     real = _weighted_realization(weights, n)
-    combined = real.a + real.b
+    combined = real.a.to_matrix() + real.b.to_matrix()
     vector: list[Scalar] = [0] * len(real.basis)
     vector[real.index(0, 0)] = one
     state = tuple(vector)

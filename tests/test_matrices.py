@@ -15,7 +15,7 @@ from psifoc.matrices import (EigenMode, ScalarMatrix, ScalarMode,
                              fermat_factorization_mismatches, fermat_matrix,
                              pascal_matrix, resolve_mode)
 from psifoc.psi import classical, custom, fibonacci, gauss
-from psifoc.qplane import realization, realization_check
+from psifoc.qplane import MonomialMap, realization, realization_check
 from psifoc.scalars import Q, RatFunc, eval_ratfunc
 
 
@@ -23,8 +23,7 @@ def test_matrix_basics():
     m = ScalarMatrix([[1, 2], [3, 4]])
     assert m.entry(1, 0) == 3
     assert (m @ ScalarMatrix.identity(2)) == m
-    assert (m - m).is_zero()
-    assert m.transpose().data == ((1, 3), (2, 4))
+    assert not any(any(row) for row in (m - m).data)
     assert m.scale(2).data == ((2, 4), (6, 8))
     assert m.scale_rows([1, 0]).data == ((1, 2), (0, 0))
     assert m.apply([1, 1]) == (3, 7)
@@ -83,7 +82,7 @@ def test_fermat_eigen_fibonacci():
 def test_fermat_symmetry():
     for size in (2, 5, 10):
         f = fermat_matrix(size, ScalarMode(Q))
-        assert f == f.transpose()
+        assert f.data == tuple(zip(*f.data))
 
 
 def test_resolve_mode():
@@ -248,7 +247,9 @@ def test_export_unknown_format():
 
 def _dense_product(a, b):
     """The dense triple loop: entry (i, j) sums a_ik b_kj over k ascending,
-    skipping zero factors."""
+    skipping zero factors.  A monomial map is read as its matrix."""
+    a, b = (m.to_matrix() if isinstance(m, MonomialMap) else m
+            for m in (a, b))
     out = []
     for i in range(a.rows):
         row = []
@@ -339,7 +340,7 @@ def test_elementwise_ops_match_the_dense_route(seed):
             assert scaled == _dense_scale_rows(left, factors)
             assert all(type(v) is int for x, v in zip(_flat(left.data),
                                                       _flat(scaled)) if not x)
-        assert (a - a).is_zero()
+        assert not any(any(row) for row in (a - a).data)
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -357,39 +358,44 @@ def test_qhat_mutator_matches_the_dense_route(seed):
         assert qhat.qhat_mutator(a, b, op).data == dense
 
 
-def _by_columns(rng, n, value, zero):
-    """A square matrix whose columns hold no, one and several nonzero
-    entries in turn, over zeros of both kinds."""
-    grid = [[rng.choice((0, zero)) for _ in range(n)] for _ in range(n)]
-    for j in range(n):
-        count = j % 3 if j % 3 < 2 else rng.randint(2, n)
-        for i in rng.sample(range(n), count):
-            grid[i][j] = value() or 1
-    return ScalarMatrix(grid)
+def _random_map(rng, n, value, zero):
+    """A map on n monomials whose images are by turns none, a zero weight
+    of either kind and a drawn weight, at random targets."""
+    return MonomialMap(tuple(
+        rng.choice((None, (rng.randrange(n), rng.choice((0, zero))),
+                    (rng.randrange(n), value()), (rng.randrange(n), value())))
+        for _ in range(n)))
+
+
+def _dense_map(f):
+    """The matrix of a map, entry by entry."""
+    grid = [[0] * len(f.images) for _ in f.images]
+    for j, image in enumerate(f.images):
+        if image is not None:
+            grid[image[0]][j] = image[1]
+    return tuple(map(tuple, grid))
 
 
 @pytest.mark.parametrize("seed", range(6))
-def test_mutator_vanishes_answers_as_the_dense_residual(seed):
-    # random pairs fail; a pair with a zero operand, and a matrix with a
-    # polynomial in itself under the identity operator, pass
+def test_map_composition_is_the_matrix_product(seed):
     rng = random.Random(seed)
-    verdicts = []
     for value, zero in _sparse_values(rng):
-        n = rng.randint(3, 6)
-        a, b = (_by_columns(rng, n, value, zero) for _ in range(2))
-        nothing = ScalarMatrix([[zero] * n] * n)
-        distinct = qhat.DiagOperator(tuple(value() + 20 * i
-                                           for i in range(n)))
-        identity = qhat.DiagOperator((1,) * n)
-        for left, right, op in ((a, b, distinct), (a, b, identity),
-                                (a, nothing, distinct),
-                                (nothing, b, distinct),
-                                (a, a @ a + a, identity),
-                                (b @ b - b, b, identity)):
-            vanishes = qhat.qhat_mutator(left, right, op).is_zero()
-            assert qhat.mutator_vanishes(left, right, op) is vanishes
-            verdicts.append(vanishes)
-    assert verdicts == [False, False, True, True, True, True] * 3
+        n = rng.randint(1, 8)
+        f, g = (_random_map(rng, n, value, zero) for _ in range(2))
+        for m in (f, g):
+            data = m.to_matrix().data
+            assert data == _dense_map(m)
+            assert ([type(v) for v in _flat(data)]
+                    == [type(v) for v in _flat(_dense_map(m))])
+            assert m == MonomialMap(m.images)
+        for left, right in ((f, g), (g, f), (f, f)):
+            product = (left @ right).to_matrix().data
+            dense = (left.to_matrix() @ right.to_matrix()).data
+            assert product == dense == _dense_product(left, right)
+            assert ([type(v) for v in _flat(product)]
+                    == [type(v) for v in _flat(dense)])
+        with pytest.raises(DimensionMismatch):
+            f @ MonomialMap((None,) * (n + 1))
 
 
 def test_scale_rows_checks_every_factor():

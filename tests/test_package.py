@@ -37,6 +37,15 @@ def test_removed_names_stay_gone():
         assert name not in psifoc.__all__
         with pytest.raises(AttributeError):
             getattr(psifoc, name)
+    # the realization check composes monomial maps, and no code calls the
+    # constant operators or the matrix predicates
+    for module, name in (("qhat", "mutator_vanishes"),
+                         ("qhat", "identity_like"), ("qhat", "zero_like"),
+                         ("qplane", "_unit_row")):
+        assert not hasattr(importlib.import_module(f"psifoc.{module}"),
+                           name), name
+    for name in ("is_zero", "transpose"):
+        assert not hasattr(psifoc.ScalarMatrix, name), name
 
 
 def test_star_import():

@@ -230,8 +230,8 @@ def test_realization_action():
     # B A on x^a y^b picks up q0^(a+1) while A B picks up q0^a
     real = realization(Fraction(2), 4)
     col = real.index(1, 1)
-    ba = real.b @ real.a
-    ab = real.a @ real.b
+    ba = (real.b @ real.a).to_matrix()
+    ab = (real.a @ real.b).to_matrix()
     target = real.index(2, 2)
     assert ba.entry(target, col) == 4
     assert ab.entry(target, col) == 2
@@ -249,10 +249,19 @@ def test_graded_index_is_the_basis_position():
             realization(2, 4).index(*outside)
 
 
-def _dense_residual_vanishes(q0, n):
-    real = realization(q0, n)
+def _is_zero(m):
+    return not any(any(row) for row in m.data)
+
+
+def _residual_vanishes(real, q0):
+    """Whether the dense B A - q0 A B of a realization is zero."""
     constant = qhat.DiagOperator((q0,) * len(real.basis))
-    return qhat.qhat_mutator(real.b, real.a, constant).is_zero()
+    return _is_zero(qhat.qhat_mutator(real.b.to_matrix(), real.a.to_matrix(),
+                                      constant))
+
+
+def _dense_residual_vanishes(q0, n):
+    return _residual_vanishes(realization(q0, n), q0)
 
 
 @pytest.mark.parametrize("q0", [Q, 0, 2, -1, Fraction(3, 7)], ids=repr)
@@ -286,6 +295,50 @@ def test_realization_check_builds_no_matrix_product(monkeypatch):
         _dense_residual_vanishes(2, 3)
 
 
+@pytest.mark.parametrize("q0", [Q, 0, 2, -1], ids=repr)
+def test_realization_check_compares_images_of_one_side(q0, monkeypatch):
+    # each image of A or B in turn dropped, or sent one monomial on: the
+    # columns of B A and q0 A B then differ in target or have an image on
+    # one side only, and the check answers as the dense residual does
+    n = 4
+    real = realization(q0, n)
+    size = len(real.basis)
+    verdicts = set()
+    for name in ("a", "b"):
+        for j, image in enumerate(getattr(real, name).images):
+            moved = image and ((image[0] + 1) % size, image[1])
+            for changed in (None, moved):
+                images = list(getattr(real, name).images)
+                images[j] = changed
+                bad = qplane.OpRealization(n, real.basis, **{
+                    "a": real.a, "b": real.b,
+                    name: qplane.MonomialMap(tuple(images))})
+                monkeypatch.setattr(qplane, "realization",
+                                    lambda q, trunc: bad)
+                expected = _residual_vanishes(bad, q0)
+                assert realization_check(q0, n) is expected, (name, j)
+                verdicts.add(expected)
+    assert verdicts == {True, False}
+
+
+_CAPPED_CHECK = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from psifoc.qplane import realization_check
+try:
+    realization_check(2, sys.maxsize + 1)
+except OverflowError:
+    print("OverflowError")
+"""
+
+
+def test_realization_refuses_a_size_past_maxsize(run_python):
+    # the dilation weights are refused before a tuple of n + 1 powers
+    # grows; under the memory cap an unguarded build ends in MemoryError
+    proc = run_python("-c", _CAPPED_CHECK)
+    assert (proc.returncode, proc.stdout) == (0, "OverflowError\n"), proc.stderr
+
+
 @pytest.mark.parametrize("lam", [
     [Fraction(a + 2, a + 3) for a in range(5)], [Q + a for a in range(5)]],
     ids=["fraction", "ratfunc"])
@@ -297,13 +350,12 @@ def test_weighted_pair_mutes_by_x_degree(lam):
     for a in range(1, n + 1):
         weights.append(normalize(weights[-1] * lam[a]))
     real = qplane._weighted_realization(weights, n)
+    a, b = real.a.to_matrix(), real.b.to_matrix()
     by_row = [lam[xd] for xd, _ in real.basis]
-    assert qhat.mutator_vanishes(real.b, real.a,
-                                 qhat.DiagOperator(tuple(by_row))) is True
+    assert _is_zero(qhat.qhat_mutator(b, a, qhat.DiagOperator(tuple(by_row))))
     by_row[real.index(2, 1)] += 1
     off = qhat.DiagOperator(tuple(by_row))
-    assert qhat.mutator_vanishes(real.b, real.a, off) is False
-    assert not qhat.qhat_mutator(real.b, real.a, off).is_zero()
+    assert not _is_zero(qhat.qhat_mutator(b, a, off))
 
 
 def test_observation1_matches_for_constant_eigenvalues():
@@ -461,7 +513,8 @@ def _dense_realization(weights, n):
 
 def _assert_entries_identical(real, weights):
     a_grid, b_grid = _dense_realization(weights, real.n)
-    for matrix, grid in ((real.a, a_grid), (real.b, b_grid)):
+    for matrix, grid in ((real.a.to_matrix(), a_grid),
+                         (real.b.to_matrix(), b_grid)):
         assert (matrix.rows, matrix.cols) == (len(grid), len(grid))
         for row, expected in zip(matrix.data, grid):
             assert all(type(v) is type(w) and v == w

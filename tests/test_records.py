@@ -10,13 +10,13 @@ import pytest
 
 from psifoc.cli import Command, FamilySpec
 from psifoc.errors import MixedFieldTags
-from psifoc.matrices import EigenMode, ScalarMatrix, ScalarMode
+from psifoc.matrices import EigenMode, ScalarMode
 from psifoc.psi import PsiFamily, fibonacci
 from psifoc.qhat import DiagOperator
-from psifoc.qplane import OpRealization, Report
+from psifoc.qplane import MonomialMap, OpRealization, Report
 from psifoc.scalars import Q, RatFunc
 
-_M = ScalarMatrix([[0, 1], [0, 0]])
+_M = MonomialMap((None, (0, 1)))
 
 # class, field values in __init__ order, repr, hashable
 CASES = [
@@ -37,10 +37,13 @@ CASES = [
      "degree=3)", True),
     (Report, ({"check": "x"}, [{"degree": 1}]),
      "Report(params={'check': 'x'}, mismatches=[{'degree': 1}])", False),
-    # a ScalarMatrix field is unhashable, so the record is too
+    (MonomialMap, (((1, Fraction(1, 2)), None, (0, Q)),),
+     "MonomialMap(images=((1, Fraction(1, 2)), None, (0, RatFunc(q))))",
+     True),
     (OpRealization, (1, ((0, 0), (1, 0)), _M, _M),
-     "OpRealization(n=1, basis=((0, 0), (1, 0)), a=ScalarMatrix[0, 1; 0, 0], "
-     "b=ScalarMatrix[0, 1; 0, 0])", False),
+     "OpRealization(n=1, basis=((0, 0), (1, 0)), "
+     "a=MonomialMap(images=(None, (0, 1))), "
+     "b=MonomialMap(images=(None, (0, 1))))", True),
 ]
 IDS = [case[0].__name__ for case in CASES]
 
@@ -112,5 +115,7 @@ def test_construction_checks():
     assert PsiFamily("gauss", Fraction(6, 3)).q0 == 2
     with pytest.raises(TypeError):
         DiagOperator((1, 0.5))
+    with pytest.raises(TypeError):
+        MonomialMap((None, (0, 0.5)))
     with pytest.raises(TypeError):
         ScalarMode(True)
