@@ -316,10 +316,12 @@ def twisted_sum(r: int, s: int, j: int, t: Scalar,
     since (j, j-k) = (j, k).
 
     Every factor is read first, (r, k) then (s, j-k) for k ascending.  At
-    the symbolic q, with every factor a polynomial, the twist is a shift,
-    and :func:`psifoc.scalars.shifted_product_sum` adds the products into
-    one coefficient list; any other t or factor takes the fold of scalar
-    operators.  Both give the same canonical form."""
+    the symbolic q, with every factor a polynomial with nonnegative int
+    coefficients, as the Gaussian binomials are, the twist is a shift and
+    :func:`psifoc.scalars.shifted_product_sum` sums the products of the
+    factors' packed integers; any other t or factor, a negative or a
+    Fraction coefficient included, takes the fold of scalar operators.
+    Both give the same canonical form."""
     # outside max(0, j-s) <= k <= min(r, j) a binomial factor vanishes
     terms = [((r - k) * (j - k), binomial(r, k, t), binomial(s, j - k, t))
              for k in range(max(0, j - s), min(r, j) + 1)]

@@ -30,6 +30,8 @@ operation that needs more than an operator is the exact quotient
 from __future__ import annotations
 
 import re
+import sys
+from array import array
 from fractions import Fraction
 from itertools import accumulate
 from math import gcd, lcm
@@ -50,14 +52,22 @@ Rational = Union[int, Fraction]
 # scales the other, so no product walks a monomial's zeros; for the same
 # reason a twisted sum (psi.twisted_sum) multiplies its binomials first
 # and the twist t^((r-k)(j-k)) last.  At the symbolic q that twist is a
-# shift, and shifted_product_sum adds each product of two polynomials
-# into one coefficient list at its offset: a sum builds one RatFunc, not
-# four per term.  The other tables at q step on tuples as well, with one
-# RatFunc per stored entry: q_pascal_row shifts and adds the Gauss rows,
-# q_binomial_steps walks a Gauss quotient, and shifted_product_sums adds
-# the quantum-plane products per monomial.  A difference of two
-# polynomials subtracts their tuples directly.  Powers of a monomial are
-# closed-form, and a denominator of 1 is not powered.  The leading
+# shift, and shifted_product_sum multiplies packed integers (Kronecker
+# substitution): each polynomial with nonnegative int coefficients is one
+# int with a 64-bit slot per coefficient, packed once and kept on its
+# RatFunc beside the hash, a product of two is one big-integer product,
+# and q^e shifts it by e slots.  A sum is one product per term, unpacked
+# once into one RatFunc; while the sum of max(a) max(b) min(len a, len b)
+# over its terms stays below 2^64, no slot carries into the next, and
+# past that the factors are packed again per sum in wider slots.  The
+# other tables at q step on tuples, with one RatFunc per stored entry,
+# and are not packed, since each step's entries are fresh (packed, the
+# quantum-plane products were slower): q_pascal_row shifts and adds the
+# Gauss rows, q_binomial_steps walks a Gauss quotient, and
+# shifted_product_sums adds the quantum-plane products per monomial.
+# A difference of two polynomials subtracts their tuples directly.
+# Powers of a monomial are closed-form, and a denominator of 1 is not
+# powered.  The leading
 # coefficient of a product is the product of two nonzero leading ones,
 # nonzero over the integral domain Q, so an all-int product needs no
 # _trim.  The canonical form is fraction-free: _primitive, then _pexquo,
@@ -76,6 +86,11 @@ Rational = Union[int, Fraction]
 _PZERO: tuple = ()
 _PONE: tuple = (1,)
 _INT_ONLY = frozenset((int,))
+# the slots of a packed polynomial: the machine's unsigned 64-bit integer
+_SLOT_BYTES = array("Q").itemsize
+_SLOT_BITS = 8 * _SLOT_BYTES
+_SLOT_LIMIT = 1 << _SLOT_BITS
+_BIG_ENDIAN = sys.byteorder == "big"
 
 
 def _norm_coeff(c):
@@ -303,7 +318,7 @@ class RatFunc:
     ``RatFunc([1, 1])`` is 1 + q, ``RatFunc([0, 1], [1, 1])`` is q/(1+q).
     """
 
-    __slots__ = ("num", "den", "_hash")
+    __slots__ = ("num", "den", "_hash", "_packed")
 
     def __init__(self, num: Iterable = (), den: Iterable = (1,)):
         canonical = _canonical_fraction(_trim(num), _trim(den))
@@ -508,31 +523,90 @@ def div(a: Scalar, b: Scalar) -> Scalar:
     return normalize(Fraction(a) / b)
 
 
+def _packing(f: RatFunc) -> tuple | None:
+    """(packed, top, length) of the polynomial f, cached on f: packed is
+    its coefficients in 64-bit slots as one int, None if top, its largest
+    coefficient, does not fit a slot; None if f has a denominator or a
+    coefficient that is negative or not an int."""
+    try:
+        return f._packed
+    except AttributeError:
+        pass
+    num = f.num
+    if (f.den != _PONE or not _INT_ONLY.issuperset(map(type, num))
+            or min(num, default=0) < 0):
+        f._packed = None
+    else:
+        top = max(num, default=0)
+        f._packed = (_pack(num, _SLOT_BYTES) if top < _SLOT_LIMIT else None,
+                     top, len(num))
+    return f._packed
+
+
+def _pack(num: tuple, width: int) -> int:
+    """The nonnegative coefficients num in slots of width bytes, lowest
+    degree in the lowest slot, as one int."""
+    if width == _SLOT_BYTES:
+        slots = array("Q", num)
+        if _BIG_ENDIAN:
+            slots.byteswap()
+        return int.from_bytes(slots.tobytes(), "little")
+    return int.from_bytes(b"".join(c.to_bytes(width, "little") for c in num),
+                          "little")
+
+
+def _unpack(total: int, size: int, width: int) -> tuple:
+    """The size coefficients packed in total in slots of width bytes."""
+    raw = total.to_bytes(size * width, "little")
+    if width == _SLOT_BYTES:
+        slots = array("Q")
+        slots.frombytes(raw)
+        if _BIG_ENDIAN:
+            slots.byteswap()
+        return tuple(slots)
+    return tuple(int.from_bytes(raw[i:i + width], "little")
+                 for i in range(0, len(raw), width))
+
+
 def shifted_product_sum(
         terms: Iterable[tuple[int, Scalar, Scalar]]) -> RatFunc | None:
     """The sum of q^e a b over the terms (e, a, b) if every a and b is a
-    polynomial in q, a RatFunc with denominator 1; else None.
+    polynomial in q with nonnegative int coefficients; else None.
 
-    Each product is added into one coefficient list at offset e, row by
-    row of its shorter factor, and the sum is one RatFunc, where a fold
-    of RatFunc operators builds a power of q, a product, its shift and a
-    full-length sum per term.  No terms sum to the zero RatFunc."""
-    polys = []
+    By Kronecker substitution: with one coefficient per slot, the sum is
+    that of the packed products shifted by e slots, unpacked once.  Slot
+    i of a product a b is at most max(a) max(b) min(len a, len b), so
+    while those bounds sum below 2^64 no slot of the sum carries and the
+    cached 64-bit packings serve; past that every factor is packed again
+    in slots of the fewest whole bytes that hold the bound.  No terms sum
+    to the zero RatFunc."""
+    used = []
+    bound = size = 0
     for e, a, b in terms:
-        if (type(a) is not RatFunc or type(b) is not RatFunc
-                or a.den != _PONE or b.den != _PONE):
+        if type(a) is not RatFunc or type(b) is not RatFunc:
             return None
-        x, y = (a.num, b.num) if len(a.num) <= len(b.num) else (b.num, a.num)
-        if x:
-            polys.append((e, x, y))
-    acc = [0] * max((e + len(x) + len(y) - 1 for e, x, y in polys),
-                    default=0)
-    for e, x, y in polys:
-        for i, c in enumerate(x, e):
-            if c:
-                for k, d in enumerate(y, i):
-                    acc[k] += c * d
-    return RatFunc._raw(_strip(acc), _PONE)
+        pa, pb = _packing(a), _packing(b)
+        if pa is None or pb is None:
+            return None
+        x, top_a, len_a = pa
+        y, top_b, len_b = pb
+        if len_a and len_b:
+            bound += top_a * top_b * (len_a if len_a < len_b else len_b)
+            if size < e + len_a + len_b - 1:
+                size = e + len_a + len_b - 1
+            used.append((e, a, b, x, y))
+    if bound < _SLOT_LIMIT:
+        width = _SLOT_BYTES
+        total = 0
+        for e, _, _, x, y in used:
+            total += (x * y) << (_SLOT_BITS * e)
+    else:
+        width = -(-bound.bit_length() // 8)
+        total = sum((_pack(a.num, width) * _pack(b.num, width))
+                    << (8 * width * e) for e, a, b, _, _ in used)
+    # the top slot is a sum of products of positive leading coefficients,
+    # so the unpacked tuple has no trailing zero
+    return RatFunc._raw(_unpack(total, size, width), _PONE)
 
 
 def shifted_product_sums(

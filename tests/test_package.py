@@ -137,7 +137,7 @@ def _scalars_internals(tree: ast.AST) -> set[str]:
     found = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Attribute):
-            if node.attr in ("num", "den"):
+            if node.attr in ("num", "den", "_hash", "_packed"):
                 found.add(f".{node.attr}")
             owner = node.value
             name = (owner.id if isinstance(owner, ast.Name) else
@@ -158,9 +158,10 @@ def test_only_scalars_reads_the_coefficient_tuples():
     assert _scalars_internals(ast.parse(
         "from .scalars import _pmul\nimport psifoc.scalars\n"
         "f.num, g.den, scalars._padd, psifoc.scalars._trim\n"
-        "RatFunc._raw((1, 1), (1,)), scalars.RatFunc._raw")) == {
+        "RatFunc._raw((1, 1), (1,)), scalars.RatFunc._raw\n"
+        "f._hash, g()._packed")) == {
         ".num", ".den", "scalars._pmul", "scalars._padd", "scalars._trim",
-        "RatFunc._raw"}
+        "RatFunc._raw", "._hash", "._packed"}
     named = {path.stem: _scalars_internals(
                  ast.parse(path.read_text(encoding="utf-8")))
              for path in pathlib.Path(psifoc.__file__).parent.glob("*.py")

@@ -550,7 +550,11 @@ def test_twisted_sum_at_an_equal_q_reads_the_quotients(cold_tables):
     lambda n, k, t: math.comb(n, k),
     lambda n, k, t: gauss_binomial(n, k, t) / RatFunc([1, 1]),
     lambda n, k, t: gauss_binomial(n, k, t) if k % 2 else math.comb(n, k),
-], ids=["int", "denominator", "mixed"])
+    # polynomials the packed route refuses: a negative and a Fraction
+    # coefficient
+    lambda n, k, t: gauss_binomial(n, k, t) * (1 - t),
+    lambda n, k, t: gauss_binomial(n, k, t) * Fraction(1, 2),
+], ids=["int", "denominator", "mixed", "negative", "fraction"])
 def test_twisted_sum_of_other_factors_takes_the_fold(binomial):
     for r, s, j in ((0, 0, 0), (3, 4, 2), (5, 5, 5), (6, 2, 7), (2, 2, 9)):
         terms = [(0, binomial(r, k, Q), binomial(s, j - k, Q))
@@ -559,6 +563,35 @@ def test_twisted_sum_of_other_factors_takes_the_fold(binomial):
         value = psi.twisted_sum(r, s, j, Q, binomial)
         want = _twisted_fold(r, s, j, Q, binomial)
         assert value == want and type(value) is type(want), (r, s, j)
+
+
+def test_twisted_sum_at_q_crosses_the_64_bit_edge(cold_tables):
+    # the slot bound of a Gauss twisted sum passes 2^64 near r + s = 72 at
+    # j = (r + s) / 2; below it the sum reads the cached packings, above
+    # it packs each factor again in wider slots
+    for r, s in ((30, 30), (35, 35), (36, 36), (40, 30), (45, 45), (60, 30)):
+        for j in (1, (r + s) // 4, (r + s) // 2, r + s - 1):
+            value = psi.twisted_sum(r, s, j, Q, gauss_binomial)
+            assert value == gauss_binomial(r + s, j, Q), (r, s, j)
+            assert type(value) is RatFunc
+
+
+def test_twisted_sums_on_cold_and_warm_packings_agree(cold_tables):
+    # the first pass packs every table entry it reads and the second reads
+    # the packings; fresh tables packed in the reverse order agree too
+    keys = [(r, s, j) for r in range(0, 41, 4) for s in range(0, 41, 4)
+            for j in (0, (r + s) // 3, (r + s) // 2)]
+
+    def forms(keys):
+        values = {key: psi.twisted_sum(*key, Q, qhat.binomial_eigenvalue)
+                  for key in keys}
+        assert {type(value) for value in values.values()} == {RatFunc}
+        return {key: (value.num, value.den) for key, value in values.items()}
+
+    cold = forms(keys)
+    assert forms(keys) == cold
+    cold_tables()
+    assert forms(keys[::-1]) == cold == forms(keys[::-1])
 
 
 def test_twisted_sum_trims_cancelled_coefficients():

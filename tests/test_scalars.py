@@ -1,5 +1,7 @@
 """Exact field arithmetic: canonical forms, evaluation, tag discipline."""
 
+import copy
+import pickle
 import random
 import time
 from fractions import Fraction
@@ -558,6 +560,131 @@ def test_shifted_product_sums_refuse_a_non_polynomial(odd):
     terms = [("a", 1, Q, Q), ("a", 0, Q, odd)]
     assert scalars.shifted_product_sums(terms) is None
     assert scalars.shifted_product_sums(terms[::-1]) is None
+
+
+# Twisted sums at q: the packed route of shifted_product_sum against the
+# fold of RatFunc operators, at and across the 64-bit bound of its slots.
+
+def _product_fold(terms):
+    total = RatFunc.zero()
+    for e, a, b in terms:
+        total = total + a * b * Q ** e
+    return total
+
+
+def _slot_bound(terms):
+    return sum(max(a.num) * max(b.num) * min(len(a.num), len(b.num))
+               for _, a, b in terms if a and b)
+
+
+_nonnegative_ratfuncs = st.lists(
+    st.one_of(st.integers(min_value=0, max_value=9),
+              st.integers(min_value=0, max_value=2 ** 34)),
+    max_size=12).map(RatFunc)
+
+
+@given(st.lists(st.tuples(st.integers(min_value=0, max_value=20),
+                          _nonnegative_ratfuncs, _nonnegative_ratfuncs),
+                max_size=8))
+@settings(max_examples=200, deadline=None)
+def test_shifted_product_sum_matches_the_fold(terms):
+    want = _form(_product_fold(terms))
+    # the first sum packs every factor, the second reads the packings
+    assert _form(scalars.shifted_product_sum(terms)) == want
+    assert _form(scalars.shifted_product_sum(terms)) == want
+
+
+_TWO32 = 2 ** 32
+
+
+_ONE = RatFunc.one()
+
+
+@pytest.mark.parametrize("terms, bound, top, width", [
+    ([(0, RatFunc([_TWO32 + 1]), RatFunc([_TWO32 - 1]))],
+     2 ** 64 - 1, 2 ** 64 - 1, None),
+    ([(1, _ONE, RatFunc([2 ** 63])), (1, RatFunc([2 ** 63 - 1]), _ONE)],
+     2 ** 64 - 1, 2 ** 64 - 1, None),
+    ([(0, RatFunc([_TWO32]), RatFunc([_TWO32]))], 2 ** 64, 2 ** 64, 9),
+    ([(3, RatFunc([_TWO32, _TWO32]), RatFunc([2 ** 31, 2 ** 31]))],
+     2 ** 64, 2 ** 64, 9),
+    ([(1, _ONE, RatFunc([2 ** 63])), (1, RatFunc([2 ** 63]), _ONE)],
+     2 ** 64, 2 ** 64, 9),
+    ([(1, RatFunc([2 ** 70, 0, 1]), RatFunc([1, 1]))], 2 ** 71, 2 ** 70, 9),
+    ([(0, RatFunc([2 ** 64, 3]), RatFunc([2 ** 64, 1, 1]))],
+     2 ** 129, 2 ** 128, 17),
+], ids=["one-product-2^64-1", "two-terms-2^64-1", "one-product-2^64",
+        "two-slots-2^64", "two-terms-2^64", "a-coefficient-2^70",
+        "a-coefficient-2^64"])
+def test_shifted_product_sum_at_the_64_bit_edge(terms, bound, top, width,
+                                                monkeypatch):
+    # below a bound of 2^64 the cached 64-bit packings serve and nothing
+    # is packed again; from 2^64 on every factor is packed per sum in the
+    # fewest whole bytes that hold the bound
+    assert _slot_bound(terms) == bound
+    for _, a, b in terms:
+        scalars._packing(a), scalars._packing(b)
+    widths = []
+    pack = scalars._pack
+    monkeypatch.setattr(scalars, "_pack",
+                        lambda num, w: widths.append(w) or pack(num, w))
+    value = scalars.shifted_product_sum(terms)
+    assert _form(value) == _form(_product_fold(terms))
+    assert max(value.num) == top
+    assert set(widths) == ({width} if width else set())
+
+
+def test_an_entry_serves_narrow_and_wide_sums():
+    # the same entries, packed first for a sum under the bound and then
+    # summed over it, and the reverse
+    for wide_first in (False, True):
+        a, b = RatFunc([2 ** 31, 3]), RatFunc([2 ** 31, 1])
+        narrow = [(2, a, RatFunc([1, 1])), (0, b, b)]
+        wide = [(0, a, b), (1, b, a)]
+        assert _slot_bound(narrow) < 2 ** 64 <= _slot_bound(wide)
+        for terms in (wide, narrow) if wide_first else (narrow, wide):
+            assert _form(scalars.shifted_product_sum(terms)) == _form(
+                _product_fold(terms))
+
+
+def test_shifted_product_sum_of_zero_terms_is_the_zero_ratfunc():
+    zero = RatFunc.zero()
+    for terms in ([], [(3, zero, Q)],
+                  [(0, Q, zero), (2, zero, zero), (1, zero, Q)]):
+        value = scalars.shifted_product_sum(terms)
+        assert _form(value) == _form(zero)
+    # a zero factor adds nothing to the sum of the other terms
+    value = scalars.shifted_product_sum([(0, Q, Q), (9, zero, Q)])
+    assert _form(value) == _form(Q * Q)
+
+
+@pytest.mark.parametrize("odd", [
+    RatFunc([1, -1]), RatFunc([0, -1]), RatFunc([Fraction(1, 2), 1]),
+    RatFunc([1], [1, 1]), 2, Fraction(1, 2)], ids=repr)
+def test_shifted_product_sum_refuses_other_factors(odd):
+    big = RatFunc([_TWO32] * 3)
+    for terms in ([(0, Q, odd)], [(1, odd, Q)],
+                  [(0, Q, Q), (2, odd, scalars.q_integer(3))],
+                  [(0, big, big), (1, big, odd)]):
+        # the second call reads the packing marker the first left
+        assert scalars.shifted_product_sum(terms) is None
+        assert scalars.shifted_product_sum(terms) is None
+
+
+def test_packed_ratfunc_survives_copy_and_pickle():
+    for num in ([1, 2, 3], [2 ** 64, 1], [1, -2], [Fraction(1, 3), 1]):
+        f = RatFunc(num)
+        hash(f), scalars._packing(f)
+        for g in (copy.copy(f), copy.deepcopy(f),
+                  pickle.loads(pickle.dumps(f))):
+            fresh = RatFunc(num)
+            assert g == f == fresh and hash(g) == hash(fresh)
+            assert {fresh: "x"}[g] == "x" and {g: "x"}[fresh] == "x"
+            assert scalars._packing(g) == scalars._packing(fresh)
+            sums = [scalars.shifted_product_sum([(1, h, Q), (0, h, h)])
+                    for h in (g, fresh)]
+            assert sums[0] == sums[1] and (
+                sums[0] is None or type(sums[0]) is RatFunc)
 
 
 def test_ratfunc_hash_matches_equal_values_across_arithmetic():
