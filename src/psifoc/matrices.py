@@ -70,11 +70,6 @@ class ScalarMatrix:
         obj.rows, obj.cols, obj.data = len(grid), len(grid[0]), grid
         return obj
 
-    @classmethod
-    def identity(cls, n: int, one: Scalar = 1, zero: Scalar = 0) -> "ScalarMatrix":
-        return cls(tuple(tuple(one if i == j else zero for j in range(n))
-                         for i in range(n)))
-
     def entry(self, i: int, j: int) -> Scalar:
         return self.data[i][j]
 
@@ -125,12 +120,6 @@ class ScalarMatrix:
         if not isinstance(other, ScalarMatrix):
             return NotImplemented
         return self._zip(other, operator.sub)
-
-    def scale(self, factor: Scalar) -> "ScalarMatrix":
-        scalars.check(factor)
-        return ScalarMatrix._raw(tuple(
-            tuple(scalars.normalize(factor * v) for v in row)
-            for row in self.data))
 
     def scale_rows(self, factors: Sequence[Scalar]) -> "ScalarMatrix":
         """Row i multiplied by factors[i]; the matrix form of composing

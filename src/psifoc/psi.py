@@ -13,13 +13,14 @@ Gaussian-binomial routine used as an oracle by the operator, matrix and
 quantum-plane modules: a Pascal-style recurrence that never divides, so
 it is total in t.  Each of these sequences, the Fibonacci numbers, the
 quantum-plane powers of :mod:`psifoc.qplane` and the twisted sums of the
-Fermat check in :mod:`psifoc.matrices` is kept in one table per
-parameter, grown bottom-up under one lock, so values do not depend on call
-order or thread interleaving.  The Gauss binomial as a quotient of Gauss
-integers, at the symbolic q of the Gauss family or at any operator
-eigenvalue of :mod:`psifoc.qhat`, is stored entry by requested entry, and
-a new entry steps from the nearest one stored on its diagonal n - k, so a
-row sweep costs one product and one exact division per entry.  At the
+Fermat check in :mod:`psifoc.matrices` is kept as one list per parameter,
+grown bottom-up under one lock, so values do not depend on call order or
+thread interleaving.  The Gauss binomial as a quotient of Gauss integers,
+at the symbolic q of the Gauss family or at any operator eigenvalue of
+:mod:`psifoc.qhat`, is stored entry by requested entry, and a new entry
+steps from the nearest one stored on its diagonal n - k, so a row sweep
+costs one product and one exact division per entry.  Both live in one
+dict, ``_memo``, and ``_memo.clear()`` empties every store.  At the
 symbolic q the rows and the quotient steps run on coefficient tuples in
 :mod:`psifoc.scalars`, which wraps one RatFunc per stored entry.  Factorials
 and falling factorials multiply their factors by a balanced product tree.
@@ -31,7 +32,6 @@ from __future__ import annotations
 
 import sys
 import threading
-from functools import lru_cache
 from typing import Callable, Iterable
 
 from . import scalars
@@ -218,13 +218,6 @@ def interleaved_quotient(tops: Iterable[Scalar], bottoms: Iterable[Scalar],
     return acc
 
 
-# The Gauss quotients callers requested, keyed by (n - k, k), t and the
-# field of t, as _table is: the entries (n - k + i, i) of one diagonal are
-# the steps of one quotient.  The steps between requested entries are not
-# kept, so a single large request stores one entry.  Grown under _GROW.
-_quotients: dict = {}
-
-
 def _gauss_quotient(n: int, k: int, t: Scalar) -> Scalar:
     """The Gaussian binomial (n, k) at a checked t, rational or a rational
     function, as the interleaved quotient of [n-k+1]_t .. [n]_t over
@@ -240,7 +233,8 @@ def _gauss_quotient(n: int, k: int, t: Scalar) -> Scalar:
     NonInvertibleDenominator.  An index past sys.maxsize is refused before
     any table grows."""
     d, field = n - k, type(t)
-    value = _quotients.get((d, k, field, t))
+    key = (_gauss_quotient, field, t, d, k)
+    value = _memo.get(key)
     if value is not None:
         return value
     if t == -1 and max(d, k) >= 2:
@@ -248,20 +242,20 @@ def _gauss_quotient(n: int, k: int, t: Scalar) -> Scalar:
             f"Gauss quotient ({n} {k}) has vanishing denominator at t = -1")
     _check_index(n)
     with _GROW:
-        value = _quotients.get((d, k, field, t))
+        value = _memo.get(key)
         if value is None:
             i = next((i for i in range(k - 1, 0, -1)
-                      if (d, i, field, t) in _quotients), 0)
-            acc = _quotients[d, i, field, t] if i else scalars.one_like(t)
+                      if (_gauss_quotient, field, t, d, i) in _memo), 0)
+            acc = (_memo[_gauss_quotient, field, t, d, i] if i
+                   else scalars.one_like(t))
             steps = range(i + 1, k + 1)
-            value = None
-            if type(t) is RatFunc and t == scalars.Q:
+            if field is RatFunc and t == scalars.Q:
                 value = scalars.q_binomial_steps(acc, d, steps)
-            if value is None:
+            else:
                 value = interleaved_quotient(
                     [_gauss_int(t, d + j) for j in steps],
                     [_gauss_int(t, j) for j in steps], acc)
-            _quotients[d, k, field, t] = value
+            _memo[key] = value
     return value
 
 
@@ -336,19 +330,21 @@ def twisted_sum(r: int, s: int, j: int, t: Scalar,
     return scalars.normalize(total)
 
 
-# One table per sequence and parameter: step(seq, t) returns entry len(seq)
-# from the entries before it.  Entries only grow, one at a time, under the
-# lock, so an entry read outside it is final.  The lock is reentrant because
-# a step may read another table: the quantum-plane power step reads the
-# rows, and the Fermat hook step the rows and the Gauss quotients, whose
-# steps read the sums.
+# Every memo store is one entry of _memo, keyed by the function that grows
+# it, then the field of t, t and any indices, so equal parameters of two
+# fields, 2 and RatFunc.constant(2), never share an entry.  At
+# (step, type(t), t) is the list of step's entries at t grown so far:
+# step(seq, t) returns entry len(seq) from the entries before it.  At
+# (_gauss_quotient, type(t), t, n - k, k) is one requested Gauss quotient;
+# the entries (n - k + i, i) of one diagonal are the steps of one quotient,
+# and the steps between requested entries are not kept, so a single large
+# request stores one entry.  Entries only grow, one at a time, under _GROW,
+# so an entry read outside it is final.  The lock is reentrant because a
+# step may read another store: the quantum-plane power step reads the rows,
+# and the Fermat hook step the rows and the Gauss quotients, whose steps
+# read the sums.
+_memo: dict = {}
 _GROW = threading.RLock()
-
-
-@lru_cache(maxsize=None, typed=True)
-def _table(step: Callable, t: Scalar | None) -> list:
-    """The entries of step's sequence at t computed so far, from 0 up."""
-    return []
 
 
 def _check_index(n: int) -> None:
@@ -362,9 +358,10 @@ def _check_index(n: int) -> None:
 def _entry(step: Callable, t: Scalar | None, n: int):
     if n > sys.maxsize:
         raise OverflowError(f"index {n} exceeds sys.maxsize, no list fits")
-    seq = _table(step, t)
-    if len(seq) <= n:
+    seq = _memo.get((step, type(t), t))
+    if seq is None or len(seq) <= n:
         with _GROW:
+            seq = _memo.setdefault((step, type(t), t), [])
             while len(seq) <= n:
                 seq.append(step(seq, t))
     return seq[n]
@@ -390,5 +387,5 @@ def _row_step(seq: list, t: Scalar) -> tuple[Scalar, ...]:
     t_pow = one
     for k in range(1, len(prev)):
         t_pow = t_pow * t
-        row.append(prev[k - 1] + t_pow * prev[k])
+        row.append(scalars.normalize(prev[k - 1] + t_pow * prev[k]))
     return (*row, one)

@@ -642,17 +642,15 @@ def q_pascal_row(prev: tuple) -> tuple:
                    for k, (a, b) in enumerate(zip(nums, nums[1:]), 1)], one)
 
 
-def q_binomial_steps(start: RatFunc, d: int, steps: range) -> RatFunc | None:
+def q_binomial_steps(start: RatFunc, d: int, steps: range) -> RatFunc:
     """start times [d+j]_q / [j]_q for each j in steps, one product and one
     exact division of coefficient tuples per step and one RatFunc at the
-    end; None if start is not a polynomial or a division is not exact."""
-    if start.den != _PONE:
-        return None
+    end.  start is the Gaussian binomial (d+i, i) at q, a polynomial, for
+    steps = range(i + 1, k + 1), and each step leaves (d+j, j), so every
+    division is exact."""
     num = start.num
     for j in steps:
         num = _pexquo(_pmul(num, (1,) * (d + j)), (1,) * j)
-        if num is None:
-            return None
     return RatFunc._raw(num, _PONE)
 
 

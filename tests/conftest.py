@@ -26,11 +26,15 @@ def run_python():
 
 @pytest.fixture
 def cold_tables():
-    """Empty every per-parameter table and the Gauss quotient store before
-    the test and after it; the fixture value clears them again."""
-    def clear():
-        psi._table.cache_clear()
-        psi._quotients.clear()
-    clear()
-    yield clear
-    clear()
+    """Empty psi's memo store, every sequence table and Gauss quotient,
+    before the test and after it; the fixture value empties it again."""
+    psi._memo.clear()
+    yield psi._memo.clear
+    psi._memo.clear()
+
+
+@pytest.fixture
+def stored():
+    """stored(step, t): the entries of step's sequence at t that psi's
+    memo store holds, under its key (step, type(t), t)."""
+    return lambda step, t: psi._memo[step, type(t), t]

@@ -37,14 +37,16 @@ def test_removed_names_stay_gone():
         assert name not in psifoc.__all__
         with pytest.raises(AttributeError):
             getattr(psifoc, name)
-    # the realization check composes monomial maps, and no code calls the
-    # constant operators or the matrix predicates
+    # the realization check composes monomial maps, no code calls the
+    # constant operators, the matrix predicates or the matrix constructors
+    # identity and scale, and psi keeps one memo store, _memo
     for module, name in (("qhat", "mutator_vanishes"),
                          ("qhat", "identity_like"), ("qhat", "zero_like"),
-                         ("qplane", "_unit_row")):
+                         ("qplane", "_unit_row"), ("psi", "_table"),
+                         ("psi", "_quotients")):
         assert not hasattr(importlib.import_module(f"psifoc.{module}"),
                            name), name
-    for name in ("is_zero", "transpose"):
+    for name in ("is_zero", "transpose", "identity", "scale"):
         assert not hasattr(psifoc.ScalarMatrix, name), name
 
 
@@ -111,9 +113,9 @@ def test_an_export_loads_its_home_module_only(run_python):
 _MEMO_DECORATORS = {"lru_cache", "cache", "cached_property"}
 
 
-def test_only_psi_keeps_an_lru_cache():
-    # every memo store lives in psi, where cold_tables clears it; a
-    # functools cache in another module would keep warm values across it
+def test_no_module_keeps_a_functools_cache():
+    # every memo store is an entry of psi._memo, which cold_tables clears;
+    # a functools cache would keep warm values across it
     users = set()
     for path in pathlib.Path(psifoc.__file__).parent.glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
@@ -127,7 +129,7 @@ def test_only_psi_keeps_an_lru_cache():
                 continue
             if names & _MEMO_DECORATORS:
                 users.add(path.stem)
-    assert users == {"psi"}
+    assert users == set()
 
 
 def _scalars_internals(tree: ast.AST) -> set[str]:

@@ -10,7 +10,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from psifoc import matrices, psi, qhat, qplane, scalars
+import psifoc
+from psifoc import (_record, cli, errors, matrices, psi, qhat, qplane,
+                    scalars)
 from psifoc.errors import InadmissibleFamily, MixedFieldTags, NegativeIndex
 from psifoc.psi import (classical, custom, fibonacci, gauss, gauss_binomial,
                         psi_binomial, psi_factorial, psi_falling, psi_int,
@@ -330,7 +332,7 @@ _TABLES = {
 
 
 @pytest.mark.parametrize("name", sorted(_TABLES))
-def test_tables_grow_safely_across_threads(name, cold_tables):
+def test_tables_grow_safely_across_threads(name, cold_tables, stored):
     # an entry grown from a stale predecessor, or appended twice, breaks the
     # formula from there on
     step, t, first, read, formula = _TABLES[name]
@@ -347,7 +349,7 @@ def test_tables_grow_safely_across_threads(name, cold_tables):
             futures = {n: pool.submit(grow, n)
                        for n in range(first, first + 6)}
             values = {n: f.result(timeout=60) for n, f in futures.items()}
-        table = list(psi._table(step, t))
+        table = list(stored(step, t))
     finally:
         sys.setswitchinterval(interval)
     assert table == [formula(n) for n in range(len(table))]
@@ -394,12 +396,17 @@ def test_product_tree_reads_every_factor_first():
 # The symbolic Gauss quotients are kept per requested entry, and a new
 # entry steps from the highest one stored on its diagonal n - k.
 
+def _stored_quotients():
+    return [value for key, value in psi._memo.items()
+            if key[0] is psi._gauss_quotient]
+
+
 def test_single_quotient_request_stores_one_entry(cold_tables,
                                                   monkeypatch):
     # the steps (n-k+i, i) of a request are not kept: keeping them raised
     # the peak memory of a cold (300, 150) eightfold
     value = psi_binomial(gauss(), 70, 30)
-    assert [v is value for v in psi._quotients.values()] == [True]
+    assert [v is value for v in _stored_quotients()] == [True]
     walks = []
     steps = scalars.q_binomial_steps
     monkeypatch.setattr(scalars, "q_binomial_steps",
@@ -408,9 +415,9 @@ def test_single_quotient_request_stores_one_entry(cold_tables,
     # the walk starts from the stored entry and divides by [31]_q only
     assert psi_binomial(gauss(), 71, 31) == gauss_binomial(71, 31, Q)
     assert walks == [(value, 40, range(31, 32))]
-    assert len(psi._quotients) == 2
+    assert len(_stored_quotients()) == 2
     cold_tables()
-    assert not psi._quotients
+    assert not psi._memo
 
 
 def test_quotient_walk_deeper_than_recursion_limit(cold_tables):
@@ -491,22 +498,33 @@ def test_gauss_quotient_at_rational_t_is_exact(cold_tables):
     assert value == Fraction(35, 16) and type(value) is Fraction
 
 
-def test_cold_tables_clears_every_cache(cold_tables, monkeypatch):
-    # a memo cache that cold_tables misses leaves the tests that ask for
-    # cold tables running on warm ones
-    found, cleared = {}, set()
-    for mod in (psi, qhat, qplane, matrices, scalars):
-        for name, obj in vars(mod).items():
-            if hasattr(obj, "cache_clear") and id(obj) not in found:
-                found[id(obj)] = f"{mod.__name__}.{name}"
+def _module_stores():
+    """len() of every module-level dict, list and set of psifoc."""
+    return {f"{mod.__name__}.{name}": len(obj)
+            for mod in (psifoc, _record, cli, errors, matrices, psi, qhat,
+                        qplane, scalars)
+            for name, obj in vars(mod).items()
+            if isinstance(obj, (dict, list, set))}
 
-                def spy(obj=obj, clear=obj.cache_clear):
-                    cleared.add(id(obj))
-                    clear()
-                monkeypatch.setattr(obj, "cache_clear", spy)
-    assert {"psifoc.psi._table"} <= set(found.values())
+
+def test_only_the_memo_store_grows(cold_tables):
+    # every value kept across calls lives in psi._memo, which cold_tables
+    # empties; a store elsewhere would keep warm values across it
+    before = _module_stores()
+    qplane.verify_gauss_binomial_theorem(6)
+    for t in (Q, Fraction(1, 2)):
+        matrices.fermat_factorization_mismatches(5, matrices.ScalarMode(t))
+    qplane.verify_cauchy_operator(fibonacci(), 3, 2, 2, 6)
+    qplane.explore_observation1_general(fibonacci(), 5)
+    [psi_binomial(gauss(), 6, k) for k in range(7)]
+    psi_factorial(fibonacci(), 10)
+    qplane.realization_check(Q, 4)
+    grown = {name: (before.get(name), size)
+             for name, size in _module_stores().items()
+             if size != before.get(name)}
+    assert list(grown) == ["psifoc.psi._memo"], grown
     cold_tables()
-    assert [found[i] for i in found if i not in cleared] == []
+    assert not psi._memo
 
 
 # At the symbolic q, a twisted sum of polynomial factors adds each product

@@ -58,7 +58,7 @@ def test_op_integer(cold_tables):
     assert op_integer(3, g).eigenvalues == (RatFunc([1, 1, 1]),) * 5
     # [n]_q is the closed form: no table of the sums below it grows
     assert op_integer(500, g).eigenvalues[0] == RatFunc([1] * 500)
-    assert psi._table(psi._sum_step, Q) == []
+    assert (psi._sum_step, RatFunc, Q) not in psi._memo
     assert op_integer(1, g) == _constant(g, 1)
     c = qhat_operator(classical(), 4)
     assert op_integer(4, c).eigenvalues == (4,) * 5
@@ -174,7 +174,7 @@ def test_qhat_mutator_dimension_check():
 
 def test_qhat_mutator_checks_matrix_shapes():
     square, wide = ScalarMatrix([[1, 2], [3, 4]]), ScalarMatrix([[1, 2]])
-    cube = ScalarMatrix.identity(3)
+    cube = ScalarMatrix([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
     for a, b, op in ((square, wide, DiagOperator((1, 1))),
                      (wide, square, DiagOperator((1, 1))),
                      (square, cube, DiagOperator((1, 1, 1)))):
@@ -238,16 +238,29 @@ def test_operator_integers_once_per_distinct_eigenvalue(fam, monkeypatch):
         assert [type(v) for v in got] == [type(v) for v in want]
 
 
-@pytest.mark.parametrize("routine", [psi.gauss_binomial, binomial_eigenvalue])
-def test_caches_keep_field_tags_apart(routine, cold_tables):
-    # RatFunc.constant(2) == 2 and both hash alike; a cache keyed by value
-    # alone hands the int call the rational function cached first
-    orders = ((RatFunc.constant(2), 2), (2, RatFunc.constant(2)))
-    for (n, k, want), (first, second) in itertools.product(
-            ((4, 2, 35), (8, 3, 97155)), orders):
+# a routine of (n, k, t), and (n, k, value at t = 2) for two cells
+_AT_TWO = {
+    "gauss_binomial": (psi.gauss_binomial, ((4, 2, 35), (8, 3, 97155))),
+    "binomial_eigenvalue": (binomial_eigenvalue,
+                            ((4, 2, 35), (8, 3, 97155))),
+    "geometric_sum": (lambda n, k, t: psi.geometric_sum(t, n),
+                      ((4, 0, 15), (8, 0, 255))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_AT_TWO))
+def test_caches_keep_field_tags_apart(name, cold_tables):
+    # 2, Fraction(2) and RatFunc.constant(2) are equal and hash alike; a
+    # cache keyed by value alone hands a later call the value of another
+    # tag cached first.  Both rational tags give the normalized int.
+    routine, cells = _AT_TWO[name]
+    tags = (2, Fraction(2), RatFunc.constant(2))
+    for (n, k, want), order in itertools.product(
+            cells, itertools.permutations(tags)):
         cold_tables()
-        values = {type(t): routine(n, k, t) for t in (first, second)}
-        assert values[int] == want and type(values[int]) is int
+        values = {type(t): routine(n, k, t) for t in order}
+        for tag in (int, Fraction):
+            assert values[tag] == want and type(values[tag]) is int, tag
         assert values[RatFunc] == RatFunc.constant(want)
         assert type(values[RatFunc]) is RatFunc
 

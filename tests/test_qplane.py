@@ -88,11 +88,11 @@ def test_binomial_theorem_multiplies_each_power_once_per_parameter(
     assert len(products) == 3
 
 
-def test_stored_powers_hold_the_gaussian_rows(cold_tables):
+def test_stored_powers_hold_the_gaussian_rows(cold_tables, stored):
     # every coefficient of a stored power is the row entry it equals, so
     # the table keeps no second copy of the rows
     assert verify_gauss_binomial_theorem(16).passed
-    powers = psi._table(qplane._power_step, Q)
+    powers = stored(qplane._power_step, Q)
     assert len(powers) == 17
     for n, power in enumerate(powers):
         assert sorted(power.coeffs) == [(k, n - k) for k in range(n + 1)]
@@ -130,11 +130,12 @@ def _missing_key(coeffs):
 @pytest.mark.parametrize("corrupt", [
     [_wrong_value], [_extra_key], [_missing_key], [_wrong_value, _extra_key]],
     ids=["wrong-value", "extra-key", "missing-key", "wrong-and-extra"])
-def test_binomial_theorem_reports_a_wrong_stored_power(corrupt, cold_tables):
+def test_binomial_theorem_reports_a_wrong_stored_power(corrupt, cold_tables,
+                                                      stored):
     # the one comparison per power fails, and the rows are those of the
     # loop over single coefficients
     assert verify_gauss_binomial_theorem(8).passed
-    coeffs = psi._table(qplane._power_step, Q)[5].coeffs
+    coeffs = stored(qplane._power_step, Q)[5].coeffs
     for change in corrupt:
         change(coeffs)
     report = verify_gauss_binomial_theorem(8)

@@ -93,7 +93,6 @@ _ENTRIES = {
     "QPlanePoly coefficient": lambda x: QPlanePoly(1, {(1, 0): x}),
     "DiagOperator": lambda x: DiagOperator((1, x)),
     "ScalarMatrix": lambda x: ScalarMatrix([[1, x]]),
-    "ScalarMatrix.scale": lambda x: ScalarMatrix([[1]]).scale(x),
     "ScalarMatrix.scale_rows": lambda x: ScalarMatrix([[1]]).scale_rows([x]),
 }
 
