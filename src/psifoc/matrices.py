@@ -7,12 +7,9 @@ choosing an evaluation mode: either a scalar deformation parameter t, or
 an eigenvalue of the family mutator at a chosen monomial degree.  The two
 are interchangeable because every operator entry is diagonal on monomials.
 
-Matrix arithmetic does none on zeros, and a result row that no term
-reaches is one shared row of int 0, as the matrices of the realization
-maps of :mod:`psifoc.qplane`, which its ordered expansion adds, share
-theirs.  A row's nonzero columns are found by :func:`itertools.compress`,
-which tests truth in C, so the Python loops run only over the entries a
-term reaches.
+Matrix arithmetic is the plain dense definition, entry by entry; it
+skips only the products that have a zero factor, and an entry that no
+term reaches is int 0.
 
 The Fermat matrix entries come from the factorial-quotient route
 (:func:`psifoc.qhat.binomial_eigenvalue`), so the factorization check
@@ -42,12 +39,10 @@ class ScalarMatrix:
     """Dense rectangular matrix over exact scalars.
 
     Entries may mix plain integers with the field elements of one tag;
-    equality is entrywise equality of canonical forms.  Zeros cost no
-    arithmetic: an entry that is zero in both operands of ``+`` or ``-``,
-    or zero in the matrix that :meth:`scale_rows` scales, is int ``0`` in
-    the result, as an entry no product term reaches is in ``@``, and only
-    the entries a term reaches are normalized.  A result row that no term
-    reaches at all is one row of int ``0`` shared by the whole result.
+    equality is entrywise equality of canonical forms.  An entry that is
+    zero in both operands of ``+`` or ``-``, or zero in the matrix that
+    :meth:`scale_rows` scales, is int ``0`` in the result, as an entry no
+    product term reaches is in ``@``; every other entry is normalized.
     """
 
     __slots__ = ("rows", "cols", "data")
@@ -80,36 +75,19 @@ class ScalarMatrix:
             raise DimensionMismatch(
                 f"cannot multiply {self.rows}x{self.cols} by "
                 f"{other.rows}x{other.cols}")
-        # Gustavson's row-by-row product: row i is the sum over k of a_ik
-        # times the nonzero entries of row k of other, k ascending, so each
-        # entry adds its terms in the order of the dense triple loop
-        cols, zeros = range(other.cols), (0,) * other.cols
-        right = [[(j, row[j]) for j in itertools.compress(cols, row)]
-                 for row in other.data]
-        ks = range(self.cols)
-        out = []
-        for row in self.data:
-            acc: dict[int, Scalar] = {}
-            for k in itertools.compress(ks, row):
-                a = row[k]
-                for j, b in right[k]:
-                    acc[j] = acc[j] + a * b if j in acc else a * b
-            out.append(_row(zeros, acc.items()))
-        return ScalarMatrix._raw(tuple(out))
+        cols = tuple(zip(*other.data))
+        return ScalarMatrix._raw(tuple(
+            tuple([_dot(row, col) for col in cols]) for row in self.data))
 
     def _zip(self, other: "ScalarMatrix", op) -> "ScalarMatrix":
         if self.rows != other.rows or self.cols != other.cols:
             raise DimensionMismatch(
                 f"shape {self.rows}x{self.cols} vs "
                 f"{other.rows}x{other.cols}")
-        cols, zeros = range(self.cols), (0,) * self.cols
-        out = []
-        for ra, rb in zip(self.data, other.data):
-            # the columns where either entry is nonzero
-            hits = {*itertools.compress(cols, ra),
-                    *itertools.compress(cols, rb)}
-            out.append(_row(zeros, ((j, op(ra[j], rb[j])) for j in hits)))
-        return ScalarMatrix._raw(tuple(out))
+        return ScalarMatrix._raw(tuple(
+            tuple([scalars.normalize(op(a, b)) if a or b else 0
+                   for a, b in zip(ra, rb)])
+            for ra, rb in zip(self.data, other.data)))
 
     def __add__(self, other):
         if not isinstance(other, ScalarMatrix):
@@ -127,25 +105,15 @@ class ScalarMatrix:
         if len(factors) != self.rows:
             raise DimensionMismatch(
                 f"{len(factors)} row factors for {self.rows} rows")
-        cols, zeros = range(self.cols), (0,) * self.cols
-        out = []
-        for f, row in zip(map(scalars.check, factors), self.data):
-            hits = itertools.compress(cols, row)
-            out.append(_row(zeros, ((j, f * row[j]) for j in hits)))
-        return ScalarMatrix._raw(tuple(out))
+        return ScalarMatrix._raw(tuple(
+            tuple([scalars.normalize(f * v) if v else 0 for v in row])
+            for f, row in zip(map(scalars.check, factors), self.data)))
 
     def apply(self, vector: Sequence[Scalar]) -> tuple[Scalar, ...]:
         if len(vector) != self.cols:
             raise DimensionMismatch(
                 f"vector of length {len(vector)} for {self.cols} columns")
-        out = []
-        for row in self.data:
-            acc: Scalar = 0
-            for a, v in zip(row, vector):
-                if a and v:
-                    acc = acc + a * v
-            out.append(scalars.normalize(acc))
-        return tuple(out)
+        return tuple([_dot(row, vector) for row in self.data])
 
     def __eq__(self, other):
         if not isinstance(other, ScalarMatrix):
@@ -160,15 +128,14 @@ class ScalarMatrix:
         return f"ScalarMatrix[{body}]"
 
 
-def _row(zeros: tuple, entries: Iterable[tuple[int, Scalar]]) -> tuple:
-    """The row zeros with each entry (j, v) normalized into column j, or
-    zeros itself, the row shared by a whole result, if there are none."""
-    line = None
-    for j, v in entries:
-        if line is None:
-            line = list(zeros)
-        line[j] = scalars.normalize(v)
-    return zeros if line is None else tuple(line)
+def _dot(row: Sequence[Scalar], col: Sequence[Scalar]) -> Scalar:
+    """The sum of a b over the pairs (a, b) of row and col whose two
+    factors are nonzero, in order, normalized; int 0 if there is none."""
+    acc = None
+    for a, b in zip(row, col):
+        if a and b:
+            acc = a * b if acc is None else acc + a * b
+    return 0 if acc is None else scalars.normalize(acc)
 
 
 class ScalarMode(Frozen):
@@ -287,8 +254,6 @@ def _rref(rows: Sequence[Sequence[int]], p: int) -> tuple[tuple[int, ...], ...]:
     below, zero rows dropped, rows ordered by pivot column.  Unique per
     row space, so it canonicalizes subspaces."""
     mat = [list(row) for row in rows]
-    if not mat:
-        return ()
     width = len(mat[0])
     rank = 0
     for col in range(width):

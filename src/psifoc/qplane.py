@@ -366,14 +366,12 @@ class MonomialMap(Frozen):
 
     def to_matrix(self) -> ScalarMatrix:
         """The map as a matrix: w in row i of column j for each image, and
-        one shared zero row for every row that no image reaches."""
-        zeros = (0,) * len(self.images)
-        rows: list = [zeros] * len(self.images)
+        int 0 everywhere else."""
+        size = len(self.images)
+        rows = [[0] * size for _ in range(size)]
         for j, image in enumerate(self.images):
             if image is not None:
                 i, w = image
-                if rows[i] is zeros:
-                    rows[i] = list(zeros)
                 rows[i][j] = w
         return ScalarMatrix._raw(tuple(map(tuple, rows)))
 

@@ -74,13 +74,13 @@ Rational = Union[int, Fraction]
 # else _prs_gcd (Collins 1967; Brown 1971), and monic scaling last.
 #
 # The Gauss integer [m]_q = 1 + q + ... + q^(m-1), all ones, is the most
-# common operand, and both kernels take it in O(len) by its identities:
+# common operand, and two kernels take it in O(len) by its identities:
 # * product: entry j of [m]_q b is the window sum b[j-m+1] + ... + b[j],
 #   the difference of two prefix sums of b;
-# * quotient: [m]_q (1 - q) = 1 - q^m, so a / [m]_q = a (1 - q) / (1 - q^m),
-#   and dividing d by 1 - q^m from the bottom is quot[j] = d[j] + quot[j-m],
-#   one prefix sum per residue class of j mod m.  The division is exact iff
-#   the top m coefficients of d cancel.
+# * the Gauss quotient step of q_binomial_steps: [m]_q (1 - q) = 1 - q^m,
+#   so a [m]_q / [j]_q = a (1 - q^m) / (1 - q^j), one shifted difference,
+#   and dividing d by 1 - q^j from the bottom is quot[i] = d[i] + quot[i-j],
+#   one prefix sum per residue class of i mod j.
 # ---------------------------------------------------------------------------
 
 _PZERO: tuple = ()
@@ -93,15 +93,8 @@ _SLOT_LIMIT = 1 << _SLOT_BITS
 _BIG_ENDIAN = sys.byteorder == "big"
 
 
-def _norm_coeff(c):
-    # exact type first: isinstance against the Fraction ABC is slow
-    if type(c) is not int and isinstance(c, Fraction) and c.denominator == 1:
-        return c.numerator
-    return c
-
-
 def _trim(coeffs) -> tuple:
-    out = [c if type(c) is int else _norm_coeff(c) for c in coeffs]
+    out = [c if type(c) is int else normalize(c) for c in coeffs]
     while out and not out[-1]:
         out.pop()
     return tuple(out)
@@ -109,7 +102,7 @@ def _trim(coeffs) -> tuple:
 
 def _constant(c: Rational) -> tuple:
     """The constant polynomial c; () for zero."""
-    c = _norm_coeff(c)
+    c = normalize(c)
     return (c,) if c else _PZERO
 
 
@@ -188,7 +181,7 @@ def _ppow(a: tuple, n: int) -> tuple:
     d = len(a) - 1
     if a.count(0) == d:
         # (c q^d)^n = c^n q^(dn)
-        return (0,) * (d * n) + (_norm_coeff(a[-1] ** n),)
+        return (0,) * (d * n) + (normalize(a[-1] ** n),)
     result = _PONE
     base = a
     while n:
@@ -220,19 +213,6 @@ def _pexquo(a: tuple, b: tuple):
     nb = len(b)
     if len(a) < nb:
         return None
-    if b.count(1) == nb:
-        # b is [m]_q: divide d = a (1 - q) by 1 - q^m from the bottom; past
-        # the quotient's length the sums must vanish
-        size = len(a) - nb + 1
-        d = list(map(sub, (*a, 0), (0, *a)))
-        for r in range(nb):
-            d[r::nb] = accumulate(d[r::nb])
-        if any(d[size:]):
-            return None
-        quot = d[:size]
-        if _INT_ONLY.issuperset(map(type, quot)):
-            return tuple(quot)
-        # a Fraction quotient: the loop below decides it over Z
     rem = list(a)
     lead_b = b[-1]
     quot = [0] * (len(a) - nb + 1)
@@ -284,7 +264,7 @@ def _peval(a: tuple, x: Rational):
     acc = 0
     for c in reversed(a):
         acc = acc * x + c
-    return _norm_coeff(acc)
+    return normalize(acc)
 
 
 def _prender(a: tuple, var: str = "q") -> str:
@@ -643,14 +623,23 @@ def q_pascal_row(prev: tuple) -> tuple:
 
 
 def q_binomial_steps(start: RatFunc, d: int, steps: range) -> RatFunc:
-    """start times [d+j]_q / [j]_q for each j in steps, one product and one
-    exact division of coefficient tuples per step and one RatFunc at the
-    end.  start is the Gaussian binomial (d+i, i) at q, a polynomial, for
-    steps = range(i + 1, k + 1), and each step leaves (d+j, j), so every
-    division is exact."""
+    """start times [d+j]_q / [j]_q for each j in steps, on coefficient
+    tuples, and one RatFunc at the end.  start is the Gaussian binomial
+    (d+i, i) at q, a polynomial, for steps = range(i + 1, k + 1), and each
+    step leaves (d+j, j), so every division is exact.
+
+    Since [m]_q (1 - q) = 1 - q^m, a step multiplies by 1 - q^(d+j), one
+    shifted difference, and divides by 1 - q^j from the bottom, one prefix
+    sum per residue class of the degree mod j; the top j coefficients of
+    that quotient vanish and are dropped."""
     num = start.num
     for j in steps:
-        num = _pexquo(_pmul(num, (1,) * (d + j)), (1,) * j)
+        m = d + j
+        out = [*num[:m], *map(sub, num[m:], num), *[0] * (m - len(num)),
+               *map(neg, num[-m:])]
+        for r in range(j):
+            out[r::j] = accumulate(out[r::j])
+        num = tuple(out[:len(out) - j])
     return RatFunc._raw(num, _PONE)
 
 

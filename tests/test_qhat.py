@@ -15,7 +15,7 @@ from psifoc.psi import classical, custom, fibonacci, gauss, gauss_binomial
 from psifoc.qhat import (DiagOperator, binomial_eigenvalue, dilation_operator,
                          eval_on_monomial, geometric_sum, op_binomial, op_factorial, op_integer,
                          per_eigenvalue, qhat_mutator, qhat_operator)
-from psifoc.qplane import verify_gauss_binomial_theorem
+from psifoc.qplane import QPlanePoly, verify_gauss_binomial_theorem
 from psifoc.scalars import Q, RatFunc
 
 
@@ -140,6 +140,41 @@ def test_operator_algebra_shapes():
         a + b
     with pytest.raises(DimensionMismatch):
         a * b
+
+
+def test_operator_sums_and_products_are_per_degree():
+    h = Fraction(1, 2)
+    # (a, b, a + b, a * b), eigenvalue by eigenvalue, worked by hand
+    cases = [
+        ((1, -2, 3), (4, 5, -3), (5, 3, 0), (4, -10, -9)),
+        ((h, Fraction(-3, 4), Fraction(2, 3)),
+         (h, Fraction(1, 4), Fraction(1, 3)),
+         (1, -h, 1), (Fraction(1, 4), Fraction(-3, 16), Fraction(2, 9))),
+        ((Q, RatFunc([0, 1], [1, 1])),
+         (RatFunc([1, -1]), RatFunc([1], [1, 1])),
+         (RatFunc.one(), RatFunc.one()),
+         (RatFunc([0, 1, -1]), RatFunc([0, 1], [1, 2, 1]))),
+    ]
+    for a, b, total, product in cases:
+        left, right = DiagOperator(a), DiagOperator(b)
+        for got, want in (((left + right).eigenvalues, total),
+                          ((left * right).eigenvalues, product)):
+            assert got == want
+            assert [type(v) for v in got] == [type(v) for v in want]
+        longer = DiagOperator(a + a[:1])
+        for op in (left.__add__, left.__mul__):
+            with pytest.raises(DimensionMismatch,
+                               match=f"degrees {len(a) - 1} and {len(a)}"):
+                op(longer)
+            assert op(a) is NotImplemented
+        with pytest.raises(TypeError):
+            left + 1
+    matrix = ScalarMatrix([[1, Fraction(-1, 2)],
+                           [0, RatFunc([0, 1], [1, 1])]])
+    assert repr(matrix) == "ScalarMatrix[1, -1/2; 0, (q)/(1 + q)]"
+    assert repr(QPlanePoly.x_plus_y(Q) ** 2) == (
+        "(1)*x^0*y^2 + (1 + q)*x^1*y^1 + (1)*x^2*y^0")
+    assert repr(QPlanePoly(Q, {})) == "0"
 
 
 def test_operator_serialization():

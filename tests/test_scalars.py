@@ -347,7 +347,7 @@ _kernel_polys = st.one_of(
     _polys.map(scalars._trim),
     # monomials c q^d, often longer than the other factor
     st.tuples(st.integers(min_value=0, max_value=40), _nonzero_coeffs).map(
-        lambda t: (0,) * t[0] + (scalars._norm_coeff(t[1]),)),
+        lambda t: (0,) * t[0] + (scalars.normalize(t[1]),)),
     # dense factors padded with zeros at the bottom, as a twist leaves them
     st.tuples(st.integers(min_value=1, max_value=40),
               _polys.map(scalars._trim).filter(bool)).map(
@@ -408,9 +408,9 @@ def test_mixed_operands_match_the_lifted_route(f, c):
         assert hash(f) == hash(c)
 
 
-# The Gauss integer [m]_q, all ones, takes window-sum and prefix-sum paths
-# in _pmul and _pexquo; its co-factors are int (negative too), Fraction,
-# 10^12-sized, monomial or zero.
+# The Gauss integer [m]_q, all ones, takes the window-sum path of _pmul
+# and the general long division of _pexquo; its co-factors are int
+# (negative too), Fraction, 10^12-sized, monomial or zero.
 _gauss_integers = st.integers(min_value=2, max_value=12).map(
     lambda m: (1,) * m)
 _int_polys = st.lists(st.integers(min_value=-10**12, max_value=10**12),
@@ -442,6 +442,17 @@ def test_pexquo_by_gauss_integer_matches_naive_division(ones, c, data):
     changed = scalars._trim(changed)
     assert scalars._pexquo(changed, ones) is None
     assert _naive_exquo(changed, ones) is None
+
+
+def test_q_binomial_steps_walk_the_gauss_diagonal():
+    # each step multiplies by 1 - q^(d+j) and divides by 1 - q^j
+    for d in range(16):
+        for i in range(15):
+            start = gauss_binomial(d + i, i, Q)
+            for k in range(i + 1, 16):
+                steps = range(i + 1, k + 1)
+                assert (scalars.q_binomial_steps(start, d, steps)
+                        == gauss_binomial(d + k, k, Q)), (d, i, k)
 
 
 @given(_int_polys, _int_polys.filter(bool), st.data())
