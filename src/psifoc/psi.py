@@ -23,7 +23,10 @@ costs one product and one exact division per entry.  Both live in one
 dict, ``_memo``, and ``_memo.clear()`` empties every store.  At the
 symbolic q the rows and the quotient steps run on coefficient tuples in
 :mod:`psifoc.scalars`, which wraps one RatFunc per stored entry.  Factorials
-and falling factorials multiply their factors by a balanced product tree.
+and falling factorials multiply rationals by a balanced product tree and
+rational functions by a left fold.  Binomials take two routes: the stored
+quotient for the symbolic Gauss family, and the falling factorial over the
+factorial for every other family.
 The two-variable convolution expansions built from the family binomials
 live in :mod:`psifoc.qplane`, as quantum-plane polynomials at t = 1.
 """
@@ -171,11 +174,18 @@ def psi_falling(fam: PsiFamily, x: int, k: int) -> Scalar:
 
 
 def _product(factors: list, one: Scalar) -> Scalar:
-    """The normalized product of factors (one when there are none), by a
-    balanced tree: adjacent pairs multiply, then pairs of those products.
-    A left fold multiplies a growing product by each small factor, which
-    for Fibonacci factorials, of about n^2/10 digits, is quadratic in the
-    digits; the tree keeps both sides of a product of similar size."""
+    """The normalized product of factors, one when there are none; the
+    field of one picks the order.  Rationals multiply by a balanced tree,
+    adjacent pairs and then pairs of those products: a left fold multiplies
+    a growing product by each small factor, which for Fibonacci
+    factorials, of about n^2/10 digits, is quadratic in the digits.
+    Rational functions fold left from one: each factor is short there, and
+    :mod:`psifoc.scalars` multiplies by [j]_q in one pass, where a tree
+    would multiply two long polynomials."""
+    if isinstance(one, RatFunc):
+        for factor in factors:
+            one = one * factor
+        return one
     while len(factors) > 1:
         paired = [a * b for a, b in zip(factors[::2], factors[1::2])]
         factors = paired + factors[-1:] if len(factors) % 2 else paired
@@ -189,39 +199,22 @@ def psi_binomial(fam: PsiFamily, n: int, k: int) -> Scalar:
         raise ValueError("psi_binomial requires n >= 0")
     if k < 0 or k > n:
         return family_zero(fam)
-    if not fam.symbolic:
-        return scalars.div(psi_falling(fam, n, k), psi_factorial(fam, k))
-    # symbolic families divide as they go.  The factors are read first, in
-    # psi_falling's and then psi_factorial's order, so a bad index fails
-    # as it does in the single quotient.  [i]_q never vanishes, so gauss
-    # takes the stored quotient over the shorter side of (n, k) = (n, n-k).
-    if fam.kind == "gauss":
+    # [i]_q never vanishes, so the symbolic gauss family takes the stored
+    # quotient over the shorter side of (n, k) = (n, n-k); every other
+    # family reads the factors in psi_falling's and then psi_factorial's
+    # order, so the first bad index is the one reported
+    if fam.kind == "gauss" and fam.symbolic:
         return _gauss_quotient(n, min(k, n - k), scalars.Q)
-    tops = [psi_int(fam, n - i) for i in range(k)]
-    bottoms = [psi_int(fam, i) for i in range(1, k + 1)]
-    return interleaved_quotient(reversed(tops), bottoms, family_one(fam))
-
-
-def interleaved_quotient(tops: Iterable[Scalar], bottoms: Iterable[Scalar],
-                         start: Scalar) -> Scalar:
-    """start times the product of tops over the product of bottoms,
-    divided as it is multiplied: acc = acc * top / bottom, step by step,
-    each quotient exact (:func:`psifoc.scalars.div`).
-
-    From start = one, tops [n-k+1] .. [n] and bottoms [1] .. [k] leave the
-    binomial (n-k+i, i) after step i.  For Gauss integers at the symbolic
-    q that is a polynomial, far smaller than the falling factorial, and
-    each step an exact polynomial division."""
-    acc = start
-    for top, bottom in zip(tops, bottoms):
-        acc = scalars.div(acc * top, bottom)
-    return acc
+    return scalars.div(psi_falling(fam, n, k), psi_factorial(fam, k))
 
 
 def _gauss_quotient(n: int, k: int, t: Scalar) -> Scalar:
     """The Gaussian binomial (n, k) at a checked t, rational or a rational
-    function, as the interleaved quotient of [n-k+1]_t .. [n]_t over
-    [1]_t .. [k]_t, for 0 <= k <= n.
+    function, for 0 <= k <= n: the product of [n-k+1]_t .. [n]_t over
+    [1]_t .. [k]_t, divided as it is multiplied.  Step i takes
+    acc = acc [n-k+i]_t / [i]_t, an exact quotient that leaves the
+    binomial (n-k+i, i), far smaller at the symbolic q than the falling
+    factorial.
 
     The quotient starts from the highest entry (n-k+i, i) stored on its
     diagonal, or from one, and takes the steps i+1 .. k from there: in a
@@ -250,12 +243,12 @@ def _gauss_quotient(n: int, k: int, t: Scalar) -> Scalar:
                    else scalars.one_like(t))
             steps = range(i + 1, k + 1)
             if field is RatFunc and t == scalars.Q:
-                value = scalars.q_binomial_steps(acc, d, steps)
+                acc = scalars.q_binomial_steps(acc, d, steps)
             else:
-                value = interleaved_quotient(
-                    [_gauss_int(t, d + j) for j in steps],
-                    [_gauss_int(t, j) for j in steps], acc)
-            _memo[key] = value
+                for j in steps:
+                    acc = scalars.div(acc * _gauss_int(t, d + j),
+                                      _gauss_int(t, j))
+            value = _memo[key] = acc
     return value
 
 

@@ -26,15 +26,14 @@ its own name; it is a different operator from the mutator.
 from __future__ import annotations
 
 import json
-import math
 from typing import Any, Callable
 
 from . import scalars
 from ._record import Frozen
 from .errors import (DegreeOutOfRange, DimensionMismatch,
                      NonInvertibleDenominator)
-from .psi import (PsiFamily, _check_index, _gauss_quotient, family_one,
-                  geometric_sum, psi_int)
+from .psi import (PsiFamily, _check_index, _gauss_quotient, _product,
+                  family_one, geometric_sum, psi_int)
 from .scalars import Scalar
 
 
@@ -180,19 +179,13 @@ def op_integer(n: int, op: DiagOperator) -> DiagOperator:
 
 def op_factorial(n: int, op: DiagOperator) -> DiagOperator:
     """Pointwise product of op_integer(j, op) for j = 1..n, once per
-    distinct eigenvalue; empty is the identity.  A left fold: at the
-    symbolic q each factor [j]_q is all ones, which :mod:`psifoc.scalars`
-    multiplies in one pass, where a product tree would multiply two long
-    polynomials."""
+    distinct eigenvalue, by :func:`psifoc.psi._product` in the field of
+    the eigenvalue; empty is the identity."""
     if n < 0:
         raise ValueError("op_factorial requires n >= 0")
-
-    def factorial(lam: Scalar) -> Scalar:
-        return scalars.normalize(math.prod(
-            (geometric_sum(lam, j) for j in range(1, n + 1)),
-            start=scalars.one_like(lam)))
-
-    return DiagOperator(tuple(per_eigenvalue(op, factorial)))
+    return DiagOperator(tuple(per_eigenvalue(op, lambda lam: _product(
+        [geometric_sum(lam, j) for j in range(1, n + 1)],
+        scalars.one_like(lam)))))
 
 
 def op_binomial(n: int, k: int, op: DiagOperator) -> DiagOperator:

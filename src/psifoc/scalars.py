@@ -65,13 +65,12 @@ Rational = Union[int, Fraction]
 # quantum-plane products were slower): q_pascal_row shifts and adds the
 # Gauss rows, q_binomial_steps walks a Gauss quotient, and
 # shifted_product_sums adds the quantum-plane products per monomial.
-# A difference of two polynomials subtracts their tuples directly.
 # Powers of a monomial are closed-form, and a denominator of 1 is not
-# powered.  The leading
-# coefficient of a product is the product of two nonzero leading ones,
-# nonzero over the integral domain Q, so an all-int product needs no
-# _trim.  The canonical form is fraction-free: _primitive, then _pexquo,
-# else _prs_gcd (Collins 1967; Brown 1971), and monic scaling last.
+# powered.  The leading coefficient of a product is the product of two
+# nonzero leading ones, nonzero over the integral domain Q, so an all-int
+# product needs no _trim.  The canonical form is fraction-free:
+# _primitive, then _pexquo, else _prs_gcd (Collins 1967; Brown 1971), and
+# monic scaling last.
 #
 # The Gauss integer [m]_q = 1 + q + ... + q^(m-1), all ones, is the most
 # common operand, and two kernels take it in O(len) by its identities:
@@ -120,10 +119,6 @@ def _padd(a: tuple, b: tuple) -> tuple:
     if len(a) < len(b):
         a, b = b, a
     return _strip([*map(add, a, b), *a[len(b):]])
-
-
-def _psub(a: tuple, b: tuple) -> tuple:
-    return _strip([*map(sub, a, b), *a[len(b):], *map(neg, b[len(a):])])
 
 
 def _pshift_add(a: tuple, b: tuple, e: int) -> tuple:
@@ -345,9 +340,6 @@ class RatFunc:
     def __sub__(self, other):
         if not isinstance(other, (RatFunc, int, Fraction)):
             return NotImplemented
-        if (type(other) is RatFunc and self.den == _PONE
-                and other.den == _PONE):
-            return RatFunc._raw(_psub(self.num, other.num), _PONE)
         return self.__add__(-other)
 
     def __rsub__(self, other):
@@ -384,8 +376,8 @@ class RatFunc:
         if not other.num:
             raise DivisionByZero("division by the zero rational function")
         if self.den == _PONE and other.den == _PONE:
-            # each step of an interleaved quotient is an exact division:
-            # try it before the primitive split of the canonical form
+            # a Gauss quotient step away from q and a family binomial
+            # divide exactly: try that before the canonical form
             quot = _pexquo(self.num, other.num)
             if quot is not None:
                 return RatFunc._raw(quot, _PONE)

@@ -40,13 +40,15 @@ def test_removed_names_stay_gone():
     # the realization check composes monomial maps, no code calls the
     # constant operators, the matrix predicates or the matrix constructors
     # identity and scale, psi keeps one memo store, _memo, the matrices
-    # compute densely without a row builder, and scalars normalizes
-    # coefficients with normalize
+    # compute densely without a row builder, scalars normalizes
+    # coefficients with normalize and subtracts by adding the negative, and
+    # psi divides binomials by the Gauss quotient or the factorial quotient
     for module, name in (("qhat", "mutator_vanishes"),
                          ("qhat", "identity_like"), ("qhat", "zero_like"),
                          ("qplane", "_unit_row"), ("psi", "_table"),
                          ("psi", "_quotients"), ("matrices", "_row"),
-                         ("scalars", "_norm_coeff")):
+                         ("scalars", "_norm_coeff"), ("scalars", "_psub"),
+                         ("psi", "interleaved_quotient")):
         assert not hasattr(importlib.import_module(f"psifoc.{module}"),
                            name), name
     for name in ("is_zero", "transpose", "identity", "scale"):

@@ -357,8 +357,9 @@ def test_tables_grow_safely_across_threads(name, cold_tables, stored):
         assert value == formula(n)
 
 
-# Factorials multiply by a product tree; the left fold below is the
-# route it replaced, one running product factor by factor.
+# Factorials multiply rationals by a product tree and rational functions
+# by a left fold; the fold below is the definition both must match, one
+# running product factor by factor.
 _TREE_FAMILIES = [classical(), gauss(), gauss(2), gauss(Fraction(1, 2)),
                   fibonacci(), custom([RatFunc([j, 1]) for j in range(1, 61)])]
 
@@ -391,6 +392,45 @@ def test_product_tree_reads_every_factor_first():
         psi_falling(custom([1, 0]), 4, 3)
     with pytest.raises(NegativeIndex, match="reaches index -1"):
         psi_falling(custom([1, 1]), 2, 4)
+
+
+def test_symbolic_factorials_multiply_by_short_factors(monkeypatch):
+    # a product tree at q multiplies two long partial products: its shorter
+    # factor reached 285 coefficients in the Gauss factorial of 40
+    shorter = []
+    pmul = scalars._pmul
+    monkeypatch.setattr(scalars, "_pmul", lambda a, b: shorter.append(
+        min(len(a), len(b))) or pmul(a, b))
+    psi_factorial(gauss(), 40)
+    psi_falling(gauss(), 40, 20)
+    qhat.op_factorial(40, qhat.qhat_operator(gauss(), 3))
+    assert shorter and max(shorter) <= 40
+
+
+# Symbolic custom tables take the factorial quotient, which no workload
+# runs; at a point x each value evaluates to the same call on the table
+# evaluated at x.
+_SYMBOLIC_TABLES = {"j+q": [RatFunc([j, 1]) for j in range(1, 13)],
+                    "[j]_q": [psi_int(gauss(), j) for j in range(1, 13)],
+                    "1/(1+jq)": [RatFunc([1], [1, j]) for j in range(1, 13)]}
+
+
+@pytest.mark.parametrize("name", _SYMBOLIC_TABLES)
+def test_symbolic_custom_tables_match_their_evaluations(name):
+    table = _SYMBOLIC_TABLES[name]
+    fam = custom(table)
+    for x in (2, Fraction(1, 3), Fraction(-1, 20)):
+        at_x = custom([eval_ratfunc(v, x) for v in table])
+        for n in range(13):
+            assert eval_ratfunc(psi_factorial(fam, n), x) == psi_factorial(
+                at_x, n), (x, n)
+            for k in range(n + 1):
+                for fn in (psi_binomial, psi_falling):
+                    assert eval_ratfunc(fn(fam, n, k), x) == fn(
+                        at_x, n, k), (fn.__name__, x, n, k)
+    if name == "[j]_q":
+        assert all(psi_binomial(fam, n, k) == psi_binomial(gauss(), n, k)
+                   for n in range(13) for k in range(n + 1))
 
 
 # The symbolic Gauss quotients are kept per requested entry, and a new

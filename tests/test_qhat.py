@@ -376,7 +376,7 @@ _RATIONAL_EIGENVALUES = [2, Fraction(1, 2), Fraction(3, 2), -2, 0, 1, -1,
 
 def test_symbolic_binomial_eigenvalue_matches_the_recurrence(monkeypatch,
                                                             cold_tables):
-    # the interleaved quotient at lambda = q and at rational eigenvalues
+    # the Gauss quotient at lambda = q and at rational eigenvalues
     # against the recurrence, which the quotient must not read
     table_entry = psi._entry
 

@@ -478,10 +478,11 @@ def test_padd_matches_naive_sum(a, b):
     # b - a added to a cancels the top of a when b is shorter
     diff = _naive_add(b, scalars._pneg(a))
     assert repr(scalars._padd(a, diff)) == repr(_naive_add(a, diff))
-    # the direct difference, and a difference whose top cancels
-    assert repr(scalars._psub(b, a)) == repr(diff)
-    assert repr(scalars._psub(a, b)) == repr(scalars._pneg(diff))
-    assert repr(scalars._psub(a, scalars._pneg(diff))) == repr(b)
+    # RatFunc subtraction, and a difference whose top cancels
+    for left, right, want in ((b, a, diff), (a, b, scalars._pneg(diff)),
+                              (a, scalars._pneg(diff), b)):
+        value = RatFunc(left) - RatFunc(right)
+        assert (repr(value.num), value.den) == (repr(want), (1,))
 
 
 # RatFunc / RatFunc of two polynomials tries _pexquo on the raw operands
