@@ -278,27 +278,16 @@ def _rref(rows: Sequence[Sequence[int]], p: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(row) for row in mat[:rank])
 
 
-def _reduce_vector(v: Sequence[int], basis: Sequence[Sequence[int]],
-                   p: int) -> tuple[int, ...]:
-    """Residue of v modulo the span of an echelon basis."""
-    out = [c % p for c in v]
-    for row in basis:
-        pivot = next(i for i, c in enumerate(row) if c)
-        f = out[pivot]
-        if f:
-            out = [(a - f * b) % p for a, b in zip(out, row)]
-    return tuple(out)
-
-
 def count_subspaces(qfield: int, n: int, k: int) -> int:
     """Number of k-dimensional subspaces of GF(qfield)^n, by exhaustive
     enumeration.
 
     Subspaces are grown one independent vector at a time: every vector of
     the space is tried against every subspace of the previous dimension,
-    and the results are deduplicated by their reduced-row-echelon bases.
-    No binomial formula is consulted, so the count is an independent
-    oracle for Gaussian binomial evaluations.
+    and extends it exactly when the reduced row echelon form of the basis
+    with the vector has one more row.  The results are deduplicated by
+    those reduced bases.  No binomial formula is consulted, so the count
+    is an independent oracle for Gaussian binomial evaluations.
     """
     if qfield not in (2, 3):
         raise UnsupportedField(f"subspace oracle supports GF(2) and GF(3), "
@@ -316,9 +305,9 @@ def count_subspaces(qfield: int, n: int, k: int) -> int:
         grown: set[tuple] = set()
         for basis in level:
             for v in vectors:
-                residue = _reduce_vector(v, basis, qfield)
-                if any(residue):
-                    grown.add(_rref(basis + (residue,), qfield))
+                reduced = _rref(basis + (v,), qfield)
+                if len(reduced) > len(basis):
+                    grown.add(reduced)
         level = grown
     return len(level)
 

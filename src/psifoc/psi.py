@@ -17,8 +17,8 @@ Fermat check in :mod:`psifoc.matrices` is kept as one list per parameter,
 grown bottom-up under one lock, so values do not depend on call order or
 thread interleaving.  The Gauss binomial as a quotient of Gauss integers,
 at the symbolic q of the Gauss family or at any operator eigenvalue of
-:mod:`psifoc.qhat`, is stored entry by requested entry, and a new entry
-steps from the nearest one stored on its diagonal n - k, so a row sweep
+:mod:`psifoc.qhat`, is stored once per (n, min(k, n - k), t), and a new
+entry steps from the nearest one stored on its diagonal, so a row sweep
 costs one product and one exact division per entry.  Both live in one
 dict, ``_memo``, and ``_memo.clear()`` empties every store.  At the
 symbolic q the rows and the quotient steps run on coefficient tuples in
@@ -200,48 +200,50 @@ def psi_binomial(fam: PsiFamily, n: int, k: int) -> Scalar:
     if k < 0 or k > n:
         return family_zero(fam)
     # [i]_q never vanishes, so the symbolic gauss family takes the stored
-    # quotient over the shorter side of (n, k) = (n, n-k); every other
-    # family reads the factors in psi_falling's and then psi_factorial's
-    # order, so the first bad index is the one reported
+    # quotient, which walks the shorter side of (n, k) = (n, n-k); every
+    # other family reads the factors in psi_falling's and then
+    # psi_factorial's order, so the first bad index is the one reported
     if fam.kind == "gauss" and fam.symbolic:
-        return _gauss_quotient(n, min(k, n - k), scalars.Q)
+        return _gauss_quotient(n, k, scalars.Q)
     return scalars.div(psi_falling(fam, n, k), psi_factorial(fam, k))
 
 
 def _gauss_quotient(n: int, k: int, t: Scalar) -> Scalar:
     """The Gaussian binomial (n, k) at a checked t, rational or a rational
-    function, for 0 <= k <= n: the product of [n-k+1]_t .. [n]_t over
-    [1]_t .. [k]_t, divided as it is multiplied.  Step i takes
-    acc = acc [n-k+i]_t / [i]_t, an exact quotient that leaves the
-    binomial (n-k+i, i), far smaller at the symbolic q than the falling
-    factorial.
+    function, for 0 <= k <= n, either side: on the shorter side
+    s = min(k, n-k), the product of [n-s+1]_t .. [n]_t over [1]_t .. [s]_t,
+    divided as it is multiplied.  Step i takes acc = acc [n-s+i]_t / [i]_t,
+    an exact quotient that leaves the binomial (n-s+i, i), far smaller at
+    the symbolic q than the falling factorial.
 
-    The quotient starts from the highest entry (n-k+i, i) stored on its
-    diagonal, or from one, and takes the steps i+1 .. k from there: in a
+    The quotient starts from the highest entry (n-s+i, i) stored on its
+    diagonal, or from one, and takes the steps i+1 .. s from there: in a
     row sweep, or a Fermat matrix filled row by row, the neighbour
-    (n-1, k-1) is stored and the entry costs one product and one exact
+    (n-1, s-1) is stored and the entry costs one product and one exact
     division.  Among such t only 1 and -1 are roots of unity, so only
-    [i]_-1 vanishes, at every even i: a miss at t = -1 with
-    max(k, n-k) >= 2, where [k]_t! [n-k]_t! has a zero factor, raises
-    NonInvertibleDenominator.  An index past sys.maxsize is refused before
-    any table grows."""
-    d, field = n - k, type(t)
-    key = (_gauss_quotient, field, t, d, k)
+    [i]_-1 vanishes, at every even i: a miss at t = -1 with n - s >= 2
+    raises NonInvertibleDenominator, worded as the binomial symbol (n k)
+    of :mod:`psifoc.qhat`, the only caller that passes -1.  An index past
+    sys.maxsize is refused before any table grows."""
+    d, short = (k, n - k) if 2 * k > n else (n - k, k)
+    field = type(t)
+    key = (_gauss_quotient, field, t, d, short)
     value = _memo.get(key)
     if value is not None:
         return value
-    if t == -1 and max(d, k) >= 2:
+    if t == -1 and d >= 2:
         raise NonInvertibleDenominator(
-            f"Gauss quotient ({n} {k}) has vanishing denominator at t = -1")
+            f"binomial symbol ({n} {k}) has vanishing denominator at "
+            f"eigenvalue -1")
     _check_index(n)
     with _GROW:
         value = _memo.get(key)
         if value is None:
-            i = next((i for i in range(k - 1, 0, -1)
+            i = next((i for i in range(short - 1, 0, -1)
                       if (_gauss_quotient, field, t, d, i) in _memo), 0)
             acc = (_memo[_gauss_quotient, field, t, d, i] if i
                    else scalars.one_like(t))
-            steps = range(i + 1, k + 1)
+            steps = range(i + 1, short + 1)
             if field is RatFunc and t == scalars.Q:
                 acc = scalars.q_binomial_steps(acc, d, steps)
             else:
@@ -328,14 +330,14 @@ def twisted_sum(r: int, s: int, j: int, t: Scalar,
 # fields, 2 and RatFunc.constant(2), never share an entry.  At
 # (step, type(t), t) is the list of step's entries at t grown so far:
 # step(seq, t) returns entry len(seq) from the entries before it.  At
-# (_gauss_quotient, type(t), t, n - k, k) is one requested Gauss quotient;
-# the entries (n - k + i, i) of one diagonal are the steps of one quotient,
-# and the steps between requested entries are not kept, so a single large
-# request stores one entry.  Entries only grow, one at a time, under _GROW,
-# so an entry read outside it is final.  The lock is reentrant because a
-# step may read another store: the quantum-plane power step reads the rows,
-# and the Fermat hook step the rows and the Gauss quotients, whose steps
-# read the sums.
+# (_gauss_quotient, type(t), t, n - s, s) is one requested Gauss quotient
+# (n, k), s = min(k, n - k); the entries (n - s + i, i) of one diagonal are
+# the steps of one quotient, and the steps between requested entries are
+# not kept, so a single large request stores one entry.  Entries only
+# grow, one at a time, under _GROW, so an entry read outside it is final.
+# The lock is reentrant because a step may read another store: the
+# quantum-plane power step reads the rows, and the Fermat hook step the
+# rows and the Gauss quotients, whose steps read the sums.
 _memo: dict = {}
 _GROW = threading.RLock()
 

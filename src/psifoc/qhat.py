@@ -26,6 +26,7 @@ its own name; it is a different operator from the mutator.
 from __future__ import annotations
 
 import json
+import operator
 from typing import Any, Callable
 
 from . import scalars
@@ -55,27 +56,23 @@ class DiagOperator(Frozen):
     def n_trunc(self) -> int:
         return len(self.eigenvalues) - 1
 
-    def _check_shape(self, other: "DiagOperator") -> None:
+    def _zip(self, other: "DiagOperator", op) -> "DiagOperator":
         if len(self.eigenvalues) != len(other.eigenvalues):
             raise DimensionMismatch(
                 f"operators truncated at degrees {self.n_trunc} and "
                 f"{other.n_trunc}")
+        return DiagOperator(tuple(map(
+            scalars.normalize, map(op, self.eigenvalues, other.eigenvalues))))
 
     def __add__(self, other: "DiagOperator") -> "DiagOperator":
         if not isinstance(other, DiagOperator):
             return NotImplemented
-        self._check_shape(other)
-        return DiagOperator(tuple(
-            scalars.normalize(a + b)
-            for a, b in zip(self.eigenvalues, other.eigenvalues)))
+        return self._zip(other, operator.add)
 
     def __mul__(self, other: "DiagOperator") -> "DiagOperator":
         if not isinstance(other, DiagOperator):
             return NotImplemented
-        self._check_shape(other)
-        return DiagOperator(tuple(
-            scalars.normalize(a * b)
-            for a, b in zip(self.eigenvalues, other.eigenvalues)))
+        return self._zip(other, operator.mul)
 
     def __pow__(self, n: int) -> "DiagOperator":
         if not isinstance(n, int):
@@ -121,22 +118,17 @@ def dilation_operator(q0: Scalar, n_trunc: int) -> DiagOperator:
 
 def binomial_eigenvalue(n: int, k: int, lam: Scalar) -> Scalar:
     """Operator binomial symbol evaluated at one eigenvalue: the factorial
-    quotient [n]! / ([k]! [n-k]!) of geometric sums at lam, divided as it
-    multiplies over the shorter side of (n, k) in the stored Gauss
-    quotient.  Where defined it equals the Gaussian binomial at t = lam;
-    at lam = -1, where the denominator has the factor [2]_lam = 0 once
-    max(k, n-k) >= 2, it raises NonInvertibleDenominator, by design; the
-    recurrence form in :func:`psifoc.psi.gauss_binomial` is the total
-    companion."""
+    quotient [n]! / ([k]! [n-k]!) of geometric sums at lam, the stored
+    Gauss quotient of :mod:`psifoc.psi`, which divides as it multiplies
+    over the shorter side of (n, k).  Where defined it equals the Gaussian
+    binomial at t = lam; at lam = -1, where the denominator has the factor
+    [2]_lam = 0 once max(k, n-k) >= 2, the quotient raises
+    NonInvertibleDenominator naming the symbol, by design; the recurrence
+    form in :func:`psifoc.psi.gauss_binomial` is the total companion."""
     scalars.check(lam)
     if k < 0 or k > n:
         return scalars.zero_like(lam)
-    try:
-        return _gauss_quotient(n, min(k, n - k), lam)
-    except NonInvertibleDenominator:
-        raise NonInvertibleDenominator(
-            f"binomial symbol ({n} {k}) has vanishing denominator at "
-            f"eigenvalue {scalars.render(lam)}") from None
+    return _gauss_quotient(n, k, lam)
 
 
 _UNSEEN = object()

@@ -262,7 +262,7 @@ def _peval(a: tuple, x: Rational):
     return normalize(acc)
 
 
-def _prender(a: tuple, var: str = "q") -> str:
+def _prender(a: tuple) -> str:
     if not a:
         return "0"
     parts: list[str] = []
@@ -274,9 +274,9 @@ def _prender(a: tuple, var: str = "q") -> str:
         if deg == 0:
             body = render(mag)
         elif mag == 1:
-            body = var if deg == 1 else f"{var}^{deg}"
+            body = "q" if deg == 1 else f"q^{deg}"
         else:
-            body = f"{render(mag)}*{var}"
+            body = f"{render(mag)}*q"
             if deg > 1:
                 body += f"^{deg}"
         if not parts:

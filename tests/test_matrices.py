@@ -228,6 +228,25 @@ def test_oracle_agrees_with_gauss_binomial():
                 assert counted == evaluated, (q0, n, k)
 
 
+def test_oracle_reaches_no_binomial_route(monkeypatch):
+    # the count must stand apart from every binomial the library computes
+    def refuse(*args):
+        raise AssertionError("the subspace oracle read a binomial route")
+
+    for module in (psi, qhat, matrices):
+        for name in ("gauss_binomial", "_gauss_quotient", "_entry"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+    for q0 in (2, 3):
+        for n in range(5):
+            # k <= 2 in GF(3)^4: k = 3 and 4 take 60-80 ms each
+            for k in range(3 if (q0, n) == (3, 4) else n + 1):
+                want = Fraction(1)
+                for i in range(k):
+                    want *= Fraction(q0 ** (n - i) - 1, q0 ** (i + 1) - 1)
+                assert count_subspaces(q0, n, k) == want, (q0, n, k)
+
+
 def test_export_csv():
     assert export_matrix(ScalarMatrix([[1]]), "csv") == "1\n"
     assert export_matrix(fermat_matrix(2, ScalarMode(1)), "csv") == "1,1\n1,2\n"

@@ -42,17 +42,21 @@ def test_removed_names_stay_gone():
     # identity and scale, psi keeps one memo store, _memo, the matrices
     # compute densely without a row builder, scalars normalizes
     # coefficients with normalize and subtracts by adding the negative, and
-    # psi divides binomials by the Gauss quotient or the factorial quotient
+    # psi divides binomials by the Gauss quotient or the factorial quotient;
+    # the subspace oracle eliminates with _rref alone
     for module, name in (("qhat", "mutator_vanishes"),
                          ("qhat", "identity_like"), ("qhat", "zero_like"),
                          ("qplane", "_unit_row"), ("psi", "_table"),
                          ("psi", "_quotients"), ("matrices", "_row"),
                          ("scalars", "_norm_coeff"), ("scalars", "_psub"),
-                         ("psi", "interleaved_quotient")):
+                         ("psi", "interleaved_quotient"),
+                         ("matrices", "_reduce_vector")):
         assert not hasattr(importlib.import_module(f"psifoc.{module}"),
                            name), name
     for name in ("is_zero", "transpose", "identity", "scale"):
         assert not hasattr(psifoc.ScalarMatrix, name), name
+    # DiagOperator + and * check the shapes in their shared _zip
+    assert not hasattr(psifoc.DiagOperator, "_check_shape")
 
 
 def test_star_import():

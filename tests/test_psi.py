@@ -529,6 +529,16 @@ def test_quotient_store_grows_safely_across_threads(cold_tables):
         assert all(common is shared for _, common in values.values())
 
 
+@pytest.mark.parametrize("t", [Q, 2, Fraction(1, 3), Q / (1 + Q)], ids=str)
+def test_gauss_quotient_reads_one_entry_for_either_side(t, cold_tables):
+    # (n, k) and (n, n-k) are one binomial, kept once on the shorter side
+    for n in range(13):
+        for k in range(n + 1):
+            value = psi._gauss_quotient(n, k, t)
+            assert psi._gauss_quotient(n, n - k, t) is value, (n, k)
+    assert len(_stored_quotients()) == sum(n // 2 + 1 for n in range(13))
+
+
 def test_gauss_quotient_at_rational_t_is_exact(cold_tables):
     # each step divides exactly: a rational t gives an int or a Fraction,
     # never a float

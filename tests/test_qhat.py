@@ -425,7 +425,7 @@ def _factorial_quotient(n, k, lam):
 
 @pytest.mark.parametrize("lam", [2 * Q, 1 + Q, Q / (1 + Q),
                                  RatFunc.constant(3), RatFunc.constant(-1),
-                                 *_RATIONAL_EIGENVALUES],
+                                 Fraction(-1), *_RATIONAL_EIGENVALUES],
                          ids=repr)
 def test_symbolic_binomial_eigenvalue_matches_the_factorial_quotient(
         lam, cold_tables):
