@@ -5,12 +5,16 @@ tables) with their binomial combinatorics, diagonal mutator operators,
 quantum-plane polynomials, deformed Pascal and Fermat matrices, and
 exhaustive verifiers backed by independent brute-force oracles.
 
-Importing the package loads none of its modules: each name below is
-imported from its home module on first use (PEP 562), so a program that
-needs one layer, such as a CLI verb, pays for that layer alone.
+Importing the package loads none of its modules, and no module of the
+standard library either, importlib included: each name below is imported
+from its home module on first use (PEP 562), so a program that needs one
+layer, such as a CLI verb, pays for that layer alone.  A CLI verb loads
+``cli``, ``psi`` and ``scalars``; ``expand`` and ``verify cauchy`` add
+``qhat`` and ``qplane``, the other ``verify`` forms ``matrices`` too, and
+``matrix`` and ``oracle`` add ``qhat`` and ``matrices``.  Of the
+standard library they load ``fractions``, and ``json`` only where they
+build JSON text (see :mod:`psifoc.cli`).
 """
-
-from importlib import import_module
 
 __version__ = "0.1.0"
 
@@ -53,7 +57,8 @@ def __getattr__(name: str):
     module = _HOME.get(name)
     if module is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(import_module(f".{module}", __name__), name)
+    # what ``from .module import name`` runs, without loading importlib
+    value = getattr(__import__(module, globals(), None, (name,), 1), name)
     globals()[name] = value
     return value
 

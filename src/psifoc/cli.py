@@ -27,20 +27,26 @@ truncation degree (default 32).
 
 Each verb loads only the layers it runs: ``binom``, ``fact`` and
 ``falling`` need :mod:`psifoc.psi` and :mod:`psifoc.scalars`, which this
-module imports; ``expand``, ``verify``, ``matrix`` and ``oracle`` import
-:mod:`psifoc.qplane` or :mod:`psifoc.matrices`, and :mod:`json`, when
-they run.  Every input is read before the command runs, under the
-interpreter's limit on the digits of an int read from text: the argv, the
-values of a custom table and PSIFOC_TRUNC.  The command then runs with
-the limit lifted, so an answer may be longer.
+module imports; ``expand`` and ``verify cauchy`` import
+:mod:`psifoc.qplane` (with :mod:`psifoc.qhat`), ``verify fermat`` and
+``verify obs1`` :mod:`psifoc.matrices` too, and ``matrix`` and
+``oracle`` :mod:`psifoc.matrices` (with :mod:`psifoc.qhat`), when they
+run.  Of the standard library, :mod:`json` loads only where JSON text is
+built: ``expand``, ``--format json`` and a failing report.  No psifoc
+module imports :mod:`re`, :mod:`typing`, :mod:`contextlib`,
+:mod:`threading` or :mod:`importlib` (:mod:`fractions` imports
+:mod:`re` itself): the grammar's patterns are matched by str methods.
+
+Every input is read before the command runs, under the interpreter's
+limit on the digits of an int read from text: the argv, the values of a
+custom table and PSIFOC_TRUNC.  The command then runs with the limit
+lifted, so an answer may be longer.
 """
 
 from __future__ import annotations
 
 import os
-import re
 import sys
-from contextlib import contextmanager
 from fractions import Fraction
 
 from . import psi, scalars
@@ -65,7 +71,18 @@ families: classical | gauss | gauss@<rational> | fib | custom:<path>
 global flags: --pretty\
 """
 
-_FAMILY_RE = re.compile(r"classical|gauss(@.+)?|fib|custom:.+")
+
+def _is_family(text: str) -> bool:
+    """Whether text is a full match of
+    ``classical|gauss(@.+)?|fib|custom:.+``, where ``.`` is any character
+    but a newline."""
+    if text in ("classical", "gauss", "fib"):
+        return True
+    for prefix in ("gauss@", "custom:"):
+        if text.startswith(prefix):
+            rest = text[len(prefix):]
+            return bool(rest) and "\n" not in rest
+    return False
 
 
 class FamilySpec(Frozen):
@@ -111,7 +128,7 @@ class FamilySpec(Frozen):
 
 
 def parse_family(text: str, position: int) -> FamilySpec:
-    if not _FAMILY_RE.fullmatch(text):
+    if not _is_family(text):
         raise ParseError(f"bad family {text!r}", position,
                          ("classical", "gauss", "gauss@<rational>", "fib",
                           "custom:<path>"))
@@ -160,7 +177,12 @@ class Command(Frozen):
         return argv
 
 
-_INT_RE = re.compile(r"-?[0-9]+")
+def _is_int(text: str) -> bool:
+    """Whether text is a full match of ``-?[0-9]+``: ASCII digits after an
+    optional minus sign."""
+    digits = text[1:] if text.startswith("-") else text
+    return digits.isascii() and digits.isdigit()
+
 
 # per (verb, subverb): flag name -> (value kind, Command field, required)
 _GRAMMAR: dict[tuple[str, str | None], dict] = {
@@ -231,7 +253,7 @@ _SUBVERBS = {verb: tuple(sub for v, sub in _GRAMMAR if v == verb)
 
 def _parse_value(kind: str, token: str, position: int, label: str):
     if kind == "int":
-        if not _INT_RE.fullmatch(token):
+        if not _is_int(token):
             raise ParseError(f"bad integer {token!r} for {label}", position,
                              ("<integer>",))
         try:
@@ -332,25 +354,23 @@ def parse_command(argv: list[str]) -> Command:
     return Command(verb=verb, subverb=subverb, **values)
 
 
-@contextmanager
-def _digit_limit_lifted():
-    """Lift the interpreter's limit on the digits of an int converted to
-    or from text, so that long answers render; restore it on the way
-    out."""
+def _digit_limit_lifted(run, *args):
+    """run(*args) with the interpreter's limit on the digits of an int
+    converted to or from text lifted, so that long answers render; the
+    limit is restored on the way out."""
     if not hasattr(sys, "set_int_max_str_digits"):
-        yield
-        return
+        return run(*args)
     saved = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
-        yield
+        return run(*args)
     finally:
         sys.set_int_max_str_digits(saved)
 
 
 def _default_trunc() -> int:
     raw = os.environ.get("PSIFOC_TRUNC", "32")
-    if not _INT_RE.fullmatch(raw.strip()):
+    if not _is_int(raw.strip()):
         raise PsifocError(f"PSIFOC_TRUNC must be an integer, got {raw!r}")
     try:
         value = int(raw)
@@ -373,7 +393,6 @@ def _deformation_of(fam: psi.PsiFamily) -> Scalar:
 
 
 def _run_matrix(cmd: Command, fam: psi.PsiFamily) -> tuple[int, str]:
-    import json
     from . import matrices
     if cmd.eigen is not None:
         mode = matrices.EigenMode(fam, cmd.eigen)
@@ -384,9 +403,7 @@ def _run_matrix(cmd: Command, fam: psi.PsiFamily) -> tuple[int, str]:
         matrix = matrices.pascal_matrix(x0, cmd.size, mode)
     else:
         matrix = matrices.fermat_matrix(cmd.size, mode)
-    text = matrices.export_matrix(matrix, cmd.fmt)
-    if cmd.fmt == "json" and cmd.pretty:
-        text = json.dumps(json.loads(text), indent=2)
+    text = matrices.export_matrix(matrix, cmd.fmt, cmd.pretty)
     if cmd.out is not None:
         with open(cmd.out, "w", encoding="utf-8") as handle:
             handle.write(text)
@@ -409,6 +426,29 @@ def _run_verify(cmd: Command, fam: psi.PsiFamily,
     return 1, report.to_json(cmd.pretty)
 
 
+def _run_verb(cmd: Command, fam: psi.PsiFamily | None,
+              maxdeg: int | None) -> tuple[int, str]:
+    if cmd.verb == "binom":
+        return 0, scalars.render(psi.psi_binomial(fam, cmd.n, cmd.k))
+    if cmd.verb == "fact":
+        return 0, scalars.render(psi.psi_factorial(fam, cmd.n))
+    if cmd.verb == "falling":
+        return 0, scalars.render(psi.psi_falling(fam, cmd.xval, cmd.k))
+    if cmd.verb == "expand":
+        import json
+        from . import qplane
+        terms = qplane.psi_plus_power(fam, cmd.power).to_json_terms()
+        return 0, json.dumps(terms, indent=2 if cmd.pretty else None)
+    if cmd.verb == "verify":
+        return _run_verify(cmd, fam, maxdeg)
+    if cmd.verb == "matrix":
+        return _run_matrix(cmd, fam)
+    if cmd.verb == "oracle":
+        from . import matrices
+        return 0, str(matrices.count_subspaces(cmd.qfield, cmd.n, cmd.k))
+    raise PsifocError(f"unhandled verb {cmd.verb!r}")
+
+
 def run_command(cmd: Command) -> tuple[int, str]:
     """Execute a parsed command; returns (exit code, output text).
 
@@ -421,28 +461,7 @@ def run_command(cmd: Command) -> tuple[int, str]:
         maxdeg = cmd.maxdeg
         if maxdeg is None and cmd.verb == "verify" and cmd.subverb != "obs1":
             maxdeg = _default_trunc()
-        with _digit_limit_lifted():
-            if cmd.verb == "binom":
-                return 0, scalars.render(psi.psi_binomial(fam, cmd.n, cmd.k))
-            if cmd.verb == "fact":
-                return 0, scalars.render(psi.psi_factorial(fam, cmd.n))
-            if cmd.verb == "falling":
-                return 0, scalars.render(
-                    psi.psi_falling(fam, cmd.xval, cmd.k))
-            if cmd.verb == "expand":
-                import json
-                from . import qplane
-                terms = qplane.psi_plus_power(fam, cmd.power).to_json_terms()
-                return 0, json.dumps(terms, indent=2 if cmd.pretty else None)
-            if cmd.verb == "verify":
-                return _run_verify(cmd, fam, maxdeg)
-            if cmd.verb == "matrix":
-                return _run_matrix(cmd, fam)
-            if cmd.verb == "oracle":
-                from . import matrices
-                count = matrices.count_subspaces(cmd.qfield, cmd.n, cmd.k)
-                return 0, str(count)
-            raise PsifocError(f"unhandled verb {cmd.verb!r}")
+        return _digit_limit_lifted(_run_verb, cmd, fam, maxdeg)
     except (PsifocError, ValueError, OSError) as exc:
         return 2, f"error: {exc}"
     except Exception as exc:

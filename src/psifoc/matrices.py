@@ -23,9 +23,8 @@ one, and each sum found equal to its entry is stored as that entry.
 from __future__ import annotations
 
 import itertools
-import json
 import operator
-from typing import Iterable, Sequence, Union
+from collections.abc import Iterable, Sequence
 
 from . import qhat, scalars
 from ._record import Frozen
@@ -157,7 +156,7 @@ class EigenMode(Frozen):
         self._assign(family, degree)
 
 
-EvalMode = Union[ScalarMode, EigenMode]
+EvalMode = ScalarMode | EigenMode
 
 
 def resolve_mode(mode: EvalMode) -> Scalar:
@@ -312,14 +311,17 @@ def count_subspaces(qfield: int, n: int, k: int) -> int:
     return len(level)
 
 
-def export_matrix(matrix: ScalarMatrix, fmt: str) -> str:
+def export_matrix(matrix: ScalarMatrix, fmt: str,
+                  pretty: bool = False) -> str:
     """Render a matrix as csv (one line per row, trailing newline) or as
-    a JSON grid of rendered scalars."""
+    a JSON grid of rendered scalars, indented by 2 when pretty."""
     if fmt == "csv":
         return "".join(
             ",".join(scalars.render(v) for v in row) + "\n"
             for row in matrix.data)
     if fmt == "json":
+        import json
         return json.dumps([[scalars.render(v) for v in row]
-                           for row in matrix.data])
+                           for row in matrix.data],
+                          indent=2 if pretty else None)
     raise ValueError(f"unknown export format {fmt!r}")

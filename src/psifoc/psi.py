@@ -34,8 +34,8 @@ live in :mod:`psifoc.qplane`, as quantum-plane polynomials at t = 1.
 from __future__ import annotations
 
 import sys
-import threading
-from typing import Callable, Iterable
+from _thread import RLock
+from collections.abc import Callable, Iterable
 
 from . import scalars
 from ._record import Frozen
@@ -337,9 +337,10 @@ def twisted_sum(r: int, s: int, j: int, t: Scalar,
 # grow, one at a time, under _GROW, so an entry read outside it is final.
 # The lock is reentrant because a step may read another store: the
 # quantum-plane power step reads the rows, and the Fermat hook step the
-# rows and the Gauss quotients, whose steps read the sums.
+# rows and the Gauss quotients, whose steps read the sums.  It is the
+# _thread.RLock that threading.RLock() returns, without loading threading.
 _memo: dict = {}
-_GROW = threading.RLock()
+_GROW = RLock()
 
 
 def _check_index(n: int) -> None:

@@ -25,9 +25,8 @@ its own name; it is a different operator from the mutator.
 
 from __future__ import annotations
 
-import json
 import operator
-from typing import Any, Callable
+from collections.abc import Callable
 
 from . import scalars
 from ._record import Frozen
@@ -83,6 +82,7 @@ class DiagOperator(Frozen):
                                   for v in self.eigenvalues))
 
     def to_json(self, pretty: bool = False) -> str:
+        import json
         entries = [{"degree": m, "eigenvalue": scalars.render(v)}
                    for m, v in enumerate(self.eigenvalues)]
         return json.dumps(entries, indent=2 if pretty else None)
@@ -134,7 +134,7 @@ def binomial_eigenvalue(n: int, k: int, lam: Scalar) -> Scalar:
 _UNSEEN = object()
 
 
-def per_eigenvalue(op: DiagOperator, fn: Callable[[Scalar], Any]) -> list:
+def per_eigenvalue(op: DiagOperator, fn: Callable[[Scalar], object]) -> list:
     """Evaluate fn once per distinct eigenvalue of op and return its values
     degree by degree.
 

@@ -40,18 +40,20 @@ and all but the two scalar predicates (:func:`verify_cauchy_scalar` and
 * the ordered expansion of (A + B)^n for a general weight family, which
   reports coefficient mismatches rather than asserting them away, since
   for non-constant eigenvalue families the two sides genuinely differ.
+
+:mod:`psifoc.matrices` is imported where a matrix is built, in
+:func:`verify_fermat_operator` and :meth:`MonomialMap.to_matrix`, and
+:mod:`json` where a report is rendered, so a caller that expands a power
+or checks a Cauchy identity loads neither.
 """
 
 from __future__ import annotations
 
-import json
-from typing import Mapping
+from collections.abc import Mapping
 
 from . import qhat, scalars
 from ._record import Frozen, Record
 from .errors import DeformationMismatch, DimensionMismatch
-from .matrices import (ScalarMatrix, ScalarMode,
-                       fermat_factorization_mismatches)
 from .psi import (PsiFamily, _check_index, _entry, _row_step, family_one,
                   gauss_binomial, psi_binomial, twisted_sum)
 from .qhat import (binomial_eigenvalue, eval_on_monomial, op_binomial,
@@ -205,6 +207,7 @@ class Report(Record):
                                     "rhs": scalars.render(rhs)})
 
     def to_json(self, pretty: bool = False) -> str:
+        import json
         payload = {"params": self.params, "verdict": self.verdict,
                    "mismatches": self.mismatches}
         return json.dumps(payload, indent=2 if pretty else None)
@@ -321,11 +324,13 @@ def verify_fermat_operator(fam: PsiFamily, size: int, maxdeg: int) -> Report:
     Mismatching entries are reported per degree, in degree order; a
     negative maxdeg is refused with ValueError.
     """
+    from . import matrices
     report = Report({"check": "fermat-factorization", "family": fam.label,
                      "size": size, "maxdeg": maxdeg})
     per_degree = qhat.per_eigenvalue(
         qhat_operator(fam, maxdeg),
-        lambda t: fermat_factorization_mismatches(size, ScalarMode(t)))
+        lambda t: matrices.fermat_factorization_mismatches(
+            size, matrices.ScalarMode(t)))
     for m, bad in enumerate(per_degree):
         for (i, j, lhs, rhs) in bad:
             report.compare(lhs, rhs, degree=m, entry=[i, j])
@@ -364,16 +369,17 @@ class MonomialMap(Frozen):
             out.append((outer[0], weight) if weight else None)
         return MonomialMap(tuple(out))
 
-    def to_matrix(self) -> ScalarMatrix:
+    def to_matrix(self) -> matrices.ScalarMatrix:
         """The map as a matrix: w in row i of column j for each image, and
         int 0 everywhere else."""
+        from . import matrices
         size = len(self.images)
         rows = [[0] * size for _ in range(size)]
         for j, image in enumerate(self.images):
             if image is not None:
                 i, w = image
                 rows[i][j] = w
-        return ScalarMatrix._raw(tuple(map(tuple, rows)))
+        return matrices.ScalarMatrix._raw(tuple(map(tuple, rows)))
 
 
 class OpRealization(Frozen):

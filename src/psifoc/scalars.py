@@ -29,18 +29,17 @@ operation that needs more than an operator is the exact quotient
 
 from __future__ import annotations
 
-import re
 import sys
 from array import array
+from collections.abc import Iterable
 from fractions import Fraction
 from itertools import accumulate
 from math import gcd, lcm
 from operator import add, neg, sub
-from typing import Iterable, Union
 
 from .errors import DivisionByZero, PoleAtPoint
 
-Rational = Union[int, Fraction]
+Rational = int | Fraction
 
 # ---------------------------------------------------------------------------
 # Dense polynomial helpers.  A polynomial is a tuple of coefficients in
@@ -458,7 +457,7 @@ def _canonical_fraction(num: tuple, den: tuple) -> RatFunc:
 #: The indeterminate q itself, the generator of the symbolic field.
 Q = RatFunc._raw((0, 1), _PONE)
 
-Scalar = Union[int, Fraction, RatFunc]
+Scalar = int | Fraction | RatFunc
 
 
 # ---------------------------------------------------------------------------
@@ -669,19 +668,23 @@ def render(s: Scalar) -> str:
     raise TypeError(f"not a scalar: {s!r}")
 
 
-_RATIONAL_RE = re.compile(r"(-?[0-9]+)(?:/(-?[0-9]+))?")
+def _is_integer(text: str) -> bool:
+    """Whether text is ASCII digits after an optional minus sign, a full
+    match of ``-?[0-9]+``."""
+    digits = text[1:] if text.startswith("-") else text
+    return digits.isascii() and digits.isdigit()
 
 
 def parse_rational(text: str) -> Rational:
     """Parse 'p' or 'p/q' into an exact rational; raises ValueError.
 
     p and q are ASCII digits, each with an optional leading minus sign;
-    nothing else is accepted, not even surrounding whitespace."""
-    match = _RATIONAL_RE.fullmatch(text)
-    if match is None:
+    nothing else is accepted, not even surrounding whitespace: the full
+    matches of ``(-?[0-9]+)(?:/(-?[0-9]+))?``."""
+    num_text, slash, den_text = text.partition("/")
+    if not _is_integer(num_text) or (slash and not _is_integer(den_text)):
         raise ValueError(f"not a rational: {text!r}")
-    num_text, den_text = match.groups()
-    if den_text is None:
+    if not slash:
         return int(num_text)
     den = int(den_text)
     if den == 0:

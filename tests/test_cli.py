@@ -2,13 +2,14 @@
 
 import json
 import math
+import re
 import string
 import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from psifoc import psi, scalars
+from psifoc import cli, psi, scalars
 from psifoc.cli import Command, FamilySpec, main, parse_command, run_command
 from psifoc.errors import ParseError
 from psifoc.psi import fibonacci, psi_binomial, psi_factorial, psi_falling
@@ -131,6 +132,42 @@ def test_psifoc_trunc_is_ascii_only(monkeypatch):
         monkeypatch.setenv("PSIFOC_TRUNC", raw)
         with pytest.raises(cli.PsifocError, match="must be an integer"):
             cli._default_trunc()
+
+
+# the patterns the grammar states, as the oracle of the str-method matchers
+# that stand in for them; '.' matches any character but a newline
+_INT_PATTERN = re.compile(r"-?[0-9]+")
+_FAMILY_PATTERN = re.compile(r"classical|gauss(@.+)?|fib|custom:.+")
+_PINNED_TOKENS = ["\u0664", "\u00b2", "\uff11", "+5", "-", "--5", " 5", "5\n",
+                  "gauss@", "gauss@2\n", "custom:", "", "-0", "0123",
+                  "classical\n", "gauss@\n2", "gauss@\r", "custom:\n",
+                  "custom:a\nb", "custom: ", "gauss", "fib", "fibs",
+                  "Classical", "gauss@x"]
+_token_text = st.one_of(
+    st.text(max_size=8),
+    st.text(alphabet="-+0123456789 \n\r/\u0664\u00b2\uff11", max_size=8),
+    st.builds(lambda head, tail: head + tail,
+              st.sampled_from(["", "classical", "gauss", "gauss@", "fib",
+                               "custom:", "custom", "gaus", "-"]),
+              st.text(alphabet="@:\n\r 1/-x", max_size=4)),
+    st.from_regex(_INT_PATTERN, fullmatch=True),
+    st.from_regex(_FAMILY_PATTERN, fullmatch=True))
+
+
+def _check_matchers(text):
+    assert cli._is_int(text) is bool(_INT_PATTERN.fullmatch(text)), text
+    assert cli._is_family(text) is bool(_FAMILY_PATTERN.fullmatch(text)), text
+
+
+def test_matchers_on_pinned_tokens():
+    for text in _PINNED_TOKENS:
+        _check_matchers(text)
+
+
+@given(_token_text)
+@settings(max_examples=400, deadline=None)
+def test_matchers_accept_what_their_patterns_match(text):
+    _check_matchers(text)
 
 
 def test_run_binom():

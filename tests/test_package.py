@@ -23,7 +23,7 @@ def test_each_export_is_its_home_modules_object():
         if home is not None and home.startswith("psifoc."):
             assert getattr(importlib.import_module(home), name) is obj, name
             assert f"psifoc.{psifoc._HOME[name]}" == home, name
-    # typing aliases carry no home module of their own
+    # the union aliases carry no home module of their own
     assert psifoc.Scalar is importlib.import_module("psifoc.scalars").Scalar
     assert (psifoc.EvalMode
             is importlib.import_module("psifoc.matrices").EvalMode)
@@ -71,35 +71,101 @@ def test_unknown_name_is_an_attribute_error():
         psifoc.no_such_name
 
 
-_NOT_FOR_BINOM = {"dataclasses", "inspect", "json", "psifoc.qhat",
-                  "psifoc.qplane", "psifoc.matrices"}
+# Each verb form with its exit code, the psifoc layers it loads beyond
+# cli, psi, scalars, errors and _record, and whether it loads json: only
+# where JSON text is built (expand, --format json, a failing report).
+_FAMILY = ["--family", "fib"]
+_VERB_FORMS = [
+    (["binom", *_FAMILY, "5", "2"], 0, set(), False),
+    (["binom", *_FAMILY, "5", "2", "--pretty"], 0, set(), False),
+    (["fact", "--family", "gauss", "4"], 0, set(), False),
+    (["falling", "--family", "classical", "5", "2"], 0, set(), False),
+    (["expand", *_FAMILY, "--power", "3"], 0, {"qhat", "qplane"}, True),
+    (["expand", *_FAMILY, "--power", "3", "--pretty"], 0,
+     {"qhat", "qplane"}, True),
+    (["verify", "cauchy", *_FAMILY, "--r", "2", "--s", "2", "--j", "1",
+      "--maxdeg", "4"], 0, {"qhat", "qplane"}, False),
+    (["verify", "cauchy", *_FAMILY, "--r", "2", "--s", "2", "--j", "1",
+      "--maxdeg", "4", "--pretty"], 0, {"qhat", "qplane"}, False),
+    (["verify", "fermat", *_FAMILY, "--size", "3", "--maxdeg", "4"],
+     0, {"qhat", "qplane", "matrices"}, False),
+    (["verify", "obs1", "--family", "classical", "--n", "3"],
+     0, {"qhat", "qplane", "matrices"}, False),
+    (["verify", "obs1", *_FAMILY, "--n", "3"],
+     1, {"qhat", "qplane", "matrices"}, True),
+    (["matrix", "pascal", "--family", "gauss", "--size", "3", "--format",
+      "csv"], 0, {"qhat", "matrices"}, False),
+    (["matrix", "fermat", *_FAMILY, "--size", "3", "--eigen", "2",
+      "--format", "csv", "--pretty"], 0, {"qhat", "matrices"}, False),
+    (["matrix", "pascal", "--family", "gauss", "--size", "3", "--format",
+      "json"], 0, {"qhat", "matrices"}, True),
+    (["matrix", "fermat", *_FAMILY, "--size", "3", "--eigen", "2",
+      "--format", "json", "--pretty"], 0, {"qhat", "matrices"}, True),
+    (["oracle", "subspaces", "--q", "2", "--n", "3", "--k", "1"],
+     0, {"qhat", "matrices"}, False),
+]
+_CLI_LAYERS = {"psifoc", "psifoc.cli", "psifoc.psi", "psifoc.scalars",
+               "psifoc.errors", "psifoc._record"}
+# stdlib modules a clean interpreter does not hold and no verb needs
+_START_PATH_FREE = {"re", "typing", "contextlib", "threading", "importlib",
+                    "warnings", "json", "dataclasses", "inspect"}
 
-_IMPORT_GRAPH = """
+_LOADED_BY = """
 import sys
 start = set(sys.modules)
-import psifoc
-root = set(sys.modules) - start
-import psifoc.cli
-cli = set(sys.modules) - start
-psifoc.cli.main(["binom", "--family", "fib", "5", "2"])
-binom = set(sys.modules) - start
-print(sorted(root))
-print(sorted(cli))
-print(sorted(binom))
+{}
+print(sorted(set(sys.modules) - start))
 """
 
 
-def test_import_graph(run_python):
-    # a diff of sys.modules, so whatever site preloads does not count
-    proc = run_python("-c", _IMPORT_GRAPH)
+def _loaded_by(run_python, code: str) -> tuple[set[str], list[str]]:
+    """The modules a fresh interpreter without site loads to run code, and
+    the lines it printed before them; -S, so that no .pth file preloads
+    what the code would load."""
+    proc = run_python("-S", "-c", _LOADED_BY.format(code))
     assert proc.returncode == 0, proc.stderr
-    answer, root, cli, binom = proc.stdout.splitlines()
-    assert answer == "15"
-    root, cli, binom = (set(ast.literal_eval(line))
-                        for line in (root, cli, binom))
-    assert {name for name in root if name.startswith("psifoc")} == {"psifoc"}
-    assert not cli & _NOT_FOR_BINOM, cli & _NOT_FOR_BINOM
-    assert not binom & _NOT_FOR_BINOM, binom & _NOT_FOR_BINOM
+    *printed, loaded = proc.stdout.splitlines()
+    return set(ast.literal_eval(loaded)), printed
+
+
+def test_import_graph(run_python):
+    # fractions, which scalars builds on, imports re itself
+    needed, _ = _loaded_by(run_python, "import fractions")
+    free = _START_PATH_FREE - needed
+    root, _ = _loaded_by(run_python, "import psifoc")
+    assert root == {"psifoc"}
+    cli, _ = _loaded_by(run_python, "import psifoc.cli")
+    assert {name for name in cli if name.startswith("psifoc")} == _CLI_LAYERS
+    assert not cli & free, cli & free
+    wrong = []
+    for argv, code, layers, json in _VERB_FORMS:
+        run = f"import psifoc.cli\nprint(psifoc.cli.main({argv!r}))"
+        loaded, printed = _loaded_by(run_python, run)
+        assert printed[-1] == str(code), (argv, printed)
+        psifoc = {name for name in loaded if name.startswith("psifoc")}
+        expected = _CLI_LAYERS | {f"psifoc.{layer}" for layer in layers}
+        stdlib = loaded & free
+        if (psifoc, stdlib) != (expected, {"json"} if json else set()):
+            wrong.append((argv, sorted(psifoc ^ expected), sorted(stdlib)))
+    assert wrong == []
+
+
+def test_no_module_imports_what_the_start_path_leaves_out():
+    # fractions imports re, so the rows above cannot see a psifoc module
+    # import it; the syntax trees can
+    importers = set()
+    for path in pathlib.Path(psifoc.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = {alias.name.split(".")[0] for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = {node.module.split(".")[0]}
+            else:
+                continue
+            if names & {"re", "typing", "contextlib", "threading",
+                        "importlib"}:
+                importers.add(path.stem)
+    assert importers == set()
 
 
 _GEOMETRIC_SUM = """

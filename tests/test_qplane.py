@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from psifoc import psi, qhat, qplane
+from psifoc import matrices, psi, qhat, qplane
 from psifoc.errors import DeformationMismatch, NonInvertibleDenominator
 from psifoc.matrices import ScalarMatrix
 from psifoc.psi import classical, fibonacci, gauss, gauss_binomial
@@ -416,7 +416,8 @@ def test_fermat_operator_rows_per_degree(monkeypatch):
     def fake(size, mode):
         return [(0, 1, Fraction(1, 2), 3)] if mode.t == 1 else []
 
-    monkeypatch.setattr(qplane, "fermat_factorization_mismatches", fake)
+    # qplane calls the matrices function through its module, at call time
+    monkeypatch.setattr(matrices, "fermat_factorization_mismatches", fake)
     report = verify_fermat_operator(fibonacci(), 2, 3)
     assert report.params == {"check": "fermat-factorization", "family": "fib",
                              "size": 2, "maxdeg": 3}
@@ -439,13 +440,13 @@ def test_fermat_operator_propagates_degenerate_eigenvalue():
 
 def test_fermat_operator_factorizes_once_per_eigenvalue(monkeypatch):
     calls = []
-    real = qplane.fermat_factorization_mismatches
+    real = matrices.fermat_factorization_mismatches
 
     def counted(size, mode):
         calls.append(mode.t)
         return real(size, mode)
 
-    monkeypatch.setattr(qplane, "fermat_factorization_mismatches", counted)
+    monkeypatch.setattr(matrices, "fermat_factorization_mismatches", counted)
     assert verify_fermat_operator(classical(), 4, 32).passed
     assert calls == [1]
 

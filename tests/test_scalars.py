@@ -3,6 +3,7 @@
 import copy
 import pickle
 import random
+import re
 import time
 from fractions import Fraction
 
@@ -143,6 +144,44 @@ def test_parse_rational():
 def test_parse_rational_takes_ascii_digits_only(text):
     with pytest.raises(ValueError):
         scalars.parse_rational(text)
+
+
+# the pattern parse_rational states, as the oracle of its str-method matcher
+_RATIONAL_PATTERN = re.compile(r"(-?[0-9]+)(?:/(-?[0-9]+))?")
+_rational_text = st.one_of(
+    st.text(max_size=8),
+    st.text(alphabet="-+0123456789/ \n\u0664\u00b2\uff11", max_size=8),
+    st.from_regex(_RATIONAL_PATTERN, fullmatch=True))
+
+
+def _check_rational(text):
+    match = _RATIONAL_PATTERN.fullmatch(text)
+    assert scalars._is_integer(text) is bool(
+        match and match.group(2) is None), text
+    if match is None:
+        with pytest.raises(ValueError, match="not a rational"):
+            scalars.parse_rational(text)
+    elif match.group(2) is not None and int(match.group(2)) == 0:
+        with pytest.raises(ValueError, match="zero denominator"):
+            scalars.parse_rational(text)
+    else:
+        num, den = match.group(1), match.group(2) or "1"
+        value = scalars.parse_rational(text)
+        assert value == Fraction(int(num), int(den)), text
+        assert type(value) is (int if value.denominator == 1 else Fraction)
+
+
+@pytest.mark.parametrize("text", [
+    "\u0664", "\u00b2", "\uff11", "+5", "-", "--5", " 5", "5\n", "1/", "/1",
+    "1//2", "1/2/3", "-0/-7", "007/010", "1/-", "\u00b2/1"])
+def test_rational_matcher_on_pinned_tokens(text):
+    _check_rational(text)
+
+
+@given(_rational_text)
+@settings(max_examples=400, deadline=None)
+def test_rational_matcher_accepts_what_its_pattern_matches(text):
+    _check_rational(text)
 
 
 def test_monic_denominator():
