@@ -11,9 +11,11 @@ from its home module on first use (PEP 562), so a program that needs one
 layer, such as a CLI verb, pays for that layer alone.  A CLI verb loads
 ``cli``, ``psi`` and ``scalars``; ``expand`` and ``verify cauchy`` add
 ``qhat`` and ``qplane``, the other ``verify`` forms ``matrices`` too, and
-``matrix`` and ``oracle`` add ``qhat`` and ``matrices``.  Of the
-standard library they load ``fractions``, and ``json`` only where they
-build JSON text (see :mod:`psifoc.cli`).
+``matrix`` and ``oracle`` add ``qhat`` and ``matrices``.  Only a symbolic
+value loads ``ratfunc``, the rational-function field: a verb over the
+symbolic ``gauss`` family does, one over a rational family never does.
+Of the standard library they load ``fractions``, and ``json`` only where
+they build JSON text (see :mod:`psifoc.cli`).
 """
 
 __version__ = "0.1.0"
@@ -43,9 +45,8 @@ _EXPORTS = {
         "explore_observation1_general", "psi_plus_power", "realization",
         "realization_check", "verify_cauchy_operator", "verify_cauchy_scalar",
         "verify_fermat_operator", "verify_gauss_binomial_theorem"),
-    "scalars": (
-        "Q", "RatFunc", "Scalar", "eval_ratfunc", "normalize",
-        "parse_rational", "render"),
+    "ratfunc": ("Q", "RatFunc", "eval_ratfunc"),
+    "scalars": ("Scalar", "normalize", "parse_rational", "render"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items()
          for name in names}

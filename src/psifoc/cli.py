@@ -31,11 +31,14 @@ module imports; ``expand`` and ``verify cauchy`` import
 :mod:`psifoc.qplane` (with :mod:`psifoc.qhat`), ``verify fermat`` and
 ``verify obs1`` :mod:`psifoc.matrices` too, and ``matrix`` and
 ``oracle`` :mod:`psifoc.matrices` (with :mod:`psifoc.qhat`), when they
-run.  Of the standard library, :mod:`json` loads only where JSON text is
-built: ``expand``, ``--format json`` and a failing report.  No psifoc
-module imports :mod:`re`, :mod:`typing`, :mod:`contextlib`,
-:mod:`threading` or :mod:`importlib` (:mod:`fractions` imports
-:mod:`re` itself): the grammar's patterns are matched by str methods.
+run.  Only a symbolic value loads :mod:`psifoc.ratfunc`, the
+rational-function field: a verb over the symbolic ``gauss`` family does,
+one over a rational family never does.  Of the standard library,
+:mod:`json` loads only where JSON text is built: ``expand``,
+``--format json`` and a failing report.  No psifoc module imports
+:mod:`re`, :mod:`typing`, :mod:`contextlib`, :mod:`threading` or
+:mod:`importlib` (:mod:`fractions` imports :mod:`re` itself): the
+grammar's patterns are matched by str methods.
 
 Every input is read before the command runs, under the interpreter's
 limit on the digits of an int read from text: the argv, the values of a
@@ -49,10 +52,10 @@ import os
 import sys
 from fractions import Fraction
 
-from . import psi, scalars
+from . import psi
 from ._record import Frozen
 from .errors import InvalidFamilyFile, ParseError, PsifocError
-from .scalars import Q, Rational, Scalar
+from .scalars import Rational, Scalar, parse_rational, render
 
 USAGE = """\
 usage: psifoc <command> ...
@@ -102,7 +105,7 @@ class FamilySpec(Frozen):
         if self.text == "gauss":
             return psi.gauss()
         if self.text.startswith("gauss@"):
-            return psi.gauss(scalars.parse_rational(self.text[6:]))
+            return psi.gauss(parse_rational(self.text[6:]))
         path = self.text[len("custom:"):]
         try:
             with open(path, "r", encoding="utf-8") as handle:
@@ -118,7 +121,7 @@ class FamilySpec(Frozen):
                 raise InvalidFamilyFile(
                     f"{path}:{lineno}: blank line before the last value")
             try:
-                values.append(Fraction(scalars.parse_rational(line)))
+                values.append(Fraction(parse_rational(line)))
             except ValueError:
                 raise InvalidFamilyFile(
                     f"{path}:{lineno}: not a rational: {line!r}")
@@ -134,7 +137,7 @@ def parse_family(text: str, position: int) -> FamilySpec:
                           "custom:<path>"))
     if text.startswith("gauss@"):
         try:
-            scalars.parse_rational(text[6:])
+            parse_rational(text[6:])
         except ValueError:
             raise ParseError(f"bad rational in family {text!r}", position,
                              ("gauss@<rational>",))
@@ -264,7 +267,7 @@ def _parse_value(kind: str, token: str, position: int, label: str):
                              position, ("<integer>",))
     if kind == "rational":
         try:
-            return scalars.parse_rational(token)
+            return parse_rational(token)
         except ValueError:
             raise ParseError(f"bad rational {token!r} for {label}", position,
                              ("<rational>",))
@@ -283,7 +286,7 @@ def _render_value(kind: str, value) -> str:
     if kind == "family":
         return value.text
     if kind == "rational":
-        return scalars.render(value)
+        return render(value)
     return str(value)
 
 
@@ -386,7 +389,10 @@ def _deformation_of(fam: psi.PsiFamily) -> Scalar:
     if fam.kind == "classical":
         return 1
     if fam.kind == "gauss":
-        return Q if fam.q0 is None else fam.q0
+        if fam.q0 is not None:
+            return fam.q0
+        from .ratfunc import Q
+        return Q
     raise PsifocError(
         f"family {fam.label} has no single deformation parameter; "
         f"pass --eigen M to pick a monomial degree")
@@ -429,11 +435,11 @@ def _run_verify(cmd: Command, fam: psi.PsiFamily,
 def _run_verb(cmd: Command, fam: psi.PsiFamily | None,
               maxdeg: int | None) -> tuple[int, str]:
     if cmd.verb == "binom":
-        return 0, scalars.render(psi.psi_binomial(fam, cmd.n, cmd.k))
+        return 0, render(psi.psi_binomial(fam, cmd.n, cmd.k))
     if cmd.verb == "fact":
-        return 0, scalars.render(psi.psi_factorial(fam, cmd.n))
+        return 0, render(psi.psi_factorial(fam, cmd.n))
     if cmd.verb == "falling":
-        return 0, scalars.render(psi.psi_falling(fam, cmd.xval, cmd.k))
+        return 0, render(psi.psi_falling(fam, cmd.xval, cmd.k))
     if cmd.verb == "expand":
         import json
         from . import qplane

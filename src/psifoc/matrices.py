@@ -26,12 +26,12 @@ import itertools
 import operator
 from collections.abc import Iterable, Sequence
 
-from . import qhat, scalars
+from . import qhat
 from ._record import Frozen
 from .errors import DimensionMismatch, SizeTooLarge, UnsupportedField
 from .psi import (PsiFamily, _check_index, _entry, gauss_binomial,
                   twisted_sum)
-from .scalars import Scalar
+from .scalars import Scalar, check, normalize, render
 
 
 class ScalarMatrix:
@@ -47,7 +47,7 @@ class ScalarMatrix:
     __slots__ = ("rows", "cols", "data")
 
     def __init__(self, data: Iterable[Iterable[Scalar]]):
-        grid = tuple(tuple(scalars.check(v) for v in row) for row in data)
+        grid = tuple(tuple(check(v) for v in row) for row in data)
         if not grid or not grid[0]:
             raise ValueError("matrix needs at least one row and column")
         width = len(grid[0])
@@ -84,7 +84,7 @@ class ScalarMatrix:
                 f"shape {self.rows}x{self.cols} vs "
                 f"{other.rows}x{other.cols}")
         return ScalarMatrix._raw(tuple(
-            tuple([scalars.normalize(op(a, b)) if a or b else 0
+            tuple([normalize(op(a, b)) if a or b else 0
                    for a, b in zip(ra, rb)])
             for ra, rb in zip(self.data, other.data)))
 
@@ -105,8 +105,8 @@ class ScalarMatrix:
             raise DimensionMismatch(
                 f"{len(factors)} row factors for {self.rows} rows")
         return ScalarMatrix._raw(tuple(
-            tuple([scalars.normalize(f * v) if v else 0 for v in row])
-            for f, row in zip(map(scalars.check, factors), self.data)))
+            tuple([normalize(f * v) if v else 0 for v in row])
+            for f, row in zip(map(check, factors), self.data)))
 
     def apply(self, vector: Sequence[Scalar]) -> tuple[Scalar, ...]:
         if len(vector) != self.cols:
@@ -123,7 +123,7 @@ class ScalarMatrix:
 
     def __repr__(self):
         body = "; ".join(
-            ", ".join(scalars.render(v) for v in row) for row in self.data)
+            ", ".join(render(v) for v in row) for row in self.data)
         return f"ScalarMatrix[{body}]"
 
 
@@ -134,7 +134,7 @@ def _dot(row: Sequence[Scalar], col: Sequence[Scalar]) -> Scalar:
     for a, b in zip(row, col):
         if a and b:
             acc = a * b if acc is None else acc + a * b
-    return 0 if acc is None else scalars.normalize(acc)
+    return 0 if acc is None else normalize(acc)
 
 
 class ScalarMode(Frozen):
@@ -143,7 +143,7 @@ class ScalarMode(Frozen):
     __slots__ = ("t",)
 
     def __init__(self, t: Scalar):
-        self._assign(scalars.check(t))
+        self._assign(check(t))
 
 
 class EigenMode(Frozen):
@@ -173,7 +173,7 @@ def resolve_mode(mode: EvalMode) -> Scalar:
 def pascal_matrix(x0: Scalar, size: int, mode: EvalMode) -> ScalarMatrix:
     """Lower-triangular deformed Pascal matrix: entry (i, j) is
     x0^(i-j) times the binomial (i, j) at the mode's parameter."""
-    scalars.check(x0)
+    check(x0)
     if size < 1:
         raise ValueError("size must be at least 1")
     _check_index(size)
@@ -185,7 +185,7 @@ def pascal_matrix(x0: Scalar, size: int, mode: EvalMode) -> ScalarMatrix:
             if j > i:
                 row.append(0)
             else:
-                row.append(scalars.normalize(
+                row.append(normalize(
                     x0 ** (i - j) * gauss_binomial(i, j, t)))
         out.append(tuple(row))
     return ScalarMatrix(out)
@@ -317,11 +317,11 @@ def export_matrix(matrix: ScalarMatrix, fmt: str,
     a JSON grid of rendered scalars, indented by 2 when pretty."""
     if fmt == "csv":
         return "".join(
-            ",".join(scalars.render(v) for v in row) + "\n"
+            ",".join(render(v) for v in row) + "\n"
             for row in matrix.data)
     if fmt == "json":
         import json
-        return json.dumps([[scalars.render(v) for v in row]
+        return json.dumps([[render(v) for v in row]
                            for row in matrix.data],
                           indent=2 if pretty else None)
     raise ValueError(f"unknown export format {fmt!r}")

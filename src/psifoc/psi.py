@@ -22,7 +22,9 @@ entry steps from the nearest one stored on its diagonal, so a row sweep
 costs one product and one exact division per entry.  Both live in one
 dict, ``_memo``, and ``_memo.clear()`` empties every store.  At the
 symbolic q the rows and the quotient steps run on coefficient tuples in
-:mod:`psifoc.scalars`, which wraps one RatFunc per stored entry.  Factorials
+:mod:`psifoc.ratfunc`, which wraps one RatFunc per stored entry.  That
+module is imported inside the symbolic branches only, which run once a
+RatFunc exists, so a rational family never loads it.  Factorials
 and falling factorials multiply rationals by a balanced product tree and
 rational functions by a left fold.  Binomials take two routes: the stored
 quotient for the symbolic Gauss family, and the falling factorial over the
@@ -37,11 +39,11 @@ import sys
 from _thread import RLock
 from collections.abc import Callable, Iterable
 
-from . import scalars
 from ._record import Frozen
 from .errors import (InadmissibleFamily, MixedFieldTags, NegativeIndex,
                      NonInvertibleDenominator)
-from .scalars import Rational, RatFunc, Scalar
+from .scalars import (Rational, Scalar, SymbolicScalar, check, div,
+                      normalize, one_like, render, zero_like)
 
 
 class PsiFamily(Frozen):
@@ -62,14 +64,14 @@ class PsiFamily(Frozen):
     def __init__(self, kind: str, q0: Rational | None = None,
                  table: tuple[Scalar, ...] | None = None):
         if q0 is not None:
-            scalars.check(q0)
-            if isinstance(q0, RatFunc):
+            check(q0)
+            if isinstance(q0, SymbolicScalar):
                 raise TypeError(f"gauss point must be rational, not "
                                 f"{q0!r}")
-            q0 = scalars.normalize(q0)
+            q0 = normalize(q0)
         if table is not None:
-            table = tuple(scalars.normalize(scalars.check(v)) for v in table)
-            if len({isinstance(v, RatFunc) for v in table}) > 1:
+            table = tuple(normalize(check(v)) for v in table)
+            if len({isinstance(v, SymbolicScalar) for v in table}) > 1:
                 raise MixedFieldTags("custom table mixes rationals with "
                                      "rational functions")
         self._assign(kind, q0, table)
@@ -79,7 +81,7 @@ class PsiFamily(Frozen):
         if self.kind == "gauss":
             if self.q0 is None:
                 return "gauss"
-            return f"gauss@{scalars.render(self.q0)}"
+            return f"gauss@{render(self.q0)}"
         if self.kind == "fibonacci":
             return "fib"
         if self.kind == "custom":
@@ -90,7 +92,8 @@ class PsiFamily(Frozen):
     def symbolic(self) -> bool:
         """Whether the family's integers are rational functions of q."""
         if self.kind == "custom":
-            return bool(self.table) and isinstance(self.table[0], RatFunc)
+            return bool(self.table) and isinstance(self.table[0],
+                                                   SymbolicScalar)
         return self.kind == "gauss" and self.q0 is None
 
 
@@ -111,11 +114,11 @@ def custom(values: Iterable[Scalar]) -> PsiFamily:
 
 
 def family_zero(fam: PsiFamily) -> Scalar:
-    return RatFunc.zero() if fam.symbolic else 0
+    return _ratfunc().RatFunc.zero() if fam.symbolic else 0
 
 
 def family_one(fam: PsiFamily) -> Scalar:
-    return RatFunc.one() if fam.symbolic else 1
+    return _ratfunc().RatFunc.one() if fam.symbolic else 1
 
 
 def psi_int(fam: PsiFamily, n: int) -> Scalar:
@@ -130,11 +133,11 @@ def psi_int(fam: PsiFamily, n: int) -> Scalar:
         return _entry(_fib_step, None, n)
     if fam.kind == "gauss":
         if fam.q0 is None:
-            return _gauss_int(scalars.Q, n)
+            return _ratfunc().q_integer(n)
         value = geometric_sum(fam.q0, n)
         if value == 0:
             raise InadmissibleFamily(
-                f"gauss family at q0 = {scalars.render(fam.q0)} has "
+                f"gauss family at q0 = {render(fam.q0)} has "
                 f"{n}_psi = 0")
         return value
     if fam.kind == "custom":
@@ -180,16 +183,16 @@ def _product(factors: list, one: Scalar) -> Scalar:
     a growing product by each small factor, which for Fibonacci
     factorials, of about n^2/10 digits, is quadratic in the digits.
     Rational functions fold left from one: each factor is short there, and
-    :mod:`psifoc.scalars` multiplies by [j]_q in one pass, where a tree
+    :mod:`psifoc.ratfunc` multiplies by [j]_q in one pass, where a tree
     would multiply two long polynomials."""
-    if isinstance(one, RatFunc):
+    if isinstance(one, SymbolicScalar):
         for factor in factors:
             one = one * factor
         return one
     while len(factors) > 1:
         paired = [a * b for a, b in zip(factors[::2], factors[1::2])]
         factors = paired + factors[-1:] if len(factors) % 2 else paired
-    return scalars.normalize(factors[0] if factors else one)
+    return normalize(factors[0] if factors else one)
 
 
 def psi_binomial(fam: PsiFamily, n: int, k: int) -> Scalar:
@@ -204,8 +207,8 @@ def psi_binomial(fam: PsiFamily, n: int, k: int) -> Scalar:
     # other family reads the factors in psi_falling's and then
     # psi_factorial's order, so the first bad index is the one reported
     if fam.kind == "gauss" and fam.symbolic:
-        return _gauss_quotient(n, k, scalars.Q)
-    return scalars.div(psi_falling(fam, n, k), psi_factorial(fam, k))
+        return _gauss_quotient(n, k, _ratfunc().Q)
+    return div(psi_falling(fam, n, k), psi_factorial(fam, k))
 
 
 def _gauss_quotient(n: int, k: int, t: Scalar) -> Scalar:
@@ -242,14 +245,15 @@ def _gauss_quotient(n: int, k: int, t: Scalar) -> Scalar:
             i = next((i for i in range(short - 1, 0, -1)
                       if (_gauss_quotient, field, t, d, i) in _memo), 0)
             acc = (_memo[_gauss_quotient, field, t, d, i] if i
-                   else scalars.one_like(t))
+                   else one_like(t))
             steps = range(i + 1, short + 1)
-            if field is RatFunc and t == scalars.Q:
-                acc = scalars.q_binomial_steps(acc, d, steps)
+            kernels = _q_kernels(t)
+            if kernels is not None:
+                acc = kernels.q_binomial_steps(acc, d, steps)
             else:
                 for j in steps:
-                    acc = scalars.div(acc * _gauss_int(t, d + j),
-                                      _gauss_int(t, j))
+                    acc = div(acc * _entry(_sum_step, t, d + j),
+                              _entry(_sum_step, t, j))
             value = _memo[key] = acc
     return value
 
@@ -258,7 +262,7 @@ def psi_weight(fam: PsiFamily, n: int) -> Scalar:
     """The weight the family attaches to degree n: the reciprocal of the
     n-th factorial.  Families are identified by their integers, but the
     weight sequence is what generalizes 1/n!."""
-    return scalars.div(family_one(fam), psi_factorial(fam, n))
+    return div(family_one(fam), psi_factorial(fam, n))
 
 
 def gauss_binomial(n: int, k: int, t: Scalar) -> Scalar:
@@ -268,11 +272,11 @@ def gauss_binomial(n: int, k: int, t: Scalar) -> Scalar:
     C(n, k) = C(n-1, k-1) + t^k C(n-1, k), which never divides; any t is
     admissible, including roots of unity where quotient formulas break.
     """
-    scalars.check(t)
+    check(t)
     if n < 0:
         raise ValueError("gauss_binomial requires n >= 0")
     if k < 0 or k > n:
-        return scalars.zero_like(t)
+        return zero_like(t)
     return _entry(_row_step, t, n)[k]
 
 
@@ -280,21 +284,46 @@ def geometric_sum(t: Scalar, n: int) -> Scalar:
     """The Gauss integer [n]_t: the sum of t^j for j < n.
 
     The closed form (1 - t^n)/(1 - t) is singular at t = 1, which occurs
-    for every degree of the classical family; the sum is total.
+    for every degree of the classical family; the sum is total.  At the
+    symbolic q it is the closed form 1 + q + ... + q^(n-1): a table
+    reaching it would hold O(n^2) coefficients.
     """
-    scalars.check(t)
+    check(t)
     if n < 0:
         raise ValueError("geometric_sum requires n >= 0")
-    return _gauss_int(t, n)
-
-
-def _gauss_int(t: Scalar, n: int) -> Scalar:
-    """[n]_t for a checked t and n >= 0.  At the symbolic q it is the
-    closed form 1 + q + ... + q^(n-1): a table reaching it would hold
-    O(n^2) coefficients."""
-    if type(t) is RatFunc and t == scalars.Q:
-        return scalars.q_integer(n)
+    kernels = _q_kernels(t)
+    if kernels is not None:
+        return kernels.q_integer(n)
     return _entry(_sum_step, t, n)
+
+
+_field = None
+
+
+def _ratfunc():
+    """The rational-function field :mod:`psifoc.ratfunc`, for the symbolic
+    branches: imported by the first symbolic value, so a rational family
+    never loads it, and read from a global after that, since an import
+    statement costs about a microsecond, as much as a warm binomial.  The
+    global is set only once the import statement returns, which waits on
+    the module's import lock, so a thread never sees the module half
+    run."""
+    global _field
+    if _field is None:
+        from . import ratfunc
+        _field = ratfunc
+    return _field
+
+
+def _q_kernels(t: Scalar):
+    """:mod:`psifoc.ratfunc`, whose kernels step on coefficient tuples, if
+    the checked t is the symbolic q; None for any other t.  A rational t
+    answers at the first test and loads nothing."""
+    if isinstance(t, SymbolicScalar):
+        field = _ratfunc()
+        if t == field.Q:
+            return field
+    return None
 
 
 def twisted_sum(r: int, s: int, j: int, t: Scalar,
@@ -307,22 +336,23 @@ def twisted_sum(r: int, s: int, j: int, t: Scalar,
     Every factor is read first, (r, k) then (s, j-k) for k ascending.  At
     the symbolic q, with every factor a polynomial with nonnegative int
     coefficients, as the Gaussian binomials are, the twist is a shift and
-    :func:`psifoc.scalars.shifted_product_sum` sums the products of the
+    :func:`psifoc.ratfunc.shifted_product_sum` sums the products of the
     factors' packed integers; any other t or factor, a negative or a
     Fraction coefficient included, takes the fold of scalar operators.
     Both give the same canonical form."""
     # outside max(0, j-s) <= k <= min(r, j) a binomial factor vanishes
     terms = [((r - k) * (j - k), binomial(r, k, t), binomial(s, j - k, t))
              for k in range(max(0, j - s), min(r, j) + 1)]
-    if type(t) is RatFunc and t == scalars.Q:
-        total = scalars.shifted_product_sum(terms)
+    kernels = _q_kernels(t)
+    if kernels is not None:
+        total = kernels.shifted_product_sum(terms)
         if total is not None:
             return total
-    total = scalars.zero_like(t)
+    total = zero_like(t)
     # the twist goes on last, so the binomials multiply without its zeros
     for e, a, b in terms:
         total = total + a * b * t ** e
-    return scalars.normalize(total)
+    return normalize(total)
 
 
 # Every memo store is one entry of _memo, keyed by the function that grows
@@ -369,19 +399,20 @@ def _fib_step(seq: list, _t: None) -> int:
 
 def _sum_step(seq: list, t: Scalar) -> Scalar:
     # [n]_t = 1 + t [n-1]_t
-    return scalars.normalize(1 + t * seq[-1]) if seq else scalars.zero_like(t)
+    return normalize(1 + t * seq[-1]) if seq else zero_like(t)
 
 
 def _row_step(seq: list, t: Scalar) -> tuple[Scalar, ...]:
     if not seq:
-        return (scalars.one_like(t),)
+        return (one_like(t),)
     prev = seq[-1]
-    if type(t) is RatFunc and t == scalars.Q:
-        return scalars.q_pascal_row(prev)
+    kernels = _q_kernels(t)
+    if kernels is not None:
+        return kernels.q_pascal_row(prev)
     one = prev[0]
     row = [one]
     t_pow = one
     for k in range(1, len(prev)):
         t_pow = t_pow * t
-        row.append(scalars.normalize(prev[k - 1] + t_pow * prev[k]))
+        row.append(normalize(prev[k - 1] + t_pow * prev[k]))
     return (*row, one)

@@ -28,13 +28,13 @@ from __future__ import annotations
 import operator
 from collections.abc import Callable
 
-from . import scalars
 from ._record import Frozen
 from .errors import (DegreeOutOfRange, DimensionMismatch,
                      NonInvertibleDenominator)
 from .psi import (PsiFamily, _check_index, _gauss_quotient, _product,
                   family_one, geometric_sum, psi_int)
-from .scalars import Scalar
+from .scalars import (Scalar, check, div, normalize, one_like, render,
+                      zero_like)
 
 
 class DiagOperator(Frozen):
@@ -48,7 +48,7 @@ class DiagOperator(Frozen):
 
     def __init__(self, eigenvalues: tuple[Scalar, ...]):
         for value in eigenvalues:
-            scalars.check(value)
+            check(value)
         self._assign(eigenvalues)
 
     @property
@@ -61,7 +61,7 @@ class DiagOperator(Frozen):
                 f"operators truncated at degrees {self.n_trunc} and "
                 f"{other.n_trunc}")
         return DiagOperator(tuple(map(
-            scalars.normalize, map(op, self.eigenvalues, other.eigenvalues))))
+            normalize, map(op, self.eigenvalues, other.eigenvalues))))
 
     def __add__(self, other: "DiagOperator") -> "DiagOperator":
         if not isinstance(other, DiagOperator):
@@ -78,17 +78,17 @@ class DiagOperator(Frozen):
             return NotImplemented
         if n < 0:
             raise ValueError("operator powers take nonnegative exponents")
-        return DiagOperator(tuple(scalars.normalize(v ** n)
+        return DiagOperator(tuple(normalize(v ** n)
                                   for v in self.eigenvalues))
 
     def to_json(self, pretty: bool = False) -> str:
         import json
-        entries = [{"degree": m, "eigenvalue": scalars.render(v)}
+        entries = [{"degree": m, "eigenvalue": render(v)}
                    for m, v in enumerate(self.eigenvalues)]
         return json.dumps(entries, indent=2 if pretty else None)
 
     def __repr__(self):
-        body = ", ".join(scalars.render(v) for v in self.eigenvalues)
+        body = ", ".join(render(v) for v in self.eigenvalues)
         return f"DiagOperator([{body}])"
 
 
@@ -99,7 +99,7 @@ def qhat_operator(fam: PsiFamily, n_trunc: int) -> DiagOperator:
     _check_index(n_trunc)
     one = family_one(fam)
     ints = [psi_int(fam, m) for m in range(1, max(n_trunc, 1) + 2)]
-    values = [scalars.div(after - one, before)
+    values = [div(after - one, before)
               for before, after in zip(ints, ints[1:])]
     # degree 0 would be 0/0; reuse the degree-1 eigenvalue, which is
     # computed even at truncation 0
@@ -108,11 +108,11 @@ def qhat_operator(fam: PsiFamily, n_trunc: int) -> DiagOperator:
 
 def dilation_operator(q0: Scalar, n_trunc: int) -> DiagOperator:
     """Scaling substitution x -> q0*x on monomials: x^m gets q0^m."""
-    scalars.check(q0)
+    check(q0)
     if n_trunc < 0:
         raise ValueError("truncation degree must be nonnegative")
     _check_index(n_trunc)
-    return DiagOperator(tuple(scalars.normalize(q0 ** m)
+    return DiagOperator(tuple(normalize(q0 ** m)
                               for m in range(n_trunc + 1)))
 
 
@@ -125,9 +125,9 @@ def binomial_eigenvalue(n: int, k: int, lam: Scalar) -> Scalar:
     [2]_lam = 0 once max(k, n-k) >= 2, the quotient raises
     NonInvertibleDenominator naming the symbol, by design; the recurrence
     form in :func:`psifoc.psi.gauss_binomial` is the total companion."""
-    scalars.check(lam)
+    check(lam)
     if k < 0 or k > n:
-        return scalars.zero_like(lam)
+        return zero_like(lam)
     return _gauss_quotient(n, k, lam)
 
 
@@ -177,7 +177,7 @@ def op_factorial(n: int, op: DiagOperator) -> DiagOperator:
         raise ValueError("op_factorial requires n >= 0")
     return DiagOperator(tuple(per_eigenvalue(op, lambda lam: _product(
         [geometric_sum(lam, j) for j in range(1, n + 1)],
-        scalars.one_like(lam)))))
+        one_like(lam)))))
 
 
 def op_binomial(n: int, k: int, op: DiagOperator) -> DiagOperator:

@@ -51,14 +51,15 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 
-from . import qhat, scalars
+from . import qhat
 from ._record import Frozen, Record
 from .errors import DeformationMismatch, DimensionMismatch
-from .psi import (PsiFamily, _check_index, _entry, _row_step, family_one,
-                  gauss_binomial, psi_binomial, twisted_sum)
+from .psi import (PsiFamily, _check_index, _entry, _q_kernels, _ratfunc,
+                  _row_step, family_one, gauss_binomial, psi_binomial,
+                  twisted_sum)
 from .qhat import (binomial_eigenvalue, eval_on_monomial, op_binomial,
                    qhat_operator)
-from .scalars import Q, RatFunc, Scalar
+from .scalars import Scalar, check, normalize, one_like, render
 
 
 class QPlanePoly:
@@ -72,27 +73,27 @@ class QPlanePoly:
     def __init__(self, t: Scalar, coeffs: Mapping[tuple[int, int], Scalar]):
         pruned = {}
         for key, value in coeffs.items():
-            value = scalars.normalize(scalars.check(value))
+            value = normalize(check(value))
             if value != 0:
                 pruned[key] = value
-        self.t = scalars.check(t)
+        self.t = check(t)
         self.coeffs = pruned
 
     @classmethod
     def one(cls, t: Scalar) -> "QPlanePoly":
-        return cls(t, {(0, 0): scalars.one_like(t)})
+        return cls(t, {(0, 0): one_like(t)})
 
     @classmethod
     def x(cls, t: Scalar) -> "QPlanePoly":
-        return cls(t, {(1, 0): scalars.one_like(t)})
+        return cls(t, {(1, 0): one_like(t)})
 
     @classmethod
     def y(cls, t: Scalar) -> "QPlanePoly":
-        return cls(t, {(0, 1): scalars.one_like(t)})
+        return cls(t, {(0, 1): one_like(t)})
 
     @classmethod
     def x_plus_y(cls, t: Scalar) -> "QPlanePoly":
-        one = scalars.one_like(t)
+        one = one_like(t)
         return cls(t, {(1, 0): one, (0, 1): one})
 
     def coefficient(self, xdeg: int, ydeg: int) -> Scalar:
@@ -105,8 +106,8 @@ class QPlanePoly:
     def _check_t(self, other: "QPlanePoly") -> None:
         if self.t != other.t:
             raise DeformationMismatch(
-                f"deformations {scalars.render(self.t)} and "
-                f"{scalars.render(other.t)} differ")
+                f"deformations {render(self.t)} and "
+                f"{render(other.t)} differ")
 
     def __add__(self, other: "QPlanePoly") -> "QPlanePoly":
         if not isinstance(other, QPlanePoly):
@@ -121,10 +122,11 @@ class QPlanePoly:
         if not isinstance(other, QPlanePoly):
             return NotImplemented
         self._check_t(other)
-        if type(self.t) is RatFunc and self.t == Q:
+        kernels = _q_kernels(self.t)
+        if kernels is not None:
             # at q the twist q^(l1 k2) is a shift, and the terms of each
             # monomial add as coefficient tuples
-            sums = scalars.shifted_product_sums(
+            sums = kernels.shifted_product_sums(
                 ((k1 + k2, l1 + l2), l1 * k2, c1, c2)
                 for (k1, l1), c1 in self.coeffs.items()
                 for (k2, l2), c2 in other.coeffs.items())
@@ -163,11 +165,11 @@ class QPlanePoly:
 
     def to_json_terms(self) -> list[dict]:
         """Serializable form: list of {xdeg, ydeg, coeff} in lex order."""
-        return [{"xdeg": k, "ydeg": l, "coeff": scalars.render(c)}
+        return [{"xdeg": k, "ydeg": l, "coeff": render(c)}
                 for k, l, c in self.terms()]
 
     def __repr__(self):
-        body = " + ".join(f"({scalars.render(c)})*x^{k}*y^{l}"
+        body = " + ".join(f"({render(c)})*x^{k}*y^{l}"
                           for k, l, c in self.terms())
         return body or "0"
 
@@ -203,8 +205,8 @@ class Report(Record):
         """Record a mismatch row, the keys of ``where`` first, unless the
         two sides are equal."""
         if lhs != rhs:
-            self.mismatches.append({**where, "lhs": scalars.render(lhs),
-                                    "rhs": scalars.render(rhs)})
+            self.mismatches.append({**where, "lhs": render(lhs),
+                                    "rhs": render(rhs)})
 
     def to_json(self, pretty: bool = False) -> str:
         import json
@@ -243,6 +245,7 @@ def verify_gauss_binomial_theorem(n_max: int) -> Report:
     coefficient only where that fails."""
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
+    Q = _ratfunc().Q
     report = Report({"check": "binomial-theorem", "n_max": n_max})
     for n in range(n_max + 1):
         power = _entry(_power_step, Q, n)
@@ -284,7 +287,7 @@ def _power_step(seq: list, t: Scalar) -> QPlanePoly:
 def verify_cauchy_scalar(r: int, s: int, j: int, t: Scalar) -> bool:
     """Twisted convolution identity at a scalar parameter: the sum over k
     of t^((r-k)(j-k)) (r, k) (s, j-k) equals (r+s, j), exactly."""
-    scalars.check(t)
+    check(t)
     if r < 0 or s < 0:
         raise ValueError("r and s must be nonnegative")
     return (twisted_sum(r, s, j, t, gauss_binomial)
@@ -352,7 +355,7 @@ class MonomialMap(Frozen):
     def __init__(self, images: tuple[tuple[int, Scalar] | None, ...]):
         for image in images:
             if image is not None:
-                scalars.check(image[1])
+                check(image[1])
         self._assign(images)
 
     def __matmul__(self, other: "MonomialMap") -> "MonomialMap":
@@ -365,7 +368,7 @@ class MonomialMap(Frozen):
         out = []
         for image in other.images:
             outer = None if image is None else self.images[image[0]]
-            weight = outer and scalars.normalize(outer[1] * image[1])
+            weight = outer and normalize(outer[1] * image[1])
             out.append((outer[0], weight) if weight else None)
         return MonomialMap(tuple(out))
 
@@ -443,7 +446,7 @@ def realization(q0: Scalar, n: int) -> OpRealization:
 def realization_check(q0: Scalar, n: int) -> bool:
     """Whether B A - q0 A B vanishes on all basis monomials of total
     degree below n, for the dilation realization at parameter q0."""
-    scalars.check(q0)
+    check(q0)
     if n < 2:
         raise ValueError("need n >= 2 to see a commutation")
     real = realization(q0, n)
@@ -477,7 +480,7 @@ def explore_observation1_general(fam: PsiFamily, n: int) -> Report:
     one = family_one(fam)
     weights: list[Scalar] = [one]
     for a in range(1, n + 1):
-        weights.append(scalars.normalize(
+        weights.append(normalize(
             weights[-1] * eval_on_monomial(mutator, a)))
     real = _weighted_realization(weights, n)
     combined = real.a.to_matrix() + real.b.to_matrix()

@@ -37,26 +37,26 @@ import sys
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
-from psifoc import cli, matrices, psi, qhat, qplane, scalars
+from psifoc import cli, matrices, psi, qhat, qplane, ratfunc
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 CORPUS = os.path.join(HERE, "corpus.txt")
 # the token of a CLI argv that stands for the --out path
 OUT = "OUT"
 
-Q = scalars.Q
+Q = ratfunc.Q
 FAMILIES = {"classical": psi.classical(), "fib": psi.fibonacci(),
             "gauss": psi.gauss(), "gauss@2": psi.gauss(2),
             "gauss@1/2": psi.gauss(Fraction(1, 2)),
             "gauss@-1": psi.gauss(-1),
             "custom": psi.custom([Fraction(1, 2), 2, -1, Fraction(3, 2), 4,
                                   Fraction(5, 4), 3]),
-            "custom@q": psi.custom([scalars.RatFunc.one(), 1 + Q, 2 * Q,
+            "custom@q": psi.custom([ratfunc.RatFunc.one(), 1 + Q, 2 * Q,
                                     Q / (1 + Q), 1 + Q * Q, Q, 3 + Q])}
 # deformation parameters of every field tag, integral Fractions among them
 PARAMS = {"2": 2, "2/1": Fraction(2), "1/2": Fraction(1, 2), "-1": -1,
           "-1/1": Fraction(-1), "0": 0, "q": Q,
-          "q:-1": scalars.RatFunc.constant(-1), "q/(1+q)": Q / (1 + Q)}
+          "q:-1": ratfunc.RatFunc.constant(-1), "q/(1+q)": Q / (1 + Q)}
 
 # each library kind of the benchmark, as the library call it makes
 KINDS = {

@@ -20,7 +20,7 @@ from psifoc.qplane import (QPlanePoly, check_psi_multiplicativity,
                            realization_check, verify_cauchy_operator,
                            verify_cauchy_scalar,
                            verify_gauss_binomial_theorem)
-from psifoc.scalars import Q, eval_ratfunc
+from psifoc.ratfunc import Q, eval_ratfunc
 
 
 def _report(number: int, label: str) -> None:

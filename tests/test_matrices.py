@@ -16,7 +16,7 @@ from psifoc.matrices import (EigenMode, ScalarMatrix, ScalarMode,
                              pascal_matrix, resolve_mode)
 from psifoc.psi import classical, custom, fibonacci, gauss
 from psifoc.qplane import MonomialMap, realization, realization_check
-from psifoc.scalars import Q, RatFunc, eval_ratfunc
+from psifoc.ratfunc import Q, RatFunc, eval_ratfunc
 
 
 def test_matrix_basics():

@@ -12,14 +12,14 @@ from hypothesis import given, settings, strategies as st
 
 import psifoc
 from psifoc import (_record, cli, errors, matrices, psi, qhat, qplane,
-                    scalars)
+                    ratfunc, scalars)
 from psifoc.errors import InadmissibleFamily, MixedFieldTags, NegativeIndex
 from psifoc.psi import (classical, custom, fibonacci, gauss, gauss_binomial,
                         psi_binomial, psi_factorial, psi_falling, psi_int,
                         psi_weight)
 from psifoc.qplane import (QPlanePoly, check_psi_multiplicativity,
                            psi_plus_power)
-from psifoc.scalars import Q, RatFunc, eval_ratfunc
+from psifoc.ratfunc import Q, RatFunc, eval_ratfunc
 
 
 def test_psi_int():
@@ -357,6 +357,54 @@ def test_tables_grow_safely_across_threads(name, cold_tables, stored):
         assert value == formula(n)
 
 
+# Six threads meet the rational-function field in a process that has not
+# loaded it: none may see the module before its body has run.  The import
+# system lists a module in sys.modules before it runs the body; a finder
+# that sleeps there holds that window open, and five threads arrive in it
+# while the first one imports.
+_COLD_FIELD = """
+import sys, threading, time
+from concurrent.futures import ThreadPoolExecutor
+from importlib.machinery import PathFinder
+from psifoc import render
+from psifoc.psi import gauss, psi_binomial
+
+class SlowRatfunc(PathFinder):
+    @classmethod
+    def find_spec(cls, name, path=None, target=None):
+        if name != "psifoc.ratfunc":
+            return None
+        spec = PathFinder.find_spec(name, path, target)
+        run = spec.loader.exec_module
+
+        def exec_module(module):
+            listed.set()
+            time.sleep(0.1)
+            run(module)
+        spec.loader.exec_module = exec_module
+        return spec
+
+sys.meta_path.insert(0, SlowRatfunc)
+assert "psifoc.ratfunc" not in sys.modules
+listed = threading.Event()
+
+def binomial(i):
+    if i:
+        listed.wait(timeout=30)
+    return render(psi_binomial(gauss(), 9, 4))
+
+with ThreadPoolExecutor(max_workers=6) as pool:
+    print(*sorted(set(pool.map(binomial, range(6)))), sep="\\n")
+"""
+
+
+def test_threads_load_the_rational_function_field_once(run_python):
+    proc = run_python("-c", _COLD_FIELD)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        psifoc.render(psi.psi_binomial(gauss(), 9, 4))]
+
+
 # Factorials multiply rationals by a product tree and rational functions
 # by a left fold; the fold below is the definition both must match, one
 # running product factor by factor.
@@ -398,8 +446,8 @@ def test_symbolic_factorials_multiply_by_short_factors(monkeypatch):
     # a product tree at q multiplies two long partial products: its shorter
     # factor reached 285 coefficients in the Gauss factorial of 40
     shorter = []
-    pmul = scalars._pmul
-    monkeypatch.setattr(scalars, "_pmul", lambda a, b: shorter.append(
+    pmul = ratfunc._pmul
+    monkeypatch.setattr(ratfunc, "_pmul", lambda a, b: shorter.append(
         min(len(a), len(b))) or pmul(a, b))
     psi_factorial(gauss(), 40)
     psi_falling(gauss(), 40, 20)
@@ -448,8 +496,8 @@ def test_single_quotient_request_stores_one_entry(cold_tables,
     value = psi_binomial(gauss(), 70, 30)
     assert [v is value for v in _stored_quotients()] == [True]
     walks = []
-    steps = scalars.q_binomial_steps
-    monkeypatch.setattr(scalars, "q_binomial_steps",
+    steps = ratfunc.q_binomial_steps
+    monkeypatch.setattr(ratfunc, "q_binomial_steps",
                         lambda *args: walks.append(args) or steps(*args))
     # its neighbour (71, 31) on the diagonal n - k = 40 is one step away:
     # the walk starts from the stored entry and divides by [31]_q only
@@ -627,7 +675,7 @@ def test_twisted_sum_of_other_factors_takes_the_fold(binomial):
     for r, s, j in ((0, 0, 0), (3, 4, 2), (5, 5, 5), (6, 2, 7), (2, 2, 9)):
         terms = [(0, binomial(r, k, Q), binomial(s, j - k, Q))
                  for k in range(max(0, j - s), min(r, j) + 1)]
-        assert scalars.shifted_product_sum(terms) is None or not terms
+        assert ratfunc.shifted_product_sum(terms) is None or not terms
         value = psi.twisted_sum(r, s, j, Q, binomial)
         want = _twisted_fold(r, s, j, Q, binomial)
         assert value == want and type(value) is type(want), (r, s, j)

@@ -16,7 +16,7 @@ from psifoc.qhat import (DiagOperator, binomial_eigenvalue, dilation_operator,
                          eval_on_monomial, geometric_sum, op_binomial, op_factorial, op_integer,
                          per_eigenvalue, qhat_mutator, qhat_operator)
 from psifoc.qplane import QPlanePoly, verify_gauss_binomial_theorem
-from psifoc.scalars import Q, RatFunc
+from psifoc.ratfunc import Q, RatFunc
 
 
 def _constant(op, value):

@@ -15,7 +15,8 @@ from psifoc.qplane import (QPlanePoly, Report, explore_observation1_general,
                            verify_cauchy_operator, verify_cauchy_scalar,
                            verify_fermat_operator,
                            verify_gauss_binomial_theorem)
-from psifoc.scalars import Q, RatFunc, normalize
+from psifoc.ratfunc import Q, RatFunc
+from psifoc.scalars import normalize
 
 
 def test_defining_relation():

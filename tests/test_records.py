@@ -14,7 +14,7 @@ from psifoc.matrices import EigenMode, ScalarMode
 from psifoc.psi import PsiFamily, fibonacci
 from psifoc.qhat import DiagOperator
 from psifoc.qplane import MonomialMap, OpRealization, Report
-from psifoc.scalars import Q, RatFunc
+from psifoc.ratfunc import Q, RatFunc
 
 _M = MonomialMap((None, (0, 1)))
 

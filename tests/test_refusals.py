@@ -6,11 +6,11 @@ from unittest import mock
 
 import pytest
 
-from psifoc import cli, matrices, psi, qhat, qplane, scalars
+from psifoc import cli, matrices, psi, qhat, qplane, ratfunc, scalars
 from psifoc.errors import (DimensionMismatch, InvalidFamilyFile,
                            NegativeIndex, PsifocError)
 from psifoc.matrices import ScalarMatrix, ScalarMode
-from psifoc.scalars import Q
+from psifoc.ratfunc import Q
 
 
 def _empty_table():
@@ -88,12 +88,19 @@ REFUSALS = [
      "need n >= 2 to see a commutation"),
     ("obs1", lambda: qplane.explore_observation1_general(_FIB, -1),
      ValueError, "n must be nonnegative"),
-    ("eval-ratfunc", lambda: scalars.eval_ratfunc(2, 1), TypeError,
+    ("eval-ratfunc", lambda: ratfunc.eval_ratfunc(2, 1), TypeError,
      "eval_ratfunc takes a RatFunc"),
-    ("eval-point", lambda: scalars.eval_ratfunc(Q, True), TypeError,
+    ("eval-point", lambda: ratfunc.eval_ratfunc(Q, True), TypeError,
      "evaluation point must be rational"),
     ("render", lambda: scalars.render(1.5), TypeError,
      "not a scalar: 1.5"),
+    # render refuses exactly what check refuses, bools included
+    ("check-true", lambda: scalars.check(True), TypeError,
+     "not a scalar: True"),
+    ("render-true", lambda: scalars.render(True), TypeError,
+     "not a scalar: True"),
+    ("render-false", lambda: scalars.render(False), TypeError,
+     "not a scalar: False"),
 ]
 
 

@@ -10,14 +10,15 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from psifoc import scalars
+from psifoc import ratfunc, scalars
 from psifoc.errors import DivisionByZero, MixedFieldTags, PoleAtPoint
 from psifoc.matrices import ScalarMatrix, ScalarMode, pascal_matrix
 from psifoc.psi import custom, gauss, gauss_binomial, psi_binomial
 from psifoc.qhat import (DiagOperator, binomial_eigenvalue,
                          dilation_operator, geometric_sum)
 from psifoc.qplane import QPlanePoly, realization_check, verify_cauchy_scalar
-from psifoc.scalars import Q, RatFunc, eval_ratfunc, render
+from psifoc.ratfunc import Q, RatFunc, eval_ratfunc
+from psifoc.scalars import render
 
 
 def test_rational_add():
@@ -348,7 +349,7 @@ def _naive_mul(a, b):
     for i, x in enumerate(a):
         for j, y in enumerate(b):
             out[i + j] += x * y
-    return scalars._trim(out)
+    return ratfunc._trim(out)
 
 
 def _naive_pow(a, n):
@@ -363,7 +364,7 @@ def _naive_add(a, b):
     for p in (a, b):
         for i, x in enumerate(p):
             out[i] += x
-    return scalars._trim(out)
+    return ratfunc._trim(out)
 
 
 def _naive_exquo(a, b):
@@ -383,13 +384,13 @@ def _naive_exquo(a, b):
 
 
 _kernel_polys = st.one_of(
-    _polys.map(scalars._trim),
+    _polys.map(ratfunc._trim),
     # monomials c q^d, often longer than the other factor
     st.tuples(st.integers(min_value=0, max_value=40), _nonzero_coeffs).map(
         lambda t: (0,) * t[0] + (scalars.normalize(t[1]),)),
     # dense factors padded with zeros at the bottom, as a twist leaves them
     st.tuples(st.integers(min_value=1, max_value=40),
-              _polys.map(scalars._trim).filter(bool)).map(
+              _polys.map(ratfunc._trim).filter(bool)).map(
         lambda t: (0,) * t[0] + t[1]),
     st.just(()))
 
@@ -397,8 +398,8 @@ _kernel_polys = st.one_of(
 @given(_kernel_polys, _kernel_polys)
 @settings(max_examples=300, deadline=None)
 def test_pmul_matches_naive_product(a, b):
-    assert repr(scalars._pmul(a, b)) == repr(_naive_mul(a, b))
-    assert repr(scalars._pmul(b, a)) == repr(_naive_mul(a, b))
+    assert repr(ratfunc._pmul(a, b)) == repr(_naive_mul(a, b))
+    assert repr(ratfunc._pmul(b, a)) == repr(_naive_mul(a, b))
 
 
 def test_pmul_by_a_long_monomial_is_a_shift():
@@ -408,7 +409,7 @@ def test_pmul_by_a_long_monomial_is_a_shift():
     shift = (0,) * 200_000 + (1,)
     for a, b in ((shift, p), (p, shift)):
         start = time.perf_counter()
-        out = scalars._pmul(a, b)
+        out = ratfunc._pmul(a, b)
         assert time.perf_counter() - start < 0.5
         assert out == (0,) * 200_000 + p
 
@@ -416,7 +417,7 @@ def test_pmul_by_a_long_monomial_is_a_shift():
 @given(_kernel_polys, st.integers(min_value=0, max_value=5))
 @settings(max_examples=200, deadline=None)
 def test_ppow_matches_naive_power(a, n):
-    assert repr(scalars._ppow(a, n)) == repr(_naive_pow(a, n))
+    assert repr(ratfunc._ppow(a, n)) == repr(_naive_pow(a, n))
 
 
 _MIXED_CONSTANTS = (0, 1, -1, 7, Fraction(2, 1), Fraction(-3, 5))
@@ -453,21 +454,21 @@ def test_mixed_operands_match_the_lifted_route(f, c):
 _gauss_integers = st.integers(min_value=2, max_value=12).map(
     lambda m: (1,) * m)
 _int_polys = st.lists(st.integers(min_value=-10**12, max_value=10**12),
-                      max_size=8).map(scalars._trim)
+                      max_size=8).map(ratfunc._trim)
 
 
 @given(_gauss_integers, _kernel_polys)
 @settings(max_examples=300, deadline=None)
 def test_pmul_by_gauss_integer_matches_naive_product(ones, b):
-    assert repr(scalars._pmul(ones, b)) == repr(_naive_mul(ones, b))
-    assert repr(scalars._pmul(b, ones)) == repr(_naive_mul(ones, b))
+    assert repr(ratfunc._pmul(ones, b)) == repr(_naive_mul(ones, b))
+    assert repr(ratfunc._pmul(b, ones)) == repr(_naive_mul(ones, b))
 
 
 @given(_gauss_integers, st.one_of(_kernel_polys, _int_polys), st.data())
 @settings(max_examples=300, deadline=None)
 def test_pexquo_by_gauss_integer_matches_naive_division(ones, c, data):
     a = _naive_mul(ones, c)
-    quot = scalars._pexquo(a, ones)
+    quot = ratfunc._pexquo(a, ones)
     assert repr(quot) == repr(_naive_exquo(a, ones))
     if a and all(type(x) is int for x in c):
         assert quot == c
@@ -478,8 +479,8 @@ def test_pexquo_by_gauss_integer_matches_naive_division(ones, c, data):
     i = data.draw(st.integers(min_value=0, max_value=len(a) - 1))
     changed = list(a)
     changed[i] += data.draw(_nonzero_coeffs)
-    changed = scalars._trim(changed)
-    assert scalars._pexquo(changed, ones) is None
+    changed = ratfunc._trim(changed)
+    assert ratfunc._pexquo(changed, ones) is None
     assert _naive_exquo(changed, ones) is None
 
 
@@ -490,7 +491,7 @@ def test_q_binomial_steps_walk_the_gauss_diagonal():
             start = gauss_binomial(d + i, i, Q)
             for k in range(i + 1, 16):
                 steps = range(i + 1, k + 1)
-                assert (scalars.q_binomial_steps(start, d, steps)
+                assert (ratfunc.q_binomial_steps(start, d, steps)
                         == gauss_binomial(d + k, k, Q)), (d, i, k)
 
 
@@ -498,13 +499,13 @@ def test_q_binomial_steps_walk_the_gauss_diagonal():
 @settings(max_examples=200, deadline=None)
 def test_pexquo_matches_naive_division(c, b, data):
     a = _naive_mul(b, c)
-    assert repr(scalars._pexquo(a, b)) == repr(_naive_exquo(a, b))
+    assert repr(ratfunc._pexquo(a, b)) == repr(_naive_exquo(a, b))
     if a:
         changed = list(a)
         changed[data.draw(st.integers(0, len(a) - 1))] += data.draw(
             st.integers(min_value=-3, max_value=3))
-        changed = scalars._trim(changed)
-        assert repr(scalars._pexquo(changed, b)) == repr(
+        changed = ratfunc._trim(changed)
+        assert repr(ratfunc._pexquo(changed, b)) == repr(
             _naive_exquo(changed, b))
 
 
@@ -512,14 +513,14 @@ def test_pexquo_matches_naive_division(c, b, data):
        st.one_of(_kernel_polys, _gauss_integers))
 @settings(max_examples=300, deadline=None)
 def test_padd_matches_naive_sum(a, b):
-    assert repr(scalars._padd(a, b)) == repr(_naive_add(a, b))
-    assert repr(scalars._padd(b, a)) == repr(_naive_add(a, b))
+    assert repr(ratfunc._padd(a, b)) == repr(_naive_add(a, b))
+    assert repr(ratfunc._padd(b, a)) == repr(_naive_add(a, b))
     # b - a added to a cancels the top of a when b is shorter
-    diff = _naive_add(b, scalars._pneg(a))
-    assert repr(scalars._padd(a, diff)) == repr(_naive_add(a, diff))
+    diff = _naive_add(b, ratfunc._pneg(a))
+    assert repr(ratfunc._padd(a, diff)) == repr(_naive_add(a, diff))
     # RatFunc subtraction, and a difference whose top cancels
-    for left, right, want in ((b, a, diff), (a, b, scalars._pneg(diff)),
-                              (a, scalars._pneg(diff), b)):
+    for left, right, want in ((b, a, diff), (a, b, ratfunc._pneg(diff)),
+                              (a, ratfunc._pneg(diff), b)):
         value = RatFunc(left) - RatFunc(right)
         assert (repr(value.num), value.den) == (repr(want), (1,))
 
@@ -531,7 +532,7 @@ def test_padd_matches_naive_sum(a, b):
 def _check_quotient(num, den):
     f, g = RatFunc(num), RatFunc(den)
     quotient = f / g
-    assert _form(quotient) == _form(scalars._canonical_fraction(f.num, g.num))
+    assert _form(quotient) == _form(ratfunc._canonical_fraction(f.num, g.num))
     assert repr(_naive_mul(quotient.num, g.num)) == repr(
         _naive_mul(f.num, quotient.den))
 
@@ -548,7 +549,7 @@ def test_polynomial_quotient_matches_canonical_form(c, b, data):
         changed = list(a)
         changed[data.draw(st.integers(0, len(a) - 1))] += data.draw(
             _nonzero_coeffs)
-        _check_quotient(scalars._trim(changed), b)
+        _check_quotient(ratfunc._trim(changed), b)
 
 
 _divisors = st.one_of(_nonzero_coeffs, st.integers(-10**12, 10**12).filter(
@@ -561,7 +562,7 @@ _divisors = st.one_of(_nonzero_coeffs, st.integers(-10**12, 10**12).filter(
 def test_division_by_a_constant_matches_the_lifted_route(f, c):
     # num/c over the same monic den, with no RatFunc built for c
     assert _form(f / c) == _form(f / RatFunc.constant(c))
-    assert _form(f / c) == _form(scalars._canonical_fraction(
+    assert _form(f / c) == _form(ratfunc._canonical_fraction(
         f.num, _naive_mul(f.den, (c,))))
 
 
@@ -578,11 +579,11 @@ def test_division_by_a_zero_constant(zero):
 @settings(max_examples=300, deadline=None)
 def test_pshift_add_matches_naive_sum(a, b, e):
     shifted = (0,) * e + b if b else b
-    assert repr(scalars._pshift_add(a, b, e)) == repr(_naive_add(a, shifted))
+    assert repr(ratfunc._pshift_add(a, b, e)) == repr(_naive_add(a, shifted))
     # a shifted tail that cancels the top of a leaves the bottom trimmed
-    top = scalars._pneg(a[e:])
-    assert repr(scalars._pshift_add(a, top, e)) == repr(
-        scalars._trim(a[:e]))
+    top = ratfunc._pneg(a[e:])
+    assert repr(ratfunc._pshift_add(a, top, e)) == repr(
+        ratfunc._trim(a[:e]))
 
 
 def _ratfunc_terms():
@@ -599,7 +600,7 @@ def test_shifted_product_sums_match_the_fold(terms):
     folded = {}
     for key, e, a, b in terms:
         folded[key] = folded.get(key, RatFunc.zero()) + a * b * Q ** e
-    sums = scalars.shifted_product_sums(terms)
+    sums = ratfunc.shifted_product_sums(terms)
     assert {key: _form(v) for key, v in sums.items()} == {
         key: _form(v) for key, v in folded.items()}
 
@@ -608,8 +609,8 @@ def test_shifted_product_sums_match_the_fold(terms):
                          ids=repr)
 def test_shifted_product_sums_refuse_a_non_polynomial(odd):
     terms = [("a", 1, Q, Q), ("a", 0, Q, odd)]
-    assert scalars.shifted_product_sums(terms) is None
-    assert scalars.shifted_product_sums(terms[::-1]) is None
+    assert ratfunc.shifted_product_sums(terms) is None
+    assert ratfunc.shifted_product_sums(terms[::-1]) is None
 
 
 # Twisted sums at q: the packed route of shifted_product_sum against the
@@ -640,8 +641,8 @@ _nonnegative_ratfuncs = st.lists(
 def test_shifted_product_sum_matches_the_fold(terms):
     want = _form(_product_fold(terms))
     # the first sum packs every factor, the second reads the packings
-    assert _form(scalars.shifted_product_sum(terms)) == want
-    assert _form(scalars.shifted_product_sum(terms)) == want
+    assert _form(ratfunc.shifted_product_sum(terms)) == want
+    assert _form(ratfunc.shifted_product_sum(terms)) == want
 
 
 _TWO32 = 2 ** 32
@@ -673,12 +674,12 @@ def test_shifted_product_sum_at_the_64_bit_edge(terms, bound, top, width,
     # fewest whole bytes that hold the bound
     assert _slot_bound(terms) == bound
     for _, a, b in terms:
-        scalars._packing(a), scalars._packing(b)
+        ratfunc._packing(a), ratfunc._packing(b)
     widths = []
-    pack = scalars._pack
-    monkeypatch.setattr(scalars, "_pack",
+    pack = ratfunc._pack
+    monkeypatch.setattr(ratfunc, "_pack",
                         lambda num, w: widths.append(w) or pack(num, w))
-    value = scalars.shifted_product_sum(terms)
+    value = ratfunc.shifted_product_sum(terms)
     assert _form(value) == _form(_product_fold(terms))
     assert max(value.num) == top
     assert set(widths) == ({width} if width else set())
@@ -693,7 +694,7 @@ def test_an_entry_serves_narrow_and_wide_sums():
         wide = [(0, a, b), (1, b, a)]
         assert _slot_bound(narrow) < 2 ** 64 <= _slot_bound(wide)
         for terms in (wide, narrow) if wide_first else (narrow, wide):
-            assert _form(scalars.shifted_product_sum(terms)) == _form(
+            assert _form(ratfunc.shifted_product_sum(terms)) == _form(
                 _product_fold(terms))
 
 
@@ -701,10 +702,10 @@ def test_shifted_product_sum_of_zero_terms_is_the_zero_ratfunc():
     zero = RatFunc.zero()
     for terms in ([], [(3, zero, Q)],
                   [(0, Q, zero), (2, zero, zero), (1, zero, Q)]):
-        value = scalars.shifted_product_sum(terms)
+        value = ratfunc.shifted_product_sum(terms)
         assert _form(value) == _form(zero)
     # a zero factor adds nothing to the sum of the other terms
-    value = scalars.shifted_product_sum([(0, Q, Q), (9, zero, Q)])
+    value = ratfunc.shifted_product_sum([(0, Q, Q), (9, zero, Q)])
     assert _form(value) == _form(Q * Q)
 
 
@@ -714,24 +715,24 @@ def test_shifted_product_sum_of_zero_terms_is_the_zero_ratfunc():
 def test_shifted_product_sum_refuses_other_factors(odd):
     big = RatFunc([_TWO32] * 3)
     for terms in ([(0, Q, odd)], [(1, odd, Q)],
-                  [(0, Q, Q), (2, odd, scalars.q_integer(3))],
+                  [(0, Q, Q), (2, odd, ratfunc.q_integer(3))],
                   [(0, big, big), (1, big, odd)]):
         # the second call reads the packing marker the first left
-        assert scalars.shifted_product_sum(terms) is None
-        assert scalars.shifted_product_sum(terms) is None
+        assert ratfunc.shifted_product_sum(terms) is None
+        assert ratfunc.shifted_product_sum(terms) is None
 
 
 def test_packed_ratfunc_survives_copy_and_pickle():
     for num in ([1, 2, 3], [2 ** 64, 1], [1, -2], [Fraction(1, 3), 1]):
         f = RatFunc(num)
-        hash(f), scalars._packing(f)
+        hash(f), ratfunc._packing(f)
         for g in (copy.copy(f), copy.deepcopy(f),
                   pickle.loads(pickle.dumps(f))):
             fresh = RatFunc(num)
             assert g == f == fresh and hash(g) == hash(fresh)
             assert {fresh: "x"}[g] == "x" and {g: "x"}[fresh] == "x"
-            assert scalars._packing(g) == scalars._packing(fresh)
-            sums = [scalars.shifted_product_sum([(1, h, Q), (0, h, h)])
+            assert ratfunc._packing(g) == ratfunc._packing(fresh)
+            sums = [ratfunc.shifted_product_sum([(1, h, Q), (0, h, h)])
                     for h in (g, fresh)]
             assert sums[0] == sums[1] and (
                 sums[0] is None or type(sums[0]) is RatFunc)
