@@ -40,10 +40,12 @@ one over a rational family never does.  Of the standard library,
 :mod:`importlib` (:mod:`fractions` imports :mod:`re` itself): the
 grammar's patterns are matched by str methods.
 
-Every input is read before the command runs, under the interpreter's
-limit on the digits of an int read from text: the argv, the values of a
-custom table and PSIFOC_TRUNC.  The command then runs with the limit
-lifted, so an answer may be longer.
+A parsed family name stays the string it was in the argv until
+:func:`to_family` reads it, when the command runs; a custom table is
+read then.  Every input is read before the command computes, under the
+interpreter's limit on the digits of an int read from text: the argv,
+the values of a custom table and PSIFOC_TRUNC.  The command then runs
+with the limit lifted, so an answer may be longer.
 """
 
 from __future__ import annotations
@@ -55,7 +57,7 @@ from fractions import Fraction
 from . import psi
 from ._record import Frozen
 from .errors import InvalidFamilyFile, ParseError, PsifocError
-from .scalars import Rational, Scalar, parse_rational, render
+from .scalars import Rational, Scalar, _is_integer, parse_rational, render
 
 USAGE = """\
 usage: psifoc <command> ...
@@ -88,49 +90,42 @@ def _is_family(text: str) -> bool:
     return False
 
 
-class FamilySpec(Frozen):
-    """Validated textual family name; resolves to a PsiFamily on demand
-    (custom tables are read from disk at resolution time)."""
-
-    __slots__ = ("text",)
-
-    def __init__(self, text: str):
-        self._assign(text)
-
-    def to_family(self) -> psi.PsiFamily:
-        if self.text == "classical":
-            return psi.classical()
-        if self.text == "fib":
-            return psi.fibonacci()
-        if self.text == "gauss":
-            return psi.gauss()
-        if self.text.startswith("gauss@"):
-            return psi.gauss(parse_rational(self.text[6:]))
-        path = self.text[len("custom:"):]
+def to_family(text: str) -> psi.PsiFamily:
+    """The family a name accepted by :func:`parse_family` denotes; a
+    custom table is read from disk here, when the command runs."""
+    if text == "classical":
+        return psi.classical()
+    if text == "fib":
+        return psi.fibonacci()
+    if text == "gauss":
+        return psi.gauss()
+    if text.startswith("gauss@"):
+        return psi.gauss(parse_rational(text[6:]))
+    path = text[len("custom:"):]
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            lines = [line.strip() for line in handle]
+    except OSError as exc:
+        raise InvalidFamilyFile(f"cannot read family file {path}: {exc}")
+    # line n holds n_psi: blank lines may only end the file
+    while lines and not lines[-1]:
+        lines.pop()
+    values = []
+    for lineno, line in enumerate(lines, start=1):
+        if not line:
+            raise InvalidFamilyFile(
+                f"{path}:{lineno}: blank line before the last value")
         try:
-            with open(path, "r", encoding="utf-8") as handle:
-                lines = [line.strip() for line in handle]
-        except OSError as exc:
-            raise InvalidFamilyFile(f"cannot read family file {path}: {exc}")
-        # line n holds n_psi: blank lines may only end the file
-        while lines and not lines[-1]:
-            lines.pop()
-        values = []
-        for lineno, line in enumerate(lines, start=1):
-            if not line:
-                raise InvalidFamilyFile(
-                    f"{path}:{lineno}: blank line before the last value")
-            try:
-                values.append(Fraction(parse_rational(line)))
-            except ValueError:
-                raise InvalidFamilyFile(
-                    f"{path}:{lineno}: not a rational: {line!r}")
-        if not values:
-            raise InvalidFamilyFile(f"{path}: empty family table")
-        return psi.custom(values)
+            values.append(Fraction(parse_rational(line)))
+        except ValueError:
+            raise InvalidFamilyFile(
+                f"{path}:{lineno}: not a rational: {line!r}")
+    if not values:
+        raise InvalidFamilyFile(f"{path}: empty family table")
+    return psi.custom(values)
 
 
-def parse_family(text: str, position: int) -> FamilySpec:
+def parse_family(text: str, position: int) -> str:
     if not _is_family(text):
         raise ParseError(f"bad family {text!r}", position,
                          ("classical", "gauss", "gauss@<rational>", "fib",
@@ -141,7 +136,7 @@ def parse_family(text: str, position: int) -> FamilySpec:
         except ValueError:
             raise ParseError(f"bad rational in family {text!r}", position,
                              ("gauss@<rational>",))
-    return FamilySpec(text)
+    return text
 
 
 class Command(Frozen):
@@ -153,7 +148,7 @@ class Command(Frozen):
                  "fmt", "out", "pretty")
 
     def __init__(self, verb: str, subverb: str | None = None,
-                 family: FamilySpec | None = None, n: int | None = None,
+                 family: str | None = None, n: int | None = None,
                  k: int | None = None, xval: int | None = None,
                  r: int | None = None, s: int | None = None,
                  j: int | None = None, size: int | None = None,
@@ -178,13 +173,6 @@ class Command(Frozen):
         if self.pretty:
             argv.append("--pretty")
         return argv
-
-
-def _is_int(text: str) -> bool:
-    """Whether text is a full match of ``-?[0-9]+``: ASCII digits after an
-    optional minus sign."""
-    digits = text[1:] if text.startswith("-") else text
-    return digits.isascii() and digits.isdigit()
 
 
 # per (verb, subverb): flag name -> (value kind, Command field, required)
@@ -250,13 +238,14 @@ _GRAMMAR: dict[tuple[str, str | None], dict] = {
     },
 }
 
+_VERBS = tuple(sorted({verb for verb, _ in _GRAMMAR}))
 _SUBVERBS = {verb: tuple(sub for v, sub in _GRAMMAR if v == verb)
              for verb, sub in _GRAMMAR if sub is not None}
 
 
 def _parse_value(kind: str, token: str, position: int, label: str):
     if kind == "int":
-        if not _is_int(token):
+        if not _is_integer(token):
             raise ParseError(f"bad integer {token!r} for {label}", position,
                              ("<integer>",))
         try:
@@ -283,8 +272,6 @@ def _parse_value(kind: str, token: str, position: int, label: str):
 
 def _render_value(kind: str, value) -> str:
     """Inverse of :func:`_parse_value` on parsed values."""
-    if kind == "family":
-        return value.text
     if kind == "rational":
         return render(value)
     return str(value)
@@ -298,12 +285,10 @@ def parse_command(argv: list[str]) -> Command:
     """
     tokens = list(argv)
     if not tokens:
-        raise ParseError("missing command", 0, tuple(sorted(
-            {verb for verb, _ in _GRAMMAR})))
+        raise ParseError("missing command", 0, _VERBS)
     verb = tokens[0]
-    known_verbs = tuple(sorted({v for v, _ in _GRAMMAR}))
-    if verb not in known_verbs:
-        raise ParseError(f"unknown command {verb!r}", 0, known_verbs)
+    if verb not in _VERBS:
+        raise ParseError(f"unknown command {verb!r}", 0, _VERBS)
     pos = 1
     subverb = None
     if verb in _SUBVERBS:
@@ -373,7 +358,7 @@ def _digit_limit_lifted(run, *args):
 
 def _default_trunc() -> int:
     raw = os.environ.get("PSIFOC_TRUNC", "32")
-    if not _is_int(raw.strip()):
+    if not _is_integer(raw.strip()):
         raise PsifocError(f"PSIFOC_TRUNC must be an integer, got {raw!r}")
     try:
         value = int(raw)
@@ -463,7 +448,7 @@ def run_command(cmd: Command) -> tuple[int, str]:
     the limit lifted, so that long answers render.
     """
     try:
-        fam = None if cmd.family is None else cmd.family.to_family()
+        fam = None if cmd.family is None else to_family(cmd.family)
         maxdeg = cmd.maxdeg
         if maxdeg is None and cmd.verb == "verify" and cmd.subverb != "obs1":
             maxdeg = _default_trunc()

@@ -14,10 +14,13 @@ term reaches is int 0.
 The Fermat matrix entries come from the factorial-quotient route
 (:func:`psifoc.qhat.binomial_eigenvalue`), so the factorization check
 pits them against the independent Pascal-recurrence route in
-:func:`psifoc.psi.gauss_binomial`.  The twisted sums of that check are
-kept per parameter in one of the bottom-up tables of :mod:`psifoc.psi`,
-hook by hook: hook n holds the entries a size n+1 matrix adds to a size-n
-one, and each sum found equal to its entry is stored as that entry.
+:func:`psifoc.psi.gauss_binomial`.  The matrix and the check read them
+alike, row by row from the stored Gauss quotients of :mod:`psifoc.psi`,
+behind one size check; the check builds no matrix.  The twisted sums of
+that check are kept per parameter in one of the bottom-up tables of
+:mod:`psifoc.psi`, hook by hook: hook n holds the entries a size n+1
+matrix adds to a size-n one, and each sum found equal to its entry is
+stored as that entry.
 """
 
 from __future__ import annotations
@@ -170,13 +173,18 @@ def resolve_mode(mode: EvalMode) -> Scalar:
     raise TypeError(f"not an evaluation mode: {mode!r}")
 
 
+def _check_size(size: int) -> None:
+    """Refuse a matrix size below 1, or one past sys.maxsize."""
+    if size < 1:
+        raise ValueError("size must be at least 1")
+    _check_index(size)
+
+
 def pascal_matrix(x0: Scalar, size: int, mode: EvalMode) -> ScalarMatrix:
     """Lower-triangular deformed Pascal matrix: entry (i, j) is
     x0^(i-j) times the binomial (i, j) at the mode's parameter."""
     check(x0)
-    if size < 1:
-        raise ValueError("size must be at least 1")
-    _check_index(size)
+    _check_size(size)
     t = resolve_mode(mode)
     out = []
     for i in range(size):
@@ -195,9 +203,7 @@ def fermat_matrix(size: int, mode: EvalMode) -> ScalarMatrix:
     """Symmetric deformed Fermat matrix: entry (i, j) is the binomial
     (i+j, j) at the mode's parameter, computed by the factorial-quotient
     route (so degenerate parameters raise NonInvertibleDenominator)."""
-    if size < 1:
-        raise ValueError("size must be at least 1")
-    _check_index(size)
+    _check_size(size)
     t = resolve_mode(mode)
     return ScalarMatrix(tuple(
         tuple(qhat.binomial_eigenvalue(i + j, j, t) for j in range(size))
@@ -215,15 +221,19 @@ def fermat_factorization_mismatches(size: int, mode: EvalMode) -> list[tuple]:
     every entry.
     """
     t = resolve_mode(mode)
-    fermat = fermat_matrix(size, ScalarMode(t))
+    _check_size(size)
+    # the entries first, row by row, so a degenerate t is refused at the
+    # first vanishing quotient of the matrix, as fermat_matrix refuses it
+    fermat = [[qhat.binomial_eigenvalue(i + j, j, t) for j in range(size)]
+              for i in range(size)]
     hooks = [_entry(_hook_step, t, n) for n in range(size)]
     bad = []
     for i in range(size):
         for j in range(size):
             # (i, j) lies in hook max(i, j): its row part, then its column
             acc = hooks[i][j] if i >= j else hooks[j][j + 1 + i]
-            if acc != fermat.entry(i, j):
-                bad.append((i, j, fermat.entry(i, j), acc))
+            if acc != fermat[i][j]:
+                bad.append((i, j, fermat[i][j], acc))
     return bad
 
 

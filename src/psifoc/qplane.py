@@ -133,17 +133,11 @@ class QPlanePoly:
             if sums is not None:
                 return QPlanePoly(self.t, sums)
         acc: dict[tuple[int, int], Scalar] = {}
-        # c2 t^swaps, folded once per right-hand term and swap count
-        twisted: dict[tuple[int, int, int], Scalar] = {}
         for (k1, l1), c1 in self.coeffs.items():
             for (k2, l2), c2 in other.coeffs.items():
-                # commute y^l1 past x^k2: one factor of t per swap
-                swaps = l1 * k2
-                right = twisted.get((k2, l2, swaps))
-                if right is None:
-                    right = twisted[k2, l2, swaps] = c2 * self.t ** swaps
                 key = (k1 + k2, l1 + l2)
-                term = c1 * right
+                # commute y^l1 past x^k2: one factor of t per swap
+                term = c1 * c2 * self.t ** (l1 * k2)
                 acc[key] = acc[key] + term if key in acc else term
         return QPlanePoly(self.t, acc)
 

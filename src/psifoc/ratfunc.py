@@ -87,8 +87,12 @@ _SLOT_LIMIT = 1 << _SLOT_BITS
 _BIG_ENDIAN = sys.byteorder == "big"
 
 
-def _trim(coeffs) -> tuple:
-    out = [c if type(c) is int else normalize(c) for c in coeffs]
+def _trim(out: list) -> tuple:
+    """The coefficient list out as a polynomial, without its trailing
+    zeros: an all-int list is stripped as it is, one with a Fraction is
+    normalized first."""
+    if not _INT_ONLY.issuperset(map(type, out)):
+        out = [c if type(c) is int else normalize(c) for c in out]
     while out and not out[-1]:
         out.pop()
     return tuple(out)
@@ -100,20 +104,10 @@ def _constant(c: Rational) -> tuple:
     return (c,) if c else _PZERO
 
 
-def _strip(out: list) -> tuple:
-    """The coefficient list out as a polynomial: an all-int list only
-    drops its trailing zeros, one with a Fraction takes _trim."""
-    if _INT_ONLY.issuperset(map(type, out)):
-        while out and not out[-1]:
-            out.pop()
-        return tuple(out)
-    return _trim(out)
-
-
 def _padd(a: tuple, b: tuple) -> tuple:
     if len(a) < len(b):
         a, b = b, a
-    return _strip([*map(add, a, b), *a[len(b):]])
+    return _trim([*map(add, a, b), *a[len(b):]])
 
 
 def _pshift_add(a: tuple, b: tuple, e: int) -> tuple:
@@ -122,7 +116,7 @@ def _pshift_add(a: tuple, b: tuple, e: int) -> tuple:
     if len(a) <= e:
         return a + (0,) * (e - len(a)) + b if b else a
     tail = _padd(a[e:], b)
-    return a[:e] + tail if tail else _strip(list(a[:e]))
+    return a[:e] + tail if tail else _trim(list(a[:e]))
 
 
 def _pneg(a: tuple) -> tuple:
@@ -247,7 +241,7 @@ def _pscale(a: tuple, c: Fraction) -> tuple:
     p, r = c.numerator, c.denominator
     if r == 1:
         return a if p == 1 else tuple(p * x for x in a)
-    return _trim(Fraction(p * x, r) for x in a)
+    return _trim([Fraction(p * x, r) for x in a])
 
 
 def _peval(a: tuple, x: Rational):
@@ -291,7 +285,7 @@ class RatFunc(SymbolicScalar):
     __slots__ = ("num", "den", "_hash", "_packed")
 
     def __init__(self, num: Iterable = (), den: Iterable = (1,)):
-        canonical = _canonical_fraction(_trim(num), _trim(den))
+        canonical = _canonical_fraction(_trim(list(num)), _trim(list(den)))
         self.num = canonical.num
         self.den = canonical.den
 

@@ -90,7 +90,18 @@ KINDS = {
         PARAMS[x0], size, matrices.ScalarMode(PARAMS[t])).data,
     "fermat_matrix": lambda t, size: matrices.fermat_matrix(
         size, matrices.ScalarMode(PARAMS[t])).data,
+    "fermat_mismatches": lambda t, size:
+        matrices.fermat_factorization_mismatches(
+            size, matrices.ScalarMode(PARAMS[t])),
+    "qplane_power": lambda t, base, n: sorted(
+        (_qplane_base(PARAMS[t], base) ** n).coeffs.items()),
 }
+
+
+def _qplane_base(t, base: str) -> qplane.QPlanePoly:
+    """x + y, or 1 + x + y, on the quantum plane at t."""
+    poly = qplane.QPlanePoly.x_plus_y(t)
+    return qplane.QPlanePoly.one(t) + poly if base == "1+x+y" else poly
 
 
 def _typed(value) -> str:
@@ -167,6 +178,9 @@ def scalar_ops() -> list[tuple]:
                 for n in range(6) for k in range(-1, n + 2)]
         ops += [("dilation", (t, 4, 2)), ("fermat_matrix", (t, 4))]
         ops += [("pascal", (x0, t, 4)) for x0 in ("2/1", "1/2")]
+        ops += [("fermat_mismatches", (t, size)) for size in range(5)]
+        ops += [("qplane_power", (t, "x+y", n)) for n in range(6)]
+        ops += [("qplane_power", (t, "1+x+y", 3))]
     for fam in FAMILIES:
         for n in range(6):
             ops += [("family", (fn, fam, n))

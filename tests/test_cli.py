@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from psifoc import cli, psi, scalars
-from psifoc.cli import Command, FamilySpec, main, parse_command, run_command
+from psifoc.cli import Command, main, parse_command, run_command
 from psifoc.errors import ParseError
 from psifoc.psi import fibonacci, psi_binomial, psi_factorial, psi_falling
 
@@ -18,7 +18,7 @@ from psifoc.psi import fibonacci, psi_binomial, psi_factorial, psi_falling
 def test_parse_binom():
     cmd = parse_command(["binom", "--family", "fib", "4", "2"])
     assert cmd.verb == "binom"
-    assert cmd.family == FamilySpec("fib")
+    assert cmd.family == "fib"
     assert (cmd.n, cmd.k) == (4, 2)
 
 
@@ -155,7 +155,9 @@ _token_text = st.one_of(
 
 
 def _check_matchers(text):
-    assert cli._is_int(text) is bool(_INT_PATTERN.fullmatch(text)), text
+    # cli matches integers with the matcher of scalars
+    assert scalars._is_integer(text) is bool(
+        _INT_PATTERN.fullmatch(text)), text
     assert cli._is_family(text) is bool(_FAMILY_PATTERN.fullmatch(text)), text
 
 

@@ -44,7 +44,9 @@ def test_removed_names_stay_gone():
     # compute densely without a row builder, scalars normalizes
     # coefficients with normalize and subtracts by adding the negative, and
     # psi divides binomials by the Gauss quotient or the factorial quotient;
-    # the subspace oracle eliminates with _rref alone
+    # the subspace oracle eliminates with _rref alone; a family name is
+    # a string until cli.to_family reads it, cli matches integers with
+    # scalars._is_integer, and ratfunc trims coefficients with _trim alone
     for module, name in (("qhat", "mutator_vanishes"),
                          ("qhat", "identity_like"),
                          ("qplane", "_unit_row"), ("psi", "_table"),
@@ -52,12 +54,16 @@ def test_removed_names_stay_gone():
                          ("scalars", "_norm_coeff"), ("scalars", "_psub"),
                          ("ratfunc", "_norm_coeff"), ("ratfunc", "_psub"),
                          ("psi", "interleaved_quotient"),
-                         ("matrices", "_reduce_vector")):
+                         ("matrices", "_reduce_vector"),
+                         ("cli", "FamilySpec"), ("cli", "_is_int"),
+                         ("ratfunc", "_strip")):
         assert not hasattr(importlib.import_module(f"psifoc.{module}"),
                            name), name
     # qhat imports scalars.zero_like by name; its own zero_like went
     qhat = importlib.import_module("psifoc.qhat")
     assert getattr(qhat, "zero_like", None) in (None, scalars.zero_like)
+    cli = importlib.import_module("psifoc.cli")
+    assert cli._is_integer is scalars._is_integer
     for name in ("is_zero", "transpose", "identity", "scale"):
         assert not hasattr(psifoc.ScalarMatrix, name), name
     # DiagOperator + and * check the shapes in their shared _zip

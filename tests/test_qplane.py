@@ -463,7 +463,7 @@ def _naive_product(a, b):
                   for key, value in acc.items() if value != 0)
 
 
-_TWISTS = (3, Fraction(-2, 5), Q)
+_TWISTS = (3, Fraction(-2, 5), Q, Q / (1 + Q))
 
 
 @st.composite
@@ -498,6 +498,20 @@ def test_product_prunes_cancelled_terms(t):
     assert sorted((key, repr(value)) for key, value in
                   product.coeffs.items()) == _naive_product(x_plus_y, other)
     assert product.coefficient(0, 2) == t and product.coefficient(2, 0) == -1
+
+
+@pytest.mark.parametrize("t", (0, 2, Fraction(1, 3), -1, Q / (1 + Q)),
+                         ids=repr)
+def test_general_product_powers_are_gauss_binomials(t):
+    # away from q the product folds its term pairs; the binomial theorem
+    # checks it against the Pascal recurrence, an independent route
+    power = QPlanePoly.one(t)
+    for n in range(9):
+        assert set(power.coeffs) <= {(k, n - k) for k in range(n + 1)}
+        for k in range(n + 1):
+            assert power.coefficient(k, n - k) == gauss_binomial(n, k, t), (
+                n, k)
+        power = power * QPlanePoly.x_plus_y(t)
 
 
 def _dense_realization(weights, n):

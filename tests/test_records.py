@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from psifoc.cli import Command, FamilySpec
+from psifoc.cli import Command
 from psifoc.errors import MixedFieldTags
 from psifoc.matrices import EigenMode, ScalarMode
 from psifoc.psi import PsiFamily, fibonacci
@@ -20,10 +20,8 @@ _M = MonomialMap((None, (0, 1)))
 
 # class, field values in __init__ order, repr, hashable
 CASES = [
-    (FamilySpec, ("gauss@2",), "FamilySpec(text='gauss@2')", True),
-    (Command, ("binom", None, FamilySpec("fib"), 4, 2) + (None,) * 12
-     + (True,),
-     "Command(verb='binom', subverb=None, family=FamilySpec(text='fib'), "
+    (Command, ("binom", None, "fib", 4, 2) + (None,) * 12 + (True,),
+     "Command(verb='binom', subverb=None, family='fib', "
      "n=4, k=2, xval=None, r=None, s=None, j=None, size=None, maxdeg=None, "
      "power=None, eigen=None, qfield=None, x0=None, fmt=None, out=None, "
      "pretty=True)", True),

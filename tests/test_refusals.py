@@ -8,9 +8,10 @@ import pytest
 
 from psifoc import cli, matrices, psi, qhat, qplane, ratfunc, scalars
 from psifoc.errors import (DimensionMismatch, InvalidFamilyFile,
-                           NegativeIndex, PsifocError)
+                           NegativeIndex, NonInvertibleDenominator,
+                           PsifocError)
 from psifoc.matrices import ScalarMatrix, ScalarMode
-from psifoc.ratfunc import Q
+from psifoc.ratfunc import Q, RatFunc
 
 
 def _empty_table():
@@ -19,7 +20,7 @@ def _empty_table():
         path = os.path.join(tmp, "empty.txt")
         with open(path, "w", encoding="utf-8") as handle:
             handle.write("\n\n")
-        return cli.FamilySpec(f"custom:{path}").to_family()
+        return cli.to_family(f"custom:{path}")
 
 
 def _trunc(raw):
@@ -50,6 +51,20 @@ REFUSALS = [
      ValueError, "size must be at least 1"),
     ("fermat-size", lambda: matrices.fermat_matrix(0, ScalarMode(2)),
      ValueError, "size must be at least 1"),
+    ("fermat-check-size",
+     lambda: matrices.fermat_factorization_mismatches(0, ScalarMode(2)),
+     ValueError, "size must be at least 1"),
+    # the check reads the matrix entries row by row before any twisted
+    # sum, so at t = -1 the first vanishing quotient is the entry (0, 2)
+    ("fermat-check-minus-one",
+     lambda: matrices.fermat_factorization_mismatches(3, ScalarMode(-1)),
+     NonInvertibleDenominator,
+     "binomial symbol (2 2) has vanishing denominator at eigenvalue -1"),
+    ("fermat-check-symbolic-minus-one",
+     lambda: matrices.fermat_factorization_mismatches(
+         3, ScalarMode(RatFunc.constant(-1))),
+     NonInvertibleDenominator,
+     "binomial symbol (2 2) has vanishing denominator at eigenvalue -1"),
     ("psi-int", lambda: psi.psi_int(_FIB, -1), NegativeIndex,
      "family index -1 is negative"),
     ("psi-factorial", lambda: psi.psi_factorial(_FIB, -1), NegativeIndex,
@@ -111,3 +126,14 @@ def test_refusal(call, error, fragment):
     with pytest.raises(error) as info:
         call()
     assert fragment in str(info.value)
+
+
+def test_cli_fermat_refusal_names_the_symbol_and_degree(tmp_path, capsys):
+    # the custom family's mutator has eigenvalue -1 at degree 2
+    table = tmp_path / "table.txt"
+    table.write_text("1\n2\n-1\n1\n", encoding="utf-8")
+    code = cli.main(["verify", "fermat", "--family", f"custom:{table}",
+                     "--size", "3", "--maxdeg", "2"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "binomial symbol (2 2)" in err and "(degree 2)" in err

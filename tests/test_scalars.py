@@ -583,7 +583,7 @@ def test_pshift_add_matches_naive_sum(a, b, e):
     # a shifted tail that cancels the top of a leaves the bottom trimmed
     top = ratfunc._pneg(a[e:])
     assert repr(ratfunc._pshift_add(a, top, e)) == repr(
-        ratfunc._trim(a[:e]))
+        ratfunc._trim(list(a[:e])))
 
 
 def _ratfunc_terms():
