@@ -186,17 +186,10 @@ def pascal_matrix(x0: Scalar, size: int, mode: EvalMode) -> ScalarMatrix:
     check(x0)
     _check_size(size)
     t = resolve_mode(mode)
-    out = []
-    for i in range(size):
-        row = []
-        for j in range(size):
-            if j > i:
-                row.append(0)
-            else:
-                row.append(normalize(
-                    x0 ** (i - j) * gauss_binomial(i, j, t)))
-        out.append(tuple(row))
-    return ScalarMatrix(out)
+    return ScalarMatrix._raw(tuple(
+        tuple([normalize(x0 ** (i - j) * gauss_binomial(i, j, t))
+               for j in range(i + 1)] + [0] * (size - 1 - i))
+        for i in range(size)))
 
 
 def fermat_matrix(size: int, mode: EvalMode) -> ScalarMatrix:
@@ -205,8 +198,8 @@ def fermat_matrix(size: int, mode: EvalMode) -> ScalarMatrix:
     route (so degenerate parameters raise NonInvertibleDenominator)."""
     _check_size(size)
     t = resolve_mode(mode)
-    return ScalarMatrix(tuple(
-        tuple(qhat.binomial_eigenvalue(i + j, j, t) for j in range(size))
+    return ScalarMatrix._raw(tuple(
+        tuple([qhat.binomial_eigenvalue(i + j, j, t) for j in range(size)])
         for i in range(size)))
 
 
@@ -248,7 +241,7 @@ def _hook_step(seq: list, t: Scalar) -> tuple[Scalar, ...]:
     cells = [(n, j) for j in range(n + 1)] + [(i, n) for i in range(n)]
     hook = []
     for i, j in cells:
-        acc = twisted_sum(i, j, j, t, gauss_binomial)
+        acc = twisted_sum(i, j, j, t)
         entry = qhat.binomial_eigenvalue(i + j, j, t)
         hook.append(entry if acc == entry else acc)
     return tuple(hook)

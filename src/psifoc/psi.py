@@ -8,12 +8,13 @@ rational point), Fibonacci (n_psi = F_n), and finite user tables.
 
 On top of the integers the module builds factorials, falling factorials
 and binomial coefficients.  It also houses the Gauss integers [n]_t at any
-parameter t, the twisted convolution sum, and the independent
-Gaussian-binomial routine used as an oracle by the operator, matrix and
-quantum-plane modules: a Pascal-style recurrence that never divides, so
-it is total in t.  Each of these sequences, the Fibonacci numbers, the
-quantum-plane powers of :mod:`psifoc.qplane` and the twisted sums of the
-Fermat check in :mod:`psifoc.matrices` is kept as one list per parameter,
+parameter t, and the independent Gaussian-binomial routine used as an
+oracle by the operator, matrix and quantum-plane modules: a Pascal-style
+recurrence that never divides, so it is total in t.  The twisted
+convolution sum reads its factors from that recurrence alone.  Each of
+these sequences, the Fibonacci numbers, the quantum-plane powers of
+:mod:`psifoc.qplane` and the twisted sums of the Fermat check in
+:mod:`psifoc.matrices` is kept as one list per parameter,
 grown bottom-up under one lock, so values do not depend on call order or
 thread interleaving.  The Gauss binomial as a quotient of Gauss integers,
 at the symbolic q of the Gauss family or at any operator eigenvalue of
@@ -54,15 +55,18 @@ class PsiFamily(Frozen):
     For ``custom``, ``table`` lists n_psi for n = 1..len(table); index 0 of
     the family is always 0.
 
-    The family's field tag is fixed here: a non-rational ``q0`` is refused
-    with TypeError, and a table mixing rationals with rational functions
-    with MixedFieldTags.
+    A kind outside those four is refused with ValueError.  The family's
+    field tag is fixed here: a non-rational ``q0`` is refused with
+    TypeError, and a table mixing rationals with rational functions with
+    MixedFieldTags.
     """
 
     __slots__ = ("kind", "q0", "table")
 
     def __init__(self, kind: str, q0: Rational | None = None,
                  table: tuple[Scalar, ...] | None = None):
+        if kind not in ("classical", "gauss", "fibonacci", "custom"):
+            raise ValueError(f"unknown family kind {kind!r}")
         if q0 is not None:
             check(q0)
             if isinstance(q0, SymbolicScalar):
@@ -140,17 +144,14 @@ def psi_int(fam: PsiFamily, n: int) -> Scalar:
                 f"gauss family at q0 = {render(fam.q0)} has "
                 f"{n}_psi = 0")
         return value
-    if fam.kind == "custom":
-        table = fam.table or ()
-        if n > len(table):
-            raise InadmissibleFamily(
-                f"custom table of length {len(table)} has no entry for "
-                f"n = {n}")
-        value = table[n - 1]
-        if value == 0:
-            raise InadmissibleFamily(f"custom table has {n}_psi = 0")
-        return value
-    raise ValueError(f"unknown family kind {fam.kind!r}")
+    table = fam.table or ()
+    if n > len(table):
+        raise InadmissibleFamily(
+            f"custom table of length {len(table)} has no entry for n = {n}")
+    value = table[n - 1]
+    if value == 0:
+        raise InadmissibleFamily(f"custom table has {n}_psi = 0")
+    return value
 
 
 def psi_factorial(fam: PsiFamily, n: int) -> Scalar:
@@ -326,28 +327,26 @@ def _q_kernels(t: Scalar):
     return None
 
 
-def twisted_sum(r: int, s: int, j: int, t: Scalar,
-                binomial: Callable[[int, int, Scalar], Scalar]) -> Scalar:
-    """The sum over k of t^((r-k)(j-k)) (r, k) (s, j-k), each binomial
-    (n, k) taken from binomial(n, k, t).  The twisted Cauchy identity says
-    it is (r+s, j); at (i, j, j) it factors the Fermat entry (i+j, j),
-    since (j, j-k) = (j, k).
+def twisted_sum(r: int, s: int, j: int, t: Scalar) -> Scalar:
+    """The sum over k of t^((r-k)(j-k)) (r, k) (s, j-k), each Gaussian
+    binomial (n, k) read from the recurrence rows of :func:`gauss_binomial`,
+    so it is total in t.  The twisted Cauchy identity says it is (r+s, j);
+    at (i, j, j) it factors the Fermat entry (i+j, j), since
+    (j, j-k) = (j, k).
 
     Every factor is read first, (r, k) then (s, j-k) for k ascending.  At
-    the symbolic q, with every factor a polynomial with nonnegative int
-    coefficients, as the Gaussian binomials are, the twist is a shift and
+    the symbolic q every row entry is a polynomial with nonnegative int
+    coefficients, the twist is a shift, and
     :func:`psifoc.ratfunc.shifted_product_sum` sums the products of the
-    factors' packed integers; any other t or factor, a negative or a
-    Fraction coefficient included, takes the fold of scalar operators.
-    Both give the same canonical form."""
+    factors' packed integers; any other t takes the fold of scalar
+    operators."""
     # outside max(0, j-s) <= k <= min(r, j) a binomial factor vanishes
-    terms = [((r - k) * (j - k), binomial(r, k, t), binomial(s, j - k, t))
+    terms = [((r - k) * (j - k), gauss_binomial(r, k, t),
+              gauss_binomial(s, j - k, t))
              for k in range(max(0, j - s), min(r, j) + 1)]
     kernels = _q_kernels(t)
     if kernels is not None:
-        total = kernels.shifted_product_sum(terms)
-        if total is not None:
-            return total
+        return kernels.shifted_product_sum(terms)
     total = zero_like(t)
     # the twist goes on last, so the binomials multiply without its zeros
     for e, a, b in terms:

@@ -25,8 +25,9 @@ and all but the two scalar predicates (:func:`verify_cauchy_scalar` and
   and each stored coefficient is the row entry it was found equal to, so
   a right power matches its row in one comparison of identities;
 * the twisted Cauchy convolution, both for a scalar parameter and for a
-  family's mutator operator (the operator route goes through factorial
-  quotients, the scalar route through the recurrence);
+  family's mutator operator: the sum always reads the recurrence, and the
+  closed side (r+s, j) is the recurrence entry for a scalar parameter,
+  total at every t, and the factorial quotient at each eigenvalue;
 * the twisted convolution factorization of the Fermat matrix at every
   mutator eigenvalue of a family (factorial-quotient entries against the
   recurrence, whose twisted sums :mod:`psifoc.matrices` keeps per
@@ -280,12 +281,12 @@ def _power_step(seq: list, t: Scalar) -> QPlanePoly:
 
 def verify_cauchy_scalar(r: int, s: int, j: int, t: Scalar) -> bool:
     """Twisted convolution identity at a scalar parameter: the sum over k
-    of t^((r-k)(j-k)) (r, k) (s, j-k) equals (r+s, j), exactly."""
+    of t^((r-k)(j-k)) (r, k) (s, j-k) equals (r+s, j), exactly.  Both
+    sides read the recurrence, so the check is total, t = -1 included."""
     check(t)
     if r < 0 or s < 0:
         raise ValueError("r and s must be nonnegative")
-    return (twisted_sum(r, s, j, t, gauss_binomial)
-            == gauss_binomial(r + s, j, t))
+    return twisted_sum(r, s, j, t) == gauss_binomial(r + s, j, t)
 
 
 def verify_cauchy_operator(fam: PsiFamily, r: int, s: int, j: int,
@@ -294,16 +295,22 @@ def verify_cauchy_operator(fam: PsiFamily, r: int, s: int, j: int,
 
     Both sides are diagonal operators (powers of the mutator and operator
     binomial symbols), so the identity is checked as a scalar identity
-    once per distinct mutator eigenvalue, both sides built from factorial
-    quotients, and reported for every monomial degree up to maxdeg.
-    Degenerate eigenvalues propagate NonInvertibleDenominator with the
-    offending degree.
+    once per distinct mutator eigenvalue, and reported for every monomial
+    degree up to maxdeg.  The two sides take independent routes: the
+    twisted sum reads its factors from the recurrence, the closed side
+    (r+s, j) is the factorial quotient, so a quotient or a recurrence
+    that is wrong shows as a mismatch.  The recurrence is total, so a
+    degenerate eigenvalue is refused by the closed side alone, with
+    NonInvertibleDenominator naming the symbol (r+s j) and the offending
+    degree; no side of a factor (r, k) or (s, j-k) is longer than the
+    longer side of (r+s, j), so no input that a factor's quotient would
+    refuse passes.
     """
     if r < 0 or s < 0:
         raise ValueError("r and s must be nonnegative")
 
     def sides(lam: Scalar) -> tuple[Scalar, Scalar]:
-        return (twisted_sum(r, s, j, lam, binomial_eigenvalue),
+        return (twisted_sum(r, s, j, lam),
                 binomial_eigenvalue(r + s, j, lam))
 
     report = Report({"check": "cauchy-operator", "family": fam.label,

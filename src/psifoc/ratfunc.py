@@ -48,10 +48,11 @@ from .scalars import Rational, Scalar, SymbolicScalar, normalize, render
 # reason a twisted sum (psi.twisted_sum) multiplies its binomials first
 # and the twist t^((r-k)(j-k)) last.  At the symbolic q that twist is a
 # shift, and shifted_product_sum multiplies packed integers (Kronecker
-# substitution): each polynomial with nonnegative int coefficients is one
-# int with a 64-bit slot per coefficient, packed once and kept on its
-# RatFunc beside the hash, a product of two is one big-integer product,
-# and q^e shifts it by e slots.  A sum is one product per term, unpacked
+# substitution): each factor, a Gauss row entry and so a polynomial with
+# nonnegative int coefficients, is one int with a 64-bit slot per
+# coefficient, packed once and kept on its RatFunc beside the hash, a
+# product of two is one big-integer product, and q^e shifts it by e
+# slots.  A sum is one product per term, unpacked
 # once into one RatFunc; while the sum of max(a) max(b) min(len a, len b)
 # over its terms stays below 2^64, no slot carries into the next, and
 # past that the factors are packed again per sum in wider slots.  The
@@ -448,23 +449,19 @@ def _canonical_fraction(num: tuple, den: tuple) -> RatFunc:
 Q = RatFunc._raw((0, 1), _PONE)
 
 
-def _packing(f: RatFunc) -> tuple | None:
-    """(packed, top, length) of the polynomial f, cached on f: packed is
-    its coefficients in 64-bit slots as one int, None if top, its largest
-    coefficient, does not fit a slot; None if f has a denominator or a
-    coefficient that is negative or not an int."""
+def _packing(f: RatFunc) -> tuple:
+    """(packed, top, length) of the polynomial f, whose coefficients are
+    nonnegative ints, cached on f: packed is its coefficients in 64-bit
+    slots as one int, None if top, its largest coefficient, does not fit a
+    slot."""
     try:
         return f._packed
     except AttributeError:
         pass
     num = f.num
-    if (f.den != _PONE or not _INT_ONLY.issuperset(map(type, num))
-            or min(num, default=0) < 0):
-        f._packed = None
-    else:
-        top = max(num, default=0)
-        f._packed = (_pack(num, _SLOT_BYTES) if top < _SLOT_LIMIT else None,
-                     top, len(num))
+    top = max(num, default=0)
+    f._packed = (_pack(num, _SLOT_BYTES) if top < _SLOT_LIMIT else None,
+                 top, len(num))
     return f._packed
 
 
@@ -494,9 +491,10 @@ def _unpack(total: int, size: int, width: int) -> tuple:
 
 
 def shifted_product_sum(
-        terms: Iterable[tuple[int, Scalar, Scalar]]) -> RatFunc | None:
-    """The sum of q^e a b over the terms (e, a, b) if every a and b is a
-    polynomial in q with nonnegative int coefficients; else None.
+        terms: Iterable[tuple[int, RatFunc, RatFunc]]) -> RatFunc:
+    """The sum of q^e a b over the terms (e, a, b), where every a and b is
+    a polynomial in q with nonnegative int coefficients, as the Gaussian
+    binomials of the recurrence rows are.
 
     By Kronecker substitution: with one coefficient per slot, the sum is
     that of the packed products shifted by e slots, unpacked once.  Slot
@@ -508,13 +506,8 @@ def shifted_product_sum(
     used = []
     bound = size = 0
     for e, a, b in terms:
-        if type(a) is not RatFunc or type(b) is not RatFunc:
-            return None
-        pa, pb = _packing(a), _packing(b)
-        if pa is None or pb is None:
-            return None
-        x, top_a, len_a = pa
-        y, top_b, len_b = pb
+        x, top_a, len_a = _packing(a)
+        y, top_b, len_b = _packing(b)
         if len_a and len_b:
             bound += top_a * top_b * (len_a if len_a < len_b else len_b)
             if size < e + len_a + len_b - 1:

@@ -84,6 +84,24 @@ def test_fermat_symmetry():
         assert f.data == tuple(zip(*f.data))
 
 
+def test_pascal_and_fermat_check_only_x0(monkeypatch):
+    # the entries come from checked routes, so the two constructors skip
+    # the public constructor's check of every entry
+    mode = ScalarMode(Fraction(2, 3))
+    checked = []
+    check = matrices.check
+    monkeypatch.setattr(matrices, "check",
+                        lambda v: checked.append(v) or check(v))
+    pascal = pascal_matrix(Fraction(1, 2), 8, mode)
+    assert checked == [Fraction(1, 2)]
+    fermat = fermat_matrix(8, mode)
+    assert checked == [Fraction(1, 2)]
+    for matrix in (pascal, fermat):
+        assert ScalarMatrix(matrix.data) == matrix
+        assert (matrix.rows, matrix.cols) == (8, 8)
+    assert pascal.entry(2, 5) == 0 and pascal.entry(5, 2) != 0
+
+
 def test_resolve_mode():
     assert resolve_mode(ScalarMode(Q)) == Q
     assert resolve_mode(EigenMode(fibonacci(), 4)) == Fraction(4, 3)
@@ -143,23 +161,24 @@ def test_stored_hook_sums_are_the_fermat_entries(t, cold_tables, stored):
 
 
 def _corrupt_recurrence(monkeypatch):
-    """Make the sum side read (3, 1) off by one, at every parameter."""
+    """Make the sum side read (3, 1) off by one, at every parameter: the
+    twisted sums read the recurrence through psi.gauss_binomial, and the
+    matrix side reads the quotients, so only the sums change."""
     right = psi.gauss_binomial
 
     def wrong(n, k, t):
         return right(n, k, t) + (1 if (n, k) == (3, 1) else 0)
 
-    monkeypatch.setattr(matrices, "gauss_binomial", wrong)
-    return wrong
+    monkeypatch.setattr(psi, "gauss_binomial", wrong)
 
 
-def _entrywise_mismatches(size, t, binomial):
+def _entrywise_mismatches(size, t):
     """The factorization check with every sum computed afresh."""
     fermat = fermat_matrix(size, ScalarMode(t))
     bad = []
     for i in range(size):
         for j in range(size):
-            acc = psi.twisted_sum(i, j, j, t, binomial)
+            acc = psi.twisted_sum(i, j, j, t)
             if acc != fermat.entry(i, j):
                 bad.append((i, j, fermat.entry(i, j), acc))
     return bad
@@ -167,8 +186,8 @@ def _entrywise_mismatches(size, t, binomial):
 
 @pytest.mark.parametrize("t", [Q, 2, Fraction(1, 3)], ids=repr)
 def test_hook_table_keeps_a_wrong_sum(t, monkeypatch, cold_tables):
-    wrong = _corrupt_recurrence(monkeypatch)
-    expected = _entrywise_mismatches(6, t, wrong)
+    _corrupt_recurrence(monkeypatch)
+    expected = _entrywise_mismatches(6, t)
     # (3, 1) is read by the sums (3, j) for j >= 1 and (i, 3) for i >= 2
     assert [(i, j) for i, j, _, _ in expected] == [
         (2, 3), (3, 1), (3, 2), (3, 3), (3, 4), (3, 5), (4, 3), (5, 3)]
@@ -181,9 +200,9 @@ def test_hook_table_keeps_a_wrong_sum(t, monkeypatch, cold_tables):
                          ids=["ascending", "descending", "mixed"])
 def test_factorization_does_not_depend_on_size_order(order, monkeypatch,
                                                     cold_tables):
-    wrong = _corrupt_recurrence(monkeypatch)
+    _corrupt_recurrence(monkeypatch)
     for t in (Q, 2):
-        expected = {size: _entrywise_mismatches(size, t, wrong)
+        expected = {size: _entrywise_mismatches(size, t)
                     for size in order}
         cold_tables()
         got = {size: fermat_factorization_mismatches(size, ScalarMode(t))

@@ -625,14 +625,14 @@ def test_only_the_memo_store_grows(cold_tables):
     assert not psi._memo
 
 
-# At the symbolic q, a twisted sum of polynomial factors adds each product
-# into one coefficient list; the fold below is the scalar-operator route
-# every other t and factor takes.
+# At the symbolic q, a twisted sum of Gauss row entries adds each product
+# into one packed integer; the fold below is the scalar-operator route
+# every other t takes.
 
-def _twisted_fold(r, s, j, t, binomial):
+def _twisted_fold(r, s, j, t):
     total = scalars.zero_like(t)
     for k in range(max(0, j - s), min(r, j) + 1):
-        total = total + (binomial(r, k, t) * binomial(s, j - k, t)
+        total = total + (gauss_binomial(r, k, t) * gauss_binomial(s, j - k, t)
                          * t ** ((r - k) * (j - k)))
     return scalars.normalize(total)
 
@@ -641,44 +641,30 @@ def test_twisted_sum_at_q_matches_the_fold():
     for r in range(13):
         for s in range(13):
             for j in range(-1, r + s + 2):
-                value = psi.twisted_sum(r, s, j, Q, gauss_binomial)
-                want = _twisted_fold(r, s, j, Q, gauss_binomial)
+                value = psi.twisted_sum(r, s, j, Q)
+                want = _twisted_fold(r, s, j, Q)
                 assert value == want and type(value) is RatFunc, (r, s, j)
                 assert value == gauss_binomial(r + s, j, Q), (r, s, j)
     # the empty range sums to the zero rational function
-    assert psi.twisted_sum(3, 4, -1, Q, gauss_binomial) == RatFunc.zero()
-    assert psi.twisted_sum(3, 4, 8, Q, gauss_binomial) == RatFunc.zero()
+    assert psi.twisted_sum(3, 4, -1, Q) == RatFunc.zero()
+    assert psi.twisted_sum(3, 4, 8, Q) == RatFunc.zero()
 
 
-def test_twisted_sum_at_an_equal_q_reads_the_quotients(cold_tables):
+def test_twisted_sum_at_an_equal_q_takes_the_packed_route(cold_tables,
+                                                           monkeypatch):
     # the mutator eigenvalue of the symbolic Gauss family is q, but not the
-    # object Q; the factors come from the stored Gauss quotients
+    # object Q; its rows are the rows of Q, and its sums are packed
     q = qhat.qhat_operator(gauss(), 1).eigenvalues[0]
     assert q == Q and q is not Q
+    packed = []
+    pack = ratfunc.shifted_product_sum
+    monkeypatch.setattr(ratfunc, "shifted_product_sum",
+                        lambda terms: packed.append(1) or pack(terms))
     for r, s, j in ((4, 5, 3), (6, 2, 6), (0, 3, 2), (7, 7, 7)):
-        value = psi.twisted_sum(r, s, j, q, qhat.binomial_eigenvalue)
-        assert value == _twisted_fold(r, s, j, Q, gauss_binomial)
+        value = psi.twisted_sum(r, s, j, q)
+        assert value == _twisted_fold(r, s, j, Q)
         assert type(value) is RatFunc
-
-
-@pytest.mark.parametrize("binomial", [
-    # an int factor, and a factor whose denominator is not 1
-    lambda n, k, t: math.comb(n, k),
-    lambda n, k, t: gauss_binomial(n, k, t) / RatFunc([1, 1]),
-    lambda n, k, t: gauss_binomial(n, k, t) if k % 2 else math.comb(n, k),
-    # polynomials the packed route refuses: a negative and a Fraction
-    # coefficient
-    lambda n, k, t: gauss_binomial(n, k, t) * (1 - t),
-    lambda n, k, t: gauss_binomial(n, k, t) * Fraction(1, 2),
-], ids=["int", "denominator", "mixed", "negative", "fraction"])
-def test_twisted_sum_of_other_factors_takes_the_fold(binomial):
-    for r, s, j in ((0, 0, 0), (3, 4, 2), (5, 5, 5), (6, 2, 7), (2, 2, 9)):
-        terms = [(0, binomial(r, k, Q), binomial(s, j - k, Q))
-                 for k in range(max(0, j - s), min(r, j) + 1)]
-        assert ratfunc.shifted_product_sum(terms) is None or not terms
-        value = psi.twisted_sum(r, s, j, Q, binomial)
-        want = _twisted_fold(r, s, j, Q, binomial)
-        assert value == want and type(value) is type(want), (r, s, j)
+    assert len(packed) == 4
 
 
 def test_twisted_sum_at_q_crosses_the_64_bit_edge(cold_tables):
@@ -687,7 +673,7 @@ def test_twisted_sum_at_q_crosses_the_64_bit_edge(cold_tables):
     # it packs each factor again in wider slots
     for r, s in ((30, 30), (35, 35), (36, 36), (40, 30), (45, 45), (60, 30)):
         for j in (1, (r + s) // 4, (r + s) // 2, r + s - 1):
-            value = psi.twisted_sum(r, s, j, Q, gauss_binomial)
+            value = psi.twisted_sum(r, s, j, Q)
             assert value == gauss_binomial(r + s, j, Q), (r, s, j)
             assert type(value) is RatFunc
 
@@ -699,8 +685,7 @@ def test_twisted_sums_on_cold_and_warm_packings_agree(cold_tables):
             for j in (0, (r + s) // 3, (r + s) // 2)]
 
     def forms(keys):
-        values = {key: psi.twisted_sum(*key, Q, qhat.binomial_eigenvalue)
-                  for key in keys}
+        values = {key: psi.twisted_sum(*key, Q) for key in keys}
         assert {type(value) for value in values.values()} == {RatFunc}
         return {key: (value.num, value.den) for key, value in values.items()}
 
@@ -708,18 +693,6 @@ def test_twisted_sums_on_cold_and_warm_packings_agree(cold_tables):
     assert forms(keys) == cold
     cold_tables()
     assert forms(keys[::-1]) == cold == forms(keys[::-1])
-
-
-def test_twisted_sum_trims_cancelled_coefficients():
-    # (1, 0) q (2, 1) + (1, 1) (2, 0) = q + (1 - q) = 1, and with (1, 1)
-    # = -q the two terms cancel to zero
-    for top, want in ((RatFunc([1, -1]), RatFunc.one()),
-                      (RatFunc([0, -1]), RatFunc.zero())):
-        table = {(1, 0): RatFunc.one(), (1, 1): top,
-                 (2, 0): RatFunc.one(), (2, 1): RatFunc.one()}
-        value = psi.twisted_sum(1, 2, 1, Q, lambda n, k, t: table[n, k])
-        assert value == want == _twisted_fold(1, 2, 1, Q,
-                                              lambda n, k, t: table[n, k])
 
 
 _EVAL_POINTS = (2, Fraction(-1, 3), Fraction(5, 2))

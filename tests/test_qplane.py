@@ -221,6 +221,33 @@ def test_cauchy_operator_propagates_degenerate_eigenvalue():
     with pytest.raises(NonInvertibleDenominator) as err:
         verify_cauchy_operator(fam, 3, 2, 2, 2)
     assert err.value.degree == 2
+    # the recurrence of the sum is total, so the closed side (5, 2) refuses
+    assert "binomial symbol (5 2)" in str(err.value)
+
+
+def _scaled_quotient(right):
+    # wrong by lam^n: a check whose two sides both read the quotient
+    # scales both by lam^(r+s) and still passes
+    return lambda n, k, t: right(n, k, t) * t ** n
+
+
+def _recurrence_off_at_3_1(right):
+    return lambda n, k, t: right(n, k, t) + (1 if (n, k) == (3, 1) else 0)
+
+
+@pytest.mark.parametrize("module, name, mutate, failing", [
+    (qplane, "binomial_eigenvalue", _scaled_quotient, [0, 1, 4, 5, 6, 7, 8]),
+    (psi, "gauss_binomial", _recurrence_off_at_3_1, range(2, 9)),
+], ids=["quotient-times-lam^n", "recurrence-off-at-(3,1)"])
+def test_cauchy_operator_sees_either_route_wrong(module, name, mutate,
+                                                 failing, monkeypatch):
+    # the sum reads the recurrence and the closed side the quotient, so a
+    # mutation of either shows.  The Fibonacci eigenvalue is 0 at degrees
+    # 0 and 1, where (3, 1) carries the twist 0^2, and 1 at degrees 2 and
+    # 3, where lam^n is 1
+    monkeypatch.setattr(module, name, mutate(getattr(module, name)))
+    report = verify_cauchy_operator(fibonacci(), 3, 2, 2, 8)
+    assert [row["degree"] for row in report.mismatches] == list(failing)
 
 
 def test_realization_relation():

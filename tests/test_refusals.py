@@ -65,6 +65,8 @@ REFUSALS = [
          3, ScalarMode(RatFunc.constant(-1))),
      NonInvertibleDenominator,
      "binomial symbol (2 2) has vanishing denominator at eigenvalue -1"),
+    ("psi-family-kind", lambda: psi.PsiFamily("bogus"), ValueError,
+     "unknown family kind 'bogus'"),
     ("psi-int", lambda: psi.psi_int(_FIB, -1), NegativeIndex,
      "family index -1 is negative"),
     ("psi-factorial", lambda: psi.psi_factorial(_FIB, -1), NegativeIndex,
