@@ -11,7 +11,9 @@ and binomial coefficients.  It also houses the Gauss integers [n]_t at any
 parameter t, and the independent Gaussian-binomial routine used as an
 oracle by the operator, matrix and quantum-plane modules: a Pascal-style
 recurrence that never divides, so it is total in t.  The twisted
-convolution sum reads its factors from that recurrence alone.  Each of
+convolution sum reads its factors from that recurrence alone, the two
+rows it needs once each; :func:`gauss_binomial` is the checked reader of
+single entries.  Each of
 these sequences, the Fibonacci numbers, the quantum-plane powers of
 :mod:`psifoc.qplane` and the twisted sums of the Fermat check in
 :mod:`psifoc.matrices` is kept as one list per parameter,
@@ -328,22 +330,28 @@ def _q_kernels(t: Scalar):
 
 
 def twisted_sum(r: int, s: int, j: int, t: Scalar) -> Scalar:
-    """The sum over k of t^((r-k)(j-k)) (r, k) (s, j-k), each Gaussian
-    binomial (n, k) read from the recurrence rows of :func:`gauss_binomial`,
-    so it is total in t.  The twisted Cauchy identity says it is (r+s, j);
-    at (i, j, j) it factors the Fermat entry (i+j, j), since
-    (j, j-k) = (j, k).
+    """The sum over k of t^((r-k)(j-k)) (r, k) (s, j-k) at a checked t,
+    every Gaussian binomial read from the recurrence rows r and s of
+    :func:`gauss_binomial`, so it is total in t.  The twisted Cauchy
+    identity says it is (r+s, j); at (i, j, j) it factors the Fermat
+    entry (i+j, j), since (j, j-k) = (j, k).
 
-    Every factor is read first, (r, k) then (s, j-k) for k ascending.  At
-    the symbolic q every row entry is a polynomial with nonnegative int
-    coefficients, the twist is a shift, and
+    Outside max(0, j-s) <= k <= min(r, j) a factor vanishes; where no k is
+    left, as for r or s < 0 or j outside 0..r+s, the sum is the zero of
+    t's field and reads no row.  Otherwise rows r and s are read once
+    each, and the factors are taken from them, (r, k) and (s, j-k) for k
+    ascending.  At the symbolic q every row entry is a polynomial with
+    nonnegative int coefficients, the twist is a shift, and
     :func:`psifoc.ratfunc.shifted_product_sum` sums the products of the
     factors' packed integers; any other t takes the fold of scalar
     operators."""
-    # outside max(0, j-s) <= k <= min(r, j) a binomial factor vanishes
-    terms = [((r - k) * (j - k), gauss_binomial(r, k, t),
-              gauss_binomial(s, j - k, t))
-             for k in range(max(0, j - s), min(r, j) + 1)]
+    low, high = max(0, j - s), min(r, j)
+    if low > high:
+        return zero_like(t)
+    row_r = _entry(_row_step, t, r)
+    row_s = _entry(_row_step, t, s)
+    terms = [((r - k) * (j - k), row_r[k], row_s[j - k])
+             for k in range(low, high + 1)]
     kernels = _q_kernels(t)
     if kernels is not None:
         return kernels.shifted_product_sum(terms)

@@ -35,7 +35,8 @@ from math import gcd, lcm
 from operator import add, neg, sub
 
 from .errors import DivisionByZero, PoleAtPoint
-from .scalars import Rational, Scalar, SymbolicScalar, normalize, render
+from .scalars import (Rational, Scalar, SymbolicScalar, check, normalize,
+                      render)
 
 # ---------------------------------------------------------------------------
 # Dense polynomial helpers.  A polynomial is a tuple of coefficients in
@@ -281,12 +282,18 @@ class RatFunc(SymbolicScalar):
 
     Construct from ascending coefficient sequences:
     ``RatFunc([1, 1])`` is 1 + q, ``RatFunc([0, 1], [1, 1])`` is q/(1+q).
+    Every coefficient passes :func:`psifoc.scalars.check` and must be
+    rational, so a float, a bool or a RatFunc is refused with TypeError.
     """
 
     __slots__ = ("num", "den", "_hash", "_packed")
 
     def __init__(self, num: Iterable = (), den: Iterable = (1,)):
-        canonical = _canonical_fraction(_trim(list(num)), _trim(list(den)))
+        num, den = list(num), list(den)
+        for c in num + den:
+            if isinstance(check(c), SymbolicScalar):
+                raise TypeError(f"not a rational coefficient: {c!r}")
+        canonical = _canonical_fraction(_trim(num), _trim(den))
         self.num = canonical.num
         self.den = canonical.den
 
@@ -582,10 +589,11 @@ def q_binomial_steps(start: RatFunc, d: int, steps: range) -> RatFunc:
 
 
 def eval_ratfunc(f: RatFunc, q0: Rational) -> Rational:
-    """Exact value of the canonical form of ``f`` at the rational point q0."""
+    """Exact value of the canonical form of ``f`` at the rational point
+    q0, a plain int or Fraction."""
     if not isinstance(f, RatFunc):
         raise TypeError("eval_ratfunc takes a RatFunc")
-    if not isinstance(q0, (int, Fraction)) or isinstance(q0, bool):
+    if type(q0) is not int and type(q0) is not Fraction:
         raise TypeError("evaluation point must be rational")
     den_val = _peval(f.den, q0)
     if den_val == 0:

@@ -20,11 +20,12 @@ this module, on first use (PEP 562).
 All arithmetic is exact; nothing in this module rounds.  One rule governs
 the tags: a scalar is checked once, where a caller hands it to the
 library (:func:`check`, which refuses anything but ``int``, ``Fraction``
-and ``RatFunc``, floats and bools included), and a weight family fixes
-its tag when it is built.  Below those entry points the code uses the
-plain operators ``+ - * **``, and a checked scalar that is not a rational
-is a rational function.  The one operation that needs more than an
-operator is the exact quotient :func:`div`, which never yields a float.
+and ``RatFunc``, floats, bools and other subclasses included), and a
+weight family fixes its tag when it is built.  Below those entry points
+the code uses the plain operators ``+ - * **``, and a checked scalar that
+is not a rational is a rational function.  The one operation that needs
+more than an operator is the exact quotient :func:`div`, which never
+yields a float.
 """
 
 from __future__ import annotations
@@ -49,13 +50,14 @@ Scalar = int | Fraction | SymbolicScalar
 
 
 def check(s: object) -> Scalar:
-    """Return s if it is a scalar; raise TypeError naming it otherwise."""
+    """Return s if it is a scalar: a plain int or Fraction, or a
+    rational function.  Raise TypeError naming it otherwise, a subclass
+    of int or Fraction included, as bool is one: its values would keep
+    their own type in the canonical forms and the memo keys."""
     cls = type(s)
     if cls is int or cls is Fraction or isinstance(s, SymbolicScalar):
         return s
-    if cls is bool or not isinstance(s, (int, Fraction)):
-        raise TypeError(f"not a scalar: {s!r}")
-    return s
+    raise TypeError(f"not a scalar: {s!r}")
 
 
 def normalize(s: Scalar) -> Scalar:

@@ -529,6 +529,14 @@ def test_digit_limit_is_restored_after_an_error(monkeypatch):
     assert sys.get_int_max_str_digits() == _DIGIT_LIMIT
 
 
+def test_verb_runs_on_an_interpreter_without_a_digit_limit(monkeypatch):
+    # CPython 3.10.0-3.10.6 has no sys.set_int_max_str_digits, and the
+    # verb runs as it is there
+    monkeypatch.delattr(sys, "set_int_max_str_digits", raising=False)
+    assert run_command(parse_command(["fact", "--family", "fib", "5"])) == (
+        0, "30")
+
+
 @pytest.mark.skipif(not _DIGIT_LIMIT, reason="no int digit limit")
 def test_overlong_custom_table_value_is_refused(tmp_path, capsys):
     table = tmp_path / "table.txt"

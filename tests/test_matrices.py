@@ -161,15 +161,17 @@ def test_stored_hook_sums_are_the_fermat_entries(t, cold_tables, stored):
 
 
 def _corrupt_recurrence(monkeypatch):
-    """Make the sum side read (3, 1) off by one, at every parameter: the
-    twisted sums read the recurrence through psi.gauss_binomial, and the
-    matrix side reads the quotients, so only the sums change."""
-    right = psi.gauss_binomial
+    """Make entry (3, 1) of the recurrence rows off by one, at every
+    parameter, where the twisted sums read it: psi._row_step, which grows
+    rows 4 and up from the wrong row 3.  The matrix side reads the
+    quotients, so only the sums change."""
+    right = psi._row_step
 
-    def wrong(n, k, t):
-        return right(n, k, t) + (1 if (n, k) == (3, 1) else 0)
+    def wrong(seq, t):
+        row = right(seq, t)
+        return row if len(seq) != 3 else (row[0], row[1] + 1, *row[2:])
 
-    monkeypatch.setattr(psi, "gauss_binomial", wrong)
+    monkeypatch.setattr(psi, "_row_step", wrong)
 
 
 def _entrywise_mismatches(size, t):
@@ -188,9 +190,13 @@ def _entrywise_mismatches(size, t):
 def test_hook_table_keeps_a_wrong_sum(t, monkeypatch, cold_tables):
     _corrupt_recurrence(monkeypatch)
     expected = _entrywise_mismatches(6, t)
-    # (3, 1) is read by the sums (3, j) for j >= 1 and (i, 3) for i >= 2
+    # (4, 1), (4, 2), (5, 1), (5, 2) and (5, 3) grow wrong from (3, 1):
+    # the sum (i, j) reads (i, k) and (j, j - k) for k up to min(i, j),
+    # so it is wrong for i >= 3 and j >= 1, and for i = 2 and j >= 3
     assert [(i, j) for i, j, _, _ in expected] == [
-        (2, 3), (3, 1), (3, 2), (3, 3), (3, 4), (3, 5), (4, 3), (5, 3)]
+        (2, 3), (2, 4), (2, 5), (3, 1), (3, 2), (3, 3), (3, 4), (3, 5),
+        (4, 1), (4, 2), (4, 3), (4, 4), (4, 5),
+        (5, 1), (5, 2), (5, 3), (5, 4), (5, 5)]
     assert fermat_factorization_mismatches(6, ScalarMode(t)) == expected
     assert fermat_factorization_mismatches(6, ScalarMode(t)) == expected
 
@@ -204,6 +210,9 @@ def test_factorization_does_not_depend_on_size_order(order, monkeypatch,
     for t in (Q, 2):
         expected = {size: _entrywise_mismatches(size, t)
                     for size in order}
+        # row 3 is first read at size 4
+        assert sorted(size for size, bad in expected.items() if bad) == [
+            4, 5, 6, 7, 8]
         cold_tables()
         got = {size: fermat_factorization_mismatches(size, ScalarMode(t))
                for size in order}

@@ -232,12 +232,16 @@ def _scaled_quotient(right):
 
 
 def _recurrence_off_at_3_1(right):
-    return lambda n, k, t: right(n, k, t) + (1 if (n, k) == (3, 1) else 0)
+    # the row step, where the sum reads the recurrence: (3, 1) off by one
+    def wrong(seq, t):
+        row = right(seq, t)
+        return row if len(seq) != 3 else (row[0], row[1] + 1, *row[2:])
+    return wrong
 
 
 @pytest.mark.parametrize("module, name, mutate, failing", [
     (qplane, "binomial_eigenvalue", _scaled_quotient, [0, 1, 4, 5, 6, 7, 8]),
-    (psi, "gauss_binomial", _recurrence_off_at_3_1, range(2, 9)),
+    (psi, "_row_step", _recurrence_off_at_3_1, range(2, 9)),
 ], ids=["quotient-times-lam^n", "recurrence-off-at-(3,1)"])
 def test_cauchy_operator_sees_either_route_wrong(module, name, mutate,
                                                  failing, monkeypatch):

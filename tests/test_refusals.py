@@ -1,7 +1,9 @@
 """Refusals: each guarded call raises its named error with its message."""
 
+import enum
 import os
 import tempfile
+from fractions import Fraction
 from unittest import mock
 
 import pytest
@@ -26,6 +28,14 @@ def _empty_table():
 def _trunc(raw):
     with mock.patch.dict(os.environ, {"PSIFOC_TRUNC": raw}):
         return cli._default_trunc()
+
+
+class _Three(enum.IntEnum):
+    A = 3
+
+
+class _Half(Fraction):
+    pass
 
 
 _FIB = psi.fibonacci()
@@ -118,6 +128,34 @@ REFUSALS = [
      "not a scalar: True"),
     ("render-false", lambda: scalars.render(False), TypeError,
      "not a scalar: False"),
+    # a subclass of int or Fraction is refused as bool is, so no value
+    # keeps its own type in a canonical form or a memo key
+    ("check-int-subclass", lambda: scalars.check(_Three.A), TypeError,
+     "not a scalar: <_Three.A: 3>"),
+    ("check-fraction-subclass", lambda: scalars.check(_Half(1, 2)),
+     TypeError, "not a scalar: _Half(1, 2)"),
+    ("custom-int-subclass", lambda: psi.custom([1, _Three.A]), TypeError,
+     "not a scalar: <_Three.A: 3>"),
+    ("gauss-binomial-int-subclass",
+     lambda: psi.gauss_binomial(2, 1, _Three.A), TypeError,
+     "not a scalar: <_Three.A: 3>"),
+    ("eval-point-int-subclass", lambda: ratfunc.eval_ratfunc(Q, _Three.A),
+     TypeError, "evaluation point must be rational"),
+    # the coefficients of the public constructor pass check
+    ("ratfunc-float", lambda: RatFunc([1.5]), TypeError,
+     "not a scalar: 1.5"),
+    ("ratfunc-str", lambda: RatFunc(["x"]), TypeError,
+     "not a scalar: 'x'"),
+    ("ratfunc-none", lambda: RatFunc([None]), TypeError,
+     "not a scalar: None"),
+    ("ratfunc-bool", lambda: RatFunc([True, 1]), TypeError,
+     "not a scalar: True"),
+    ("ratfunc-int-subclass", lambda: RatFunc([_Three.A, 1]), TypeError,
+     "not a scalar: <_Three.A: 3>"),
+    ("ratfunc-float-denominator", lambda: RatFunc([1], [0.5]), TypeError,
+     "not a scalar: 0.5"),
+    ("ratfunc-ratfunc", lambda: RatFunc([1, Q]), TypeError,
+     "not a rational coefficient: RatFunc(q)"),
 ]
 
 
