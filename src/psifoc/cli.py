@@ -40,9 +40,11 @@ one over a rational family never does.  Of the standard library,
 :mod:`importlib` (:mod:`fractions` imports :mod:`re` itself): the
 grammar's patterns are matched by str methods.
 
-A parsed family name stays the string it was in the argv until
+:func:`parse_family` alone decides which strings name a family.  A
+parsed family name stays the string it was in the argv until
 :func:`to_family` reads it, when the command runs; a custom table is
-read then.  Every input is read before the command computes, under the
+read then, one :func:`psifoc.scalars.parse_rational` value per line.
+Every input is read before the command computes, under the
 interpreter's limit on the digits of an int read from text: the argv,
 the values of a custom table and PSIFOC_TRUNC.  The command then runs
 with the limit lifted, so an answer may be longer.
@@ -52,7 +54,6 @@ from __future__ import annotations
 
 import os
 import sys
-from fractions import Fraction
 
 from . import psi
 from ._record import Frozen
@@ -75,19 +76,6 @@ commands:
 families: classical | gauss | gauss@<rational> | fib | custom:<path>
 global flags: --pretty\
 """
-
-
-def _is_family(text: str) -> bool:
-    """Whether text is a full match of
-    ``classical|gauss(@.+)?|fib|custom:.+``, where ``.`` is any character
-    but a newline."""
-    if text in ("classical", "gauss", "fib"):
-        return True
-    for prefix in ("gauss@", "custom:"):
-        if text.startswith(prefix):
-            rest = text[len(prefix):]
-            return bool(rest) and "\n" not in rest
-    return False
 
 
 def to_family(text: str) -> psi.PsiFamily:
@@ -116,7 +104,7 @@ def to_family(text: str) -> psi.PsiFamily:
             raise InvalidFamilyFile(
                 f"{path}:{lineno}: blank line before the last value")
         try:
-            values.append(Fraction(parse_rational(line)))
+            values.append(parse_rational(line))
         except ValueError:
             raise InvalidFamilyFile(
                 f"{path}:{lineno}: not a rational: {line!r}")
@@ -126,13 +114,22 @@ def to_family(text: str) -> psi.PsiFamily:
 
 
 def parse_family(text: str, position: int) -> str:
-    if not _is_family(text):
+    """text, if it names a family: ``classical``, ``gauss``, ``fib``, or
+    ``gauss@`` or ``custom:`` and then at least one character and no
+    newline, where what follows ``gauss@`` must be a rational; a
+    ParseError otherwise."""
+    if text in ("classical", "gauss", "fib"):
+        return text
+    gauss = text.startswith("gauss@")
+    rest = (text[6:] if gauss else
+            text[7:] if text.startswith("custom:") else "")
+    if not rest or "\n" in rest:
         raise ParseError(f"bad family {text!r}", position,
                          ("classical", "gauss", "gauss@<rational>", "fib",
                           "custom:<path>"))
-    if text.startswith("gauss@"):
+    if gauss:
         try:
-            parse_rational(text[6:])
+            parse_rational(rest)
         except ValueError:
             raise ParseError(f"bad rational in family {text!r}", position,
                              ("gauss@<rational>",))
@@ -141,7 +138,10 @@ def parse_family(text: str, position: int) -> str:
 
 class Command(Frozen):
     """A parsed command; every instance round-trips through
-    :meth:`canonical` and :func:`parse_command`."""
+    :meth:`canonical` and :func:`parse_command`.  The argv renders each
+    value by ``str``, which on the parsed values, ints, normalized
+    Fractions and the family, format and path strings, is
+    :func:`psifoc.scalars.render`."""
 
     __slots__ = ("verb", "subverb", "family", "n", "k", "xval", "r", "s",
                  "j", "size", "maxdeg", "power", "eigen", "qfield", "x0",
@@ -164,12 +164,12 @@ class Command(Frozen):
         if self.subverb is not None:
             argv.append(self.subverb)
         rule = _GRAMMAR[(self.verb, self.subverb)]
-        for flag, (kind, dest, _required) in rule["flags"].items():
+        for flag, (_kind, dest, _required) in rule["flags"].items():
             value = getattr(self, dest)
             if value is not None:
-                argv += [flag, _render_value(kind, value)]
-        argv += [_render_value(kind, getattr(self, dest))
-                 for kind, dest, _label in rule["positionals"]]
+                argv += [flag, str(value)]
+        argv += [str(getattr(self, dest))
+                 for _kind, dest, _label in rule["positionals"]]
         if self.pretty:
             argv.append("--pretty")
         return argv
@@ -268,13 +268,6 @@ def _parse_value(kind: str, token: str, position: int, label: str):
                              ("csv", "json"))
         return token
     return token  # path
-
-
-def _render_value(kind: str, value) -> str:
-    """Inverse of :func:`_parse_value` on parsed values."""
-    if kind == "rational":
-        return render(value)
-    return str(value)
 
 
 def parse_command(argv: list[str]) -> Command:

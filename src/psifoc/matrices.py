@@ -192,15 +192,21 @@ def pascal_matrix(x0: Scalar, size: int, mode: EvalMode) -> ScalarMatrix:
         for i in range(size)))
 
 
-def fermat_matrix(size: int, mode: EvalMode) -> ScalarMatrix:
-    """Symmetric deformed Fermat matrix: entry (i, j) is the binomial
-    (i+j, j) at the mode's parameter, computed by the factorial-quotient
-    route (so degenerate parameters raise NonInvertibleDenominator)."""
+def _fermat_entries(size: int, mode: EvalMode) -> tuple[Scalar, tuple]:
+    """The mode's parameter t and the rows of Fermat entries (i+j, j) at t,
+    by the factorial-quotient route behind the size check: a degenerate t
+    raises NonInvertibleDenominator at the first vanishing quotient."""
     _check_size(size)
     t = resolve_mode(mode)
-    return ScalarMatrix._raw(tuple(
+    return t, tuple(
         tuple([qhat.binomial_eigenvalue(i + j, j, t) for j in range(size)])
-        for i in range(size)))
+        for i in range(size))
+
+
+def fermat_matrix(size: int, mode: EvalMode) -> ScalarMatrix:
+    """Symmetric deformed Fermat matrix: entry (i, j) is the binomial
+    (i+j, j) at the mode's parameter, by the factorial-quotient route."""
+    return ScalarMatrix._raw(_fermat_entries(size, mode)[1])
 
 
 def fermat_factorization_mismatches(size: int, mode: EvalMode) -> list[tuple]:
@@ -213,12 +219,8 @@ def fermat_factorization_mismatches(size: int, mode: EvalMode) -> list[tuple]:
     Each sum is computed once per parameter and kept; every call compares
     every entry.
     """
-    t = resolve_mode(mode)
-    _check_size(size)
-    # the entries first, row by row, so a degenerate t is refused at the
-    # first vanishing quotient of the matrix, as fermat_matrix refuses it
-    fermat = [[qhat.binomial_eigenvalue(i + j, j, t) for j in range(size)]
-              for i in range(size)]
+    # entries before sums: a degenerate t is refused as by fermat_matrix
+    t, fermat = _fermat_entries(size, mode)
     hooks = [_entry(_hook_step, t, n) for n in range(size)]
     bad = []
     for i in range(size):

@@ -243,8 +243,9 @@ def verify_gauss_binomial_theorem(n_max: int) -> Report:
     Q = _ratfunc().Q
     report = Report({"check": "binomial-theorem", "n_max": n_max})
     for n in range(n_max + 1):
-        power = _entry(_power_step, Q, n)
+        # the row first, by its own route: the power step only reads it
         row = _entry(_row_step, Q, n)
+        power = _entry(_power_step, Q, n)
         # a stored coefficient equal to its row entry is that entry, so a
         # right power compares by identity alone
         stored = tuple(power.coeffs.get((k, n - k)) for k in range(n + 1))

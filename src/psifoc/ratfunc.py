@@ -16,12 +16,16 @@ caller that builds a RatFunc), and only there: below
 :func:`psifoc.scalars.check`, a scalar that is not a rational is a
 RatFunc, so every symbolic branch runs after this module has.
 
-The :class:`RatFunc` overloads take ``int`` and ``Fraction`` operands as
-they are, without building a constant function: c num/den, (num/c)/den
-and (num + c den)/den keep the monic den, and they stay coprime to it
-because a nonzero c is a unit and gcd(num + c den, den) = gcd(num, den) =
-1, so all are canonical with no reduction.  A quotient of two
-polynomials tries exact division before any reduction.
+The :class:`RatFunc` overloads of ``+ - * /``, reflected ones included,
+take exactly the rationals :func:`psifoc.scalars.check` admits, ``int``
+and ``Fraction``: on a bool or another subclass they return
+NotImplemented, so Python raises TypeError, and no such value becomes a
+coefficient.  A rational is taken as it is, without building a constant
+function: c num/den, (num/c)/den and (num + c den)/den keep the monic
+den, and they stay coprime to it because a nonzero c is a unit and
+gcd(num + c den, den) = gcd(num, den) = 1, so all are canonical with no
+reduction.  A quotient of two polynomials tries exact division before
+any reduction.
 """
 
 from __future__ import annotations
@@ -306,7 +310,7 @@ class RatFunc(SymbolicScalar):
 
     @classmethod
     def constant(cls, c: Rational) -> "RatFunc":
-        return cls._raw(_constant(c), _PONE)
+        return cls((c,))
 
     @classmethod
     def zero(cls) -> "RatFunc":
@@ -325,7 +329,7 @@ class RatFunc(SymbolicScalar):
             num = _padd(_pmul(self.num, other.den),
                         _pmul(other.num, self.den))
             return _canonical_fraction(num, _pmul(self.den, other.den))
-        if isinstance(other, (int, Fraction)):
+        if type(other) in (int, Fraction):
             # num + c den over the same monic den is canonical: it is
             # coprime to den because num is
             return RatFunc._raw(
@@ -335,12 +339,12 @@ class RatFunc(SymbolicScalar):
     __radd__ = __add__
 
     def __sub__(self, other):
-        if not isinstance(other, (RatFunc, int, Fraction)):
-            return NotImplemented
-        return self.__add__(-other)
+        if isinstance(other, RatFunc) or type(other) in (int, Fraction):
+            return self.__add__(-other)
+        return NotImplemented
 
     def __rsub__(self, other):
-        if not isinstance(other, (int, Fraction)):
+        if type(other) not in (int, Fraction):
             return NotImplemented
         return -self + other
 
@@ -353,7 +357,7 @@ class RatFunc(SymbolicScalar):
                 return RatFunc._raw(_pmul(self.num, other.num), _PONE)
             return _canonical_fraction(_pmul(self.num, other.num),
                                        _pmul(self.den, other.den))
-        if isinstance(other, (int, Fraction)):
+        if type(other) in (int, Fraction):
             # a nonzero constant is a unit: c num stays coprime to den
             c = _constant(other)
             return RatFunc._raw(_pmul(self.num, c), self.den if c else _PONE)
@@ -362,7 +366,7 @@ class RatFunc(SymbolicScalar):
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if type(other) in (int, Fraction):
             if not other:
                 raise DivisionByZero("division by the zero rational function")
             # num/c over the same monic den is canonical, as c num is
@@ -382,9 +386,9 @@ class RatFunc(SymbolicScalar):
                                    _pmul(self.den, other.num))
 
     def __rtruediv__(self, other):
-        if not isinstance(other, (int, Fraction)):
+        if type(other) not in (int, Fraction):
             return NotImplemented
-        return RatFunc.constant(other) / self
+        return RatFunc._raw(_constant(other), _PONE) / self
 
     def __pow__(self, n):
         if not isinstance(n, int):

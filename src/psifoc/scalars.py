@@ -23,9 +23,10 @@ library (:func:`check`, which refuses anything but ``int``, ``Fraction``
 and ``RatFunc``, floats, bools and other subclasses included), and a
 weight family fixes its tag when it is built.  Below those entry points
 the code uses the plain operators ``+ - * **``, and a checked scalar that
-is not a rational is a rational function.  The one operation that needs
-more than an operator is the exact quotient :func:`div`, which never
-yields a float.
+is not a rational is a rational function.  The operators of ``RatFunc``
+take the same exact types, so :func:`normalize` tests the type alone.
+The one operation that needs more than an operator is the exact
+quotient :func:`div`, which never yields a float.
 """
 
 from __future__ import annotations
@@ -61,12 +62,9 @@ def check(s: object) -> Scalar:
 
 
 def normalize(s: Scalar) -> Scalar:
-    """Canonical representative: integral Fractions become ints, and a
-    rational function is canonical already."""
-    cls = type(s)
-    if cls is int or cls is not Fraction and isinstance(s, SymbolicScalar):
-        return s
-    if isinstance(s, Fraction) and s.denominator == 1:
+    """Canonical representative of a checked scalar: integral Fractions
+    become ints, and a rational function is canonical already."""
+    if type(s) is Fraction and s.denominator == 1:
         return s.numerator
     return s
 
@@ -99,9 +97,7 @@ def render(s: object) -> str:
     if cls is int:
         return str(s)
     if cls is not Fraction:
-        check(s)
-        if isinstance(s, SymbolicScalar):
-            return str(s)
+        return str(check(s))
     if s.denominator == 1:
         return str(s.numerator)
     return f"{s.numerator}/{s.denominator}"

@@ -14,8 +14,10 @@ allowance says why a shared call feeds no value, or why the check shares
 it on purpose, and the mutants of tests/test_matrices.py and
 tests/test_qplane.py show the data flow.
 
-The table covers the scalar and operator Cauchy checks and the Fermat
-hooks; the other verifiers have no row yet.
+The table covers the scalar and operator Cauchy checks, the Fermat hooks
+and the quantum-plane binomial theorem.  Two verifiers check a law with a
+single route and have no row, each for the reason SINGLE_ROUTE gives; the
+others have no row yet.
 """
 
 from __future__ import annotations
@@ -64,6 +66,10 @@ _ROWS_ARE_SHARED = ("both sides read the recurrence rows, on purpose: the "
                     "refuses (n k) for max(k, n-k) >= 2")
 _REUSED_ENTRY = ("_hook_step reads the quotient the matrix side stored, "
                  "only to keep a sum equal to it as that entry")
+_TUPLE_KERNELS = ("the power's products and the row step add coefficient "
+                  "tuples at q with the kernels of ratfunc, each side on its "
+                  "own operands; tests/test_psi.py checks both sides' "
+                  "values at q against the scalar operators at rational t")
 
 ROUTES = (
     Route("cauchy-operator",
@@ -88,7 +94,31 @@ ROUTES = (
           {name: _REUSED_ENTRY for name in (
               "qhat.binomial_eigenvalue", "scalars.check",
               "psi._gauss_quotient", "read _gauss_quotient")}),
+    # the check reads row n before power n, whose step reads that row only
+    # to keep a coefficient equal to its entry as that entry: the read is
+    # the power side's alone, and tests/test_qplane.py pins that a wrong
+    # row is kept out of the powers and reported
+    Route("binomial-theorem",
+          lambda _t: qplane.verify_gauss_binomial_theorem(4),
+          (Q,),
+          (qplane._power_step, psi._row_step),
+          {name: _TUPLE_KERNELS for name in (
+              "ratfunc._pshift_add", "ratfunc._padd", "ratfunc._trim")}),
 )
+
+#: The checks whose verifier sums the twisted Cauchy identity.
+SUMMING = ("cauchy-operator", "cauchy-scalar", "fermat-hooks")
+
+#: The verifiers that check a law rather than one value by two routes.
+SINGLE_ROUTE = {
+    qplane.realization_check:
+        "B A and A B compose the same two monomial maps; the claim is the "
+        "law B A = t A B, which holds for the dilation realization",
+    qplane.check_psi_multiplicativity:
+        "both sides are convolution powers from the one psi_binomial table; "
+        "the claim is the law p_r p_s = p_(r+s), which deformed families "
+        "break",
+}
 
 
 class Trace:

@@ -154,11 +154,33 @@ _token_text = st.one_of(
     st.from_regex(_FAMILY_PATTERN, fullmatch=True))
 
 
+def _is_rational(text):
+    try:
+        scalars.parse_rational(text)
+    except ValueError:
+        return False
+    return True
+
+
 def _check_matchers(text):
     # cli matches integers with the matcher of scalars
     assert scalars._is_integer(text) is bool(
         _INT_PATTERN.fullmatch(text)), text
-    assert cli._is_family(text) is bool(_FAMILY_PATTERN.fullmatch(text)), text
+    # parse_family accepts the full matches of the family pattern, the
+    # rest of a gauss@ one being a rational; a full match whose rest is
+    # not one is a bad rational, and any other text a bad family
+    try:
+        assert cli.parse_family(text, 0) == text
+        refusal = None
+    except ParseError as exc:
+        refusal = str(exc)
+    if not _FAMILY_PATTERN.fullmatch(text):
+        assert str(refusal).startswith(f"bad family {text!r}"), text
+    elif text.startswith("gauss@") and not _is_rational(text[6:]):
+        assert str(refusal).startswith(
+            f"bad rational in family {text!r}"), text
+    else:
+        assert refusal is None, text
 
 
 def test_matchers_on_pinned_tokens():

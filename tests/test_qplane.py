@@ -16,7 +16,7 @@ from psifoc.qplane import (QPlanePoly, Report, explore_observation1_general,
                            verify_fermat_operator,
                            verify_gauss_binomial_theorem)
 from psifoc.ratfunc import Q, RatFunc
-from psifoc.scalars import normalize
+from psifoc.scalars import normalize, render
 
 
 def test_defining_relation():
@@ -143,6 +143,37 @@ def test_binomial_theorem_reports_a_wrong_stored_power(corrupt, cold_tables,
     assert report.mismatches == _coefficient_rows(8)
     assert len(report.mismatches) == len(corrupt)
     assert {row["n"] for row in report.mismatches} == {5}
+
+
+def test_power_table_keeps_a_wrong_row(monkeypatch, cold_tables, stored):
+    # the power step reads row n only to keep a coefficient equal to its
+    # entry as that entry: under row 3, entry 1 off by one, every stored
+    # coefficient is the product's own value, and each row entry that
+    # differs from it is a mismatch row, on every call
+    right = psi._row_step
+    truth = [psi._entry(right, Q, n) for n in range(8)]
+    cold_tables()
+
+    def wrong(seq, t):
+        row = right(seq, t)
+        return row if len(seq) != 3 else (row[0], row[1] + 1, *row[2:])
+
+    monkeypatch.setattr(qplane, "_row_step", wrong)
+    report = verify_gauss_binomial_theorem(7)
+    rows = stored(wrong, Q)
+    differ = [(n, k) for n in range(8) for k in range(n + 1)
+              if rows[n][k] != truth[n][k]]
+    # rows 4 and up grow from the wrong row 3
+    assert [n for n, _ in differ][:3] == [3, 4, 4] and differ[-1][0] == 7
+    assert report.mismatches == [
+        {"n": n, "monomial": f"x^{k}*y^{n - k}", "lhs": render(truth[n][k]),
+         "rhs": render(rows[n][k])} for n, k in differ]
+    for n, power in enumerate(stored(qplane._power_step, Q)):
+        for k in range(n + 1):
+            value = power.coeffs[k, n - k]
+            assert value == truth[n][k], (n, k)
+            assert (value is rows[n][k]) is ((n, k) not in differ), (n, k)
+    assert verify_gauss_binomial_theorem(7).mismatches == report.mismatches
 
 
 def test_binomial_theorem_reports_do_not_depend_on_call_order(cold_tables):

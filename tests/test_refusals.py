@@ -1,6 +1,7 @@
 """Refusals: each guarded call raises its named error with its message."""
 
 import enum
+import operator
 import os
 import tempfile
 from fractions import Fraction
@@ -156,7 +157,31 @@ REFUSALS = [
      "not a scalar: 0.5"),
     ("ratfunc-ratfunc", lambda: RatFunc([1, Q]), TypeError,
      "not a rational coefficient: RatFunc(q)"),
+    ("ratfunc-constant-bool", lambda: RatFunc.constant(True), TypeError,
+     "not a scalar: True"),
+    # the operators of RatFunc take exactly the rationals check admits
+    ("ratfunc-one-mul-bool", lambda: RatFunc.one() * True, TypeError,
+     "for *: 'RatFunc' and 'bool'"),
 ]
+
+
+def _operand_refusals():
+    """A bool and a Fraction subclass on either side of each RatFunc
+    operator: each is refused with TypeError, none becomes a
+    coefficient."""
+    ops = (("add", "+", operator.add), ("sub", "-", operator.sub),
+           ("mul", "*", operator.mul), ("div", "/", operator.truediv))
+    for name, symbol, op in ops:
+        for other, label in ((True, "bool"), (_Half(1, 2), "_Half")):
+            yield (f"ratfunc-{name}-{label}",
+                   lambda op=op, other=other: op(Q, other), TypeError,
+                   f"for {symbol}: 'RatFunc' and '{label}'")
+            yield (f"{label}-{name}-ratfunc",
+                   lambda op=op, other=other: op(other, Q), TypeError,
+                   f"for {symbol}: '{label}' and 'RatFunc'")
+
+
+REFUSALS += _operand_refusals()
 
 
 @pytest.mark.parametrize("call, error, fragment",

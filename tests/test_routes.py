@@ -25,7 +25,9 @@ def test_sides_share_only_what_the_row_allows(row):
     assert used == allowed
 
 
-@pytest.mark.parametrize("row", routes.ROUTES, ids=lambda row: row.check)
+@pytest.mark.parametrize(
+    "row", [row for row in routes.ROUTES if row.check in routes.SUMMING],
+    ids=lambda row: row.check)
 def test_every_twisted_sum_reads_its_two_rows_once(row):
     for t in row.params:
         found = routes.trace(lambda: row.run(t), row.sides,

@@ -2,13 +2,13 @@
 
 Runs the tier-1 suite in this process under a line tracer, set with
 ``sys.settrace`` and ``threading.settrace``, that follows only the frames
-of code in src/psifoc.  Then it prints each statement of those modules
-that no traced line reached, one ``path:line: source`` per statement, and
-the count.  Code that the tests run in a subprocess, through the CLI or
-``python -c``, is not traced, so what only a subprocess reaches is
-listed too.  The ``if __name__ == "__main__":`` block is left out, and so
-is the body of ``if _BIG_ENDIAN:``, which a little-endian machine never
-runs.
+of code in src/psifoc.  Then it prints each statement of those modules,
+as read before the run, that no traced line reached, one
+``path:line: source`` per statement, and the count.  Code that the tests
+run in a subprocess, through the CLI or ``python -c``, is not traced, so
+what only a subprocess reaches is listed too.  The
+``if __name__ == "__main__":`` block is left out, and so is the body of
+``if _BIG_ENDIAN:``, which a little-endian machine never runs.
 
 Run from the repository root; stdlib only, beside the test runner, and
 any arguments go to pytest::
@@ -110,11 +110,13 @@ def trace_suite(args: list[str]) -> tuple[int, dict[str, set[int]]]:
 
 def main(argv: list[str]) -> int:
     os.chdir(ROOT)
+    # an edit made while the suite runs must not shift the lines compared
+    sources = {path: path.read_text(encoding="utf-8")
+               for path in sorted(SRC.glob("*.py"))}
     status, hits = trace_suite(argv)
     total = 0
-    for path in sorted(SRC.glob("*.py")):
+    for path, source in sources.items():
         lines = hits.get(os.path.realpath(path), set())
-        source = path.read_text(encoding="utf-8")
         text = source.splitlines()
         for first, span in statements(source):
             if lines.isdisjoint(span):
